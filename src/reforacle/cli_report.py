@@ -10,8 +10,10 @@ outcomes file), `metamorph` (persist seeded variants), `metrics`,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import os
 import statistics as pystats
 import sys
 import threading
@@ -135,8 +137,15 @@ def run_benchmark(
     """Execute render - query - parse - assess over the whole grid.
 
     Per-call transport errors are logged and counted but never abort the
-    run; configuration errors raise before any work starts.
+    run; configuration errors raise before any work starts. A toolchain
+    built here, when none is passed, is closed before returning.
     """
+    if toolchain is None:
+        jdk = java_executor.find_jdk()
+        if jdk is None:
+            return run_benchmark(cfg, backends_impl, _NO_TOOLCHAIN)
+        with contextlib.closing(java_executor.RealToolchain(jdk)) as own:
+            return run_benchmark(cfg, backends_impl, own)
     corpus = load_corpus(cfg.corpus_root)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -144,9 +153,6 @@ def run_benchmark(
 
     replay_store = TranscriptStore(cfg.replay_path) if cfg.replay_path else None
     record_store = TranscriptStore(cfg.record_path) if cfg.record_path else None
-    if toolchain is None:
-        jdk = java_executor.find_jdk()
-        toolchain = java_executor.RealToolchain(jdk) if jdk else _NO_TOOLCHAIN
     toolchain_version = toolchain.version()
 
     variants_by_id: dict[str, metamorph.MetamorphicVariant] = {}
@@ -308,11 +314,10 @@ def write_metric_reports(records: list[dict], out_dir: Path) -> list[Path]:
     backends = sorted({r["backend_name"] for r in records})
     for name in backends:
         try:
-            matrix = analytics.matrix_from_outcomes(records, name)
-        except analytics.AnalyticsError as err:
+            report = analytics.metric_report(analytics.matrix_from_outcomes(records, name))
+        except analytics.AnalyticsError as err:  # e.g. every row inconclusive
             logger.warning("no metrics for %s: %s", name, err)
             continue
-        report = analytics.metric_report(matrix)
         safe = name.replace("/", "_").replace("@", "_at_").replace("=", "")
         json_path = out_dir / f"metrics-{safe}.json"
         json_path.write_text(report.to_json(), "utf-8")
@@ -570,7 +575,7 @@ def _load_backends(args) -> list[BackendConfig]:
 def _toolchain_from_args(args):
     compiler = getattr(args, "compiler", None)
     junit_cp = getattr(args, "junit_cp", None)
-    entries = tuple(junit_cp.split(":")) if junit_cp else ()
+    entries = tuple(junit_cp.split(os.pathsep)) if junit_cp else ()
     if compiler:
         cfg = java_executor.ToolchainConfig(
             javac_path=compiler,
@@ -656,7 +661,7 @@ def _dispatch(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "validation.jsonl"
         confirmed = quarantined = 0
-        with report_path.open("w", encoding="utf-8") as fh:
+        with report_path.open("w", encoding="utf-8") as fh, contextlib.closing(toolchain):
             for inst in corpus.instances:
                 report = validate_instance(inst, toolchain)
                 confirmed += int(report.ground_truth_confirmed)
@@ -701,7 +706,12 @@ def _dispatch(args) -> int:
             jobs=args.jobs,
             template_path=args.template,
         )
-        artifacts = run_benchmark(cfg, toolchain=_toolchain_from_args(args))
+        toolchain = _toolchain_from_args(args)
+        try:
+            artifacts = run_benchmark(cfg, toolchain=toolchain)
+        finally:
+            if toolchain is not None:
+                toolchain.close()
         print(f"outcomes: {artifacts.outcomes_path}")
         for path in artifacts.metrics_paths:
             print(f"metrics: {path}")

@@ -1,20 +1,23 @@
 """Compile source sets and run single JUnit tests in isolated workspaces.
 
-Two toolchains share one surface: RealToolchain shells out to javac/java
-with a JUnit 4 runner on the classpath, MockToolchain answers from a
-table keyed by content hashes so everything above it can be exercised
-without a JDK. Every task gets its own workspace directory; nothing is
-shared between tasks.
+Two toolchains share one surface: RealToolchain compiles with javac and
+runs each test in a fresh JVM with a JUnit 4 runner on the classpath,
+MockToolchain answers from a table keyed by content hashes so everything
+above it can be exercised without a JDK. Every task gets its own
+workspace directory; nothing is shared between tasks.
 """
 
 from __future__ import annotations
 
 import hashlib
+import locale
 import logging
+import os
 import re
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +37,20 @@ DID_NOT_COMPILE = "DID_NOT_COMPILE"
 REFLECTION_MARKER = "java.lang.reflect"
 
 DEFAULT_TEST_TIMEOUT_S = 30.0
+COMPILE_TIMEOUT_S = 300.0
+
+# The warm compiler run by RealToolchain, started with the JDK's
+# source-file launcher so it needs no build step.
+COMPILE_WORKER_SOURCE = Path(__file__).with_name("java") / "CompileWorker.java"
+# A small serial-GC heap and C1 only keep a worker's peak RSS below that
+# of one-shot javac (about 75 MB against 78 MB on OpenJDK 17).
+COMPILE_WORKER_JVM_FLAGS = (
+    "-XX:+UseSerialGC",
+    "-Xms8m",
+    "-Xmx48m",
+    "-XX:TieredStopAtLevel=1",
+    "-XX:ReservedCodeCacheSize=16m",
+)
 
 
 class ToolchainError(RuntimeError):
@@ -116,16 +133,33 @@ def find_jdk(junit_classpath: tuple[str, ...] = ()) -> ToolchainConfig | None:
 
 
 class RealToolchain:
-    """javac/java wrapper; one fresh workspace per compile or run."""
+    """javac/java wrapper; one fresh workspace per compile or run.
+
+    Compiles go to a pool of warm compiler JVMs (CompileWorker.java) that
+    run javac in process with the argv one-shot javac would get. A worker
+    starts on the first compile that finds none idle, so the pool never
+    outgrows the number of concurrent callers. A worker that cannot
+    start, dies or overruns COMPILE_TIMEOUT_S is killed and that compile
+    runs one-shot javac instead. Each test still runs in a fresh JVM.
+    Call close() to stop the workers.
+    """
 
     def __init__(self, config: ToolchainConfig, workspace_root: str | Path | None = None) -> None:
-        if shutil.which(config.javac_path) is None:
+        javac = shutil.which(config.javac_path)
+        if javac is None:
             raise ToolchainUnavailable(f"compiler not found: {config.javac_path}")
         if shutil.which(config.java_path) is None:
             raise ToolchainUnavailable(f"runtime not found: {config.java_path}")
         self.config = config
         self.workspace_root = Path(workspace_root) if workspace_root else None
         self._version: str | None = None
+        # the launcher of javac's own JDK, so workers compile as javac does;
+        # None once workers are known not to start
+        worker_java = Path(javac).resolve().with_name("java")
+        self._worker_java: str | None = str(worker_java) if worker_java.is_file() else None
+        self._workers_lock = threading.Lock()
+        self._workers: list[_CompileWorker] = []
+        self._idle_workers: list[_CompileWorker] = []
 
     def version(self) -> str:
         if self._version is None:
@@ -143,7 +177,7 @@ class RealToolchain:
             base = self.workspace_root
             if base is not None:
                 base.mkdir(parents=True, exist_ok=True)
-            return Path(tempfile.mkdtemp(prefix=f"reforacle-{tag}-", dir=base))
+            return Path(tempfile.mkdtemp(prefix=f"reforacle-{tag}-", dir=base)).absolute()
         except OSError as err:
             raise WorkspaceCreationFailed(str(err)) from err
 
@@ -157,10 +191,14 @@ class RealToolchain:
         return files
 
     def compile(self, src: SourceSet, workspace: str | Path | None = None) -> CompileResult:
-        """Write all files and compile them together in one javac call."""
+        """Write all files and compile them together in one javac call.
+
+        The paths are absolute, because a warm worker's working directory
+        is fixed when it starts.
+        """
         if not src.files:
             raise WorkspaceCreationFailed("empty source set")
-        ws = Path(workspace) if workspace else self._new_workspace("compile")
+        ws = Path(workspace).absolute() if workspace else self._new_workspace("compile")
         files = self._write_sources(src, ws)
         out = ws / "classes"
         out.mkdir(exist_ok=True)
@@ -169,11 +207,52 @@ class RealToolchain:
             cmd += ["-cp", _join_cp(self.config.junit_classpath)]
         cmd += [str(f) for f in files]
         start = time.monotonic()
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        result = self._compile_in_worker(cmd[1:])
+        if result is None:
+            result = _compile_one_shot(cmd)
+        returncode, diagnostics = result
         elapsed = time.monotonic() - start
-        diagnostics = proc.stdout + proc.stderr
         _log_invocation(ws, cmd, diagnostics)
-        return CompileResult(success=proc.returncode == 0, diagnostics=diagnostics, elapsed_s=elapsed)
+        return CompileResult(success=returncode == 0, diagnostics=diagnostics, elapsed_s=elapsed)
+
+    def _compile_in_worker(self, javac_args: list[str]) -> tuple[int, str] | None:
+        """(exit code, diagnostics) from a warm worker, or None when this
+        compile has to run one-shot javac."""
+        if any("\n" in arg for arg in javac_args):  # a request is one line
+            return None
+        with self._workers_lock:
+            worker = self._idle_workers.pop() if self._idle_workers else None
+            java = self._worker_java
+        if worker is None:
+            if java is None:
+                return None
+            try:
+                worker = _CompileWorker(java)
+            except _WorkerFailed as err:
+                with self._workers_lock:
+                    self._worker_java = None
+                logger.warning("compile worker did not start (%s); using one-shot javac", err)
+                return None
+            with self._workers_lock:
+                self._workers.append(worker)
+        try:
+            result = worker.compile(javac_args)
+        except _WorkerFailed as err:
+            worker.kill()
+            with self._workers_lock:
+                self._workers.remove(worker)
+            logger.warning("compile worker failed (%s); this compile uses one-shot javac", err)
+            return None
+        with self._workers_lock:
+            self._idle_workers.append(worker)
+        return result
+
+    def close(self) -> None:
+        """Stop the compile workers: end their input and wait for them."""
+        with self._workers_lock:
+            workers, self._workers, self._idle_workers = self._workers, [], []
+        for worker in workers:
+            worker.close()
 
     def run_test(
         self,
@@ -182,6 +261,9 @@ class RealToolchain:
         workspace: str | Path | None = None,
     ) -> TestRunResult:
         """Compile program + test together, then run the single JUnit test."""
+        if not self.config.junit_classpath:
+            # the runner main can only come from the JUnit classpath
+            raise ToolchainUnavailable("no JUnit classpath configured")
         test_class = javalex.top_level_public_class(test_source)
         if test_class is None:
             raise ToolchainError("test must declare exactly one public class")
@@ -233,6 +315,94 @@ class RealToolchain:
         on_original = self.run_test(original, test_source)
         on_resulting = self.run_test(resulting, test_source)
         return discrimination(on_original, on_resulting)
+
+
+class _WorkerFailed(Exception):
+    pass
+
+
+class _CompileWorker:
+    """One warm compiler JVM speaking CompileWorker.java's protocol."""
+
+    def __init__(self, java: str) -> None:
+        cmd = [java, *COMPILE_WORKER_JVM_FLAGS, str(COMPILE_WORKER_SOURCE)]
+        try:
+            self.proc = subprocess.Popen(
+                cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+            )
+        except OSError as err:
+            raise _WorkerFailed(str(err)) from err
+        try:
+            ready = self._with_deadline(self.proc.stdout.readline)
+        except _WorkerFailed:
+            self.kill()
+            raise
+        if ready != b"ready\n":
+            self.kill()
+            raise _WorkerFailed(f"no ready line (exit code {self.proc.returncode})")
+
+    def compile(self, javac_args: list[str]) -> tuple[int, str]:
+        """(exit code, diagnostics) of javac with these arguments."""
+        request = ("\0".join(javac_args) + "\n").encode("utf-8")
+
+        def exchange() -> tuple[int, bytes]:
+            self.proc.stdin.write(request)
+            self.proc.stdin.flush()
+            code, size = self.proc.stdout.readline().split()
+            body = self.proc.stdout.read(int(size))
+            if len(body) != int(size):
+                raise EOFError("reply cut short")
+            return int(code), body
+
+        code, body = self._with_deadline(exchange)
+        # decoded as subprocess decodes one-shot javac's output in text mode
+        text = body.decode(locale.getpreferredencoding(False))
+        return code, text.replace("\r\n", "\n").replace("\r", "\n")
+
+    def _with_deadline(self, step):
+        """step(), with the worker killed if it takes longer than the
+        compile limit; a dead or timed-out worker raises _WorkerFailed."""
+        expired = threading.Event()
+
+        def expire() -> None:
+            expired.set()
+            self.proc.kill()
+
+        timer = threading.Timer(COMPILE_TIMEOUT_S, expire)
+        timer.start()
+        try:
+            return step()
+        except (OSError, ValueError, EOFError) as err:
+            if expired.is_set():
+                raise _WorkerFailed(f"exceeded {COMPILE_TIMEOUT_S:g} s") from err
+            raise _WorkerFailed(f"worker exited: {err!r}") from err
+        finally:
+            timer.cancel()
+
+    def kill(self) -> None:
+        self.proc.kill()
+        self.close()
+
+    def close(self) -> None:
+        try:
+            self.proc.stdin.close()
+        except OSError:  # a dead worker's pipe may be broken
+            pass
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+
+
+def _compile_one_shot(cmd: list[str]) -> tuple[int, str]:
+    """(exit code, diagnostics) of one javac process."""
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=COMPILE_TIMEOUT_S)
+    except subprocess.TimeoutExpired as err:
+        raise ToolchainError(f"javac exceeded {COMPILE_TIMEOUT_S:g} s") from err
+    return proc.returncode, proc.stdout + proc.stderr
 
 
 class MockToolchain:
@@ -347,8 +517,6 @@ def _qualified_test_class(test_source: str, test_class: str) -> str:
 
 
 def _join_cp(entries: tuple[str, ...]) -> str:
-    import os
-
     return os.pathsep.join(entries)
 
 

@@ -78,7 +78,9 @@ def jdk() -> java_executor.RealToolchain:
     config = java_executor.find_jdk(junit_classpath())
     if config is None:
         pytest.skip("no JDK on PATH")
-    return java_executor.RealToolchain(config)
+    toolchain = java_executor.RealToolchain(config)
+    yield toolchain
+    toolchain.close()
 
 
 @pytest.fixture(scope="session")

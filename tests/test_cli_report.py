@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -412,3 +414,51 @@ class TestCliEntry:
             ["run", "--corpus", str(tmp_path / "nope"), "--backend", "mock", "--out", str(tmp_path)]
         )
         assert code == 2
+
+
+class ClosingToolchain(MockToolchain):
+    def __init__(self) -> None:
+        super().__init__()
+        self.closed = 0
+
+    def close(self) -> None:
+        self.closed += 1
+
+
+class TestToolchainLifetime:
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_cli_closes_its_toolchain(self, command, mini_corpus_root, tmp_path, monkeypatch):
+        built = []
+
+        def toolchain_from_args(args):
+            built.append(ClosingToolchain())
+            return built[-1]
+
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", toolchain_from_args)
+        argv = [command, "--corpus", str(mini_corpus_root), "--out", str(tmp_path / "out")]
+        if command == "run":
+            argv += ["--backend", "mock"]
+        assert main(argv) == 0
+        assert [t.closed for t in built] == [1]
+
+    def test_run_benchmark_closes_the_toolchain_it_builds(
+        self, mini_corpus_root, tmp_path, monkeypatch
+    ):
+        built = []
+
+        def real_toolchain(config):
+            built.append(ClosingToolchain())
+            return built[-1]
+
+        monkeypatch.setattr(cli_report.java_executor, "find_jdk", lambda: object())
+        monkeypatch.setattr(cli_report.java_executor, "RealToolchain", real_toolchain)
+        run_benchmark(base_config(mini_corpus_root, tmp_path / "out"), {"mock": ce_backend()})
+        assert [t.closed for t in built] == [1]
+
+    def test_junit_cp_splits_on_the_path_separator(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli_report.java_executor, "find_jdk", seen.append)
+        monkeypatch.setattr(os, "pathsep", ";")  # as on Windows, where ":" ends a drive
+        args = argparse.Namespace(compiler=None, junit_cp=r"C:\junit.jar;C:\hamcrest.jar")
+        assert cli_report._toolchain_from_args(args) is None
+        assert seen == [(r"C:\junit.jar", r"C:\hamcrest.jar")]

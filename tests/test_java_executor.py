@@ -1,3 +1,10 @@
+import fnmatch
+import importlib.resources
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import pytest
 
 import java_fixtures
@@ -185,3 +192,156 @@ class TestRealJUnit:
         )
         assert result.on_original.outcome == DID_NOT_COMPILE
         assert not result.discriminates
+
+
+def _fixture_source_sets():
+    """(name, source set) for every fixture version, and program plus test
+    where the fixture has a test."""
+    for fixture in java_fixtures.FIXTURES:
+        for side, files in (("original", fixture.original), ("resulting", fixture.resulting)):
+            program = src(**files)
+            yield f"{fixture.id}-{side}", program
+            if fixture.test is not None:
+                test_class = java_executor.javalex.top_level_public_class(fixture.test)
+                rel = java_executor._test_relative_path(fixture.test, test_class)
+                yield f"{fixture.id}-{side}+test", SourceSet(
+                    files=program.files + ((rel, fixture.test),)
+                )
+
+
+def _normalised(diagnostics: str, workspace) -> str:
+    # one-shot javac repeats the JVM's "Picked up JAVA_TOOL_OPTIONS: ..."
+    # line; a warm worker printed it once, when it started
+    lines = diagnostics.replace(str(workspace), "<ws>").splitlines()
+    return "\n".join(line for line in lines if not line.startswith("Picked up "))
+
+
+def _one_shot(toolchain, monkeypatch):
+    monkeypatch.setattr(toolchain, "_compile_in_worker", lambda javac_args: None)
+    return toolchain
+
+
+@pytest.fixture
+def fresh_jdk(jdk):
+    """A toolchain of its own, so its workers can be inspected and killed."""
+    toolchain = java_executor.RealToolchain(jdk.config)
+    yield toolchain
+    toolchain.close()
+
+
+@pytest.mark.usefixtures("jdk")
+class TestCompileWorker:
+    @pytest.mark.parametrize(
+        "source_set", [pytest.param(s, id=name) for name, s in _fixture_source_sets()]
+    )
+    def test_worker_matches_one_shot_javac(self, jdk, source_set, tmp_path, monkeypatch, caplog):
+        warm = jdk.compile(source_set, tmp_path / "ws")
+        assert jdk._workers, "the compile did not reach a worker"
+        assert "one-shot" not in caplog.text
+        cold = _one_shot(java_executor.RealToolchain(jdk.config), monkeypatch).compile(
+            source_set, tmp_path / "ws-one-shot"
+        )
+        assert warm.success == cold.success
+        assert _normalised(warm.diagnostics, tmp_path / "ws") == _normalised(
+            cold.diagnostics, tmp_path / "ws-one-shot"
+        )
+
+    def test_killed_worker_falls_back_to_one_shot(self, fresh_jdk, caplog):
+        assert fresh_jdk.compile(FIG1_ORIGINAL).success
+        (worker,) = fresh_jdk._workers
+        worker.proc.kill()
+        worker.proc.wait(timeout=10)
+        result = fresh_jdk.compile(src(**java_fixtures.INLINE_VAR_RESULTING))
+        assert not result.success
+        assert "int" in result.diagnostics
+        assert "compile worker failed" in caplog.text
+        # the dead worker is dropped; the next compile starts a new one
+        assert fresh_jdk.compile(FIG1_ORIGINAL).success
+        (replacement,) = fresh_jdk._workers
+        assert replacement is not worker
+
+    def test_close_stops_every_worker(self, fresh_jdk):
+        barrier = threading.Barrier(2)
+
+        def compile_together(_):
+            barrier.wait(timeout=60)
+            return fresh_jdk.compile(FIG1_ORIGINAL).success
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert all(pool.map(compile_together, range(2)))
+        procs = [worker.proc for worker in fresh_jdk._workers]
+        assert 1 <= len(procs) <= 2
+        fresh_jdk.close()
+        assert all(proc.poll() is not None for proc in procs)
+        assert not fresh_jdk._workers
+
+    def test_no_jvm_before_first_compile(self, jdk, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError(f"started a process: {args}")
+
+        monkeypatch.setattr(java_executor.subprocess, "Popen", no_process)
+        toolchain = java_executor.RealToolchain(jdk.config)
+        toolchain.close()
+
+    def test_pool_stays_consistent_under_contention(self, fresh_jdk):
+        sources = [
+            src(**{f"C{i}.java": f"public class C{i} {{ int v() {{ return {i}; }} }}\n"})
+            for i in range(12)
+        ] + [src(**java_fixtures.INLINE_VAR_RESULTING)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results = list(pool.map(fresh_jdk.compile, sources, timeout=240))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.success for r in results] == [True] * 12 + [False]
+        # every started worker is either idle or was dropped, never lost
+        assert 1 <= len(fresh_jdk._workers) <= 3
+        assert sorted(map(id, fresh_jdk._idle_workers)) == sorted(map(id, fresh_jdk._workers))
+
+    def test_worker_timeout_is_a_toolchain_error(self, fresh_jdk, monkeypatch, caplog):
+        assert fresh_jdk.compile(FIG1_ORIGINAL).success
+        (worker,) = fresh_jdk._workers
+        monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.001)
+        with pytest.raises(java_executor.ToolchainError, match="exceeded"):
+            fresh_jdk.compile(FIG1_RESULTING)
+        assert "exceeded" in caplog.text
+        assert worker.proc.poll() is not None
+
+
+class TestCompileTimeout:
+    def test_one_shot_timeout_is_a_toolchain_error(self, tmp_path, monkeypatch):
+        javac = tmp_path / "javac"
+        javac.write_text("#!/bin/sh\nexec sleep 30\n")
+        javac.chmod(0o755)
+        config = java_executor.ToolchainConfig(javac_path=str(javac), java_path=sys.executable)
+        toolchain = java_executor.RealToolchain(config)
+        monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.5)
+        with pytest.raises(java_executor.ToolchainError, match="exceeded"):
+            toolchain.compile(FIG1_ORIGINAL, tmp_path / "ws")
+        toolchain.close()
+
+
+class TestRunTestWithoutJUnit:
+    def test_raises_before_compiling(self, tmp_path):
+        javac = tmp_path / "javac"
+        javac.write_text("#!/bin/sh\nexit 99\n")
+        javac.chmod(0o755)
+        config = java_executor.ToolchainConfig(javac_path=str(javac), java_path=sys.executable)
+        toolchain = java_executor.RealToolchain(config, workspace_root=tmp_path / "ws")
+        with pytest.raises(ToolchainUnavailable):
+            toolchain.check_discriminating(java_fixtures.BEHAVIOR_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
+        assert not (tmp_path / "ws").exists()
+
+
+class TestPackaging:
+    def test_worker_source_ships_with_the_package(self):
+        tomllib = pytest.importorskip("tomllib")
+        packaged = importlib.resources.files("reforacle") / "java" / "CompileWorker.java"
+        assert packaged.is_file()
+        assert Path(str(packaged)) == java_executor.COMPILE_WORKER_SOURCE
+        root = Path(java_executor.__file__).resolve().parents[2]
+        with (root / "pyproject.toml").open("rb") as fh:
+            patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["reforacle"]
+        assert any(fnmatch.fnmatch("java/CompileWorker.java", p) for p in patterns)
