@@ -67,21 +67,9 @@ class RunMatrix:
         return len(self.instance_ids) - len(self.usable_rows())
 
 
-def matrix_from_outcomes(
-    records: list[dict],
-    backend_name: str,
-    *,
-    variant_tag: str | None = None,
-    temperature: str | None = None,
-) -> RunMatrix:
-    """Assemble a matrix from outcome records for one model configuration."""
-    chosen = [
-        r
-        for r in records
-        if r["backend_name"] == backend_name
-        and (variant_tag is None or r.get("variant_tag", "") == variant_tag)
-        and (temperature is None or r.get("temperature", "") == temperature)
-    ]
+def matrix_from_outcomes(records: list[dict], backend_name: str) -> RunMatrix:
+    """Assemble a matrix from outcome records for one backend."""
+    chosen = [r for r in records if r["backend_name"] == backend_name]
     if not chosen:
         raise EmptyMatrix(f"no outcomes for backend {backend_name!r}")
     by_instance: dict[str, dict[int, dict]] = {}

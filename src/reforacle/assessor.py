@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import java_executor, verdict_parser
 from .dataset import BugInstance
-from .java_executor import DiscriminationResult
+from .java_executor import DiscriminationResult, Toolchain
 from .verdict_parser import ModelVerdict, ParseFailure
 
 logger = logging.getLogger(__name__)
@@ -151,7 +151,7 @@ def _base(inst: BugInstance, verdict, attempt_index: int, backend_name: str,
 def assess(
     inst: BugInstance,
     verdict: ModelVerdict | ParseFailure,
-    toolchain,
+    toolchain: Toolchain,
     *,
     attempt_index: int = 1,
     backend_name: str = "",
@@ -160,34 +160,65 @@ def assess(
     """Judge one attempt on a bug instance (ground truth BC or CE).
 
     A YES is always incorrect here: every instance is a confirmed bug.
-    Behavior-change claims are validated mechanically through the model's
-    own test; toolchain failures mark the outcome inconclusive rather
-    than wrong.
     """
     if inst.label not in ("BC", "CE"):
         raise ValueError(f"assess() expects a bug instance, got label {inst.label}")
-    base = _base(inst, verdict, attempt_index, backend_name, variant_tag)
+    return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag)
 
+
+def assess_preserving(
+    inst: BugInstance,
+    verdict: ModelVerdict | ParseFailure,
+    toolchain: Toolchain,
+    *,
+    attempt_index: int = 1,
+    backend_name: str = "",
+    variant_tag: str = "",
+) -> AssessmentOutcome:
+    """Judge one attempt on a behavior-preserving instance.
+
+    Correct iff the model answers YES. NO verdicts are recorded with
+    their claimed category for false-positive analysis.
+    """
+    if inst.label != "PRESERVING":
+        raise ValueError(f"assess_preserving() expects PRESERVING, got {inst.label}")
+    return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag)
+
+
+_CLAIM_LABELS = {
+    verdict_parser.YES: SAID_YES,
+    verdict_parser.UNKNOWN: SAID_UNKNOWN,
+    verdict_parser.NO_COMPILATION_ERROR: SAID_CE,
+}
+
+
+def _judge(
+    inst: BugInstance,
+    verdict: ModelVerdict | ParseFailure,
+    toolchain: Toolchain,
+    attempt_index: int,
+    backend_name: str,
+    variant_tag: str,
+) -> AssessmentOutcome:
+    """Score one attempt against any ground truth.
+
+    Behavior-change claims are validated mechanically through the model's
+    own test, whatever the ground truth; toolchain failures mark the
+    outcome inconclusive rather than wrong.
+    """
+    base = _base(inst, verdict, attempt_index, backend_name, variant_tag)
     if isinstance(verdict, ParseFailure):
         return AssessmentOutcome(
             correct=False, answer_label=PARSE_ERROR, parse_reason=verdict.reason, **base
         )
-
     base["explanation"] = verdict.explanation
-    if verdict.category == verdict_parser.YES:
-        return AssessmentOutcome(correct=False, answer_label=SAID_YES, **base)
-    if verdict.category == verdict_parser.UNKNOWN:
-        return AssessmentOutcome(correct=False, answer_label=SAID_UNKNOWN, **base)
-    if verdict.category == verdict_parser.NO_COMPILATION_ERROR:
-        return AssessmentOutcome(
-            correct=inst.label == "CE", answer_label=SAID_CE, **base
-        )
-
-    # NO - BEHAVIOR CHANGE: validate the claimed evidence.
-    label, evidence, reflective, inconclusive = _validate_bc_claim(inst, verdict, toolchain)
-    correct = inst.label == "BC" and label == SAID_BC_VALID and not inconclusive
+    evidence, reflective, inconclusive = None, False, False
+    if verdict.category == verdict_parser.NO_BEHAVIOR_CHANGE:
+        label, evidence, reflective, inconclusive = _validate_bc_claim(inst, verdict, toolchain)
+    else:
+        label = _CLAIM_LABELS[verdict.category]
     return AssessmentOutcome(
-        correct=correct,
+        correct=label == correct_answer_label(inst.label) and not inconclusive,
         answer_label=label,
         evidence=evidence,
         reflective_test=reflective,
@@ -197,7 +228,7 @@ def assess(
 
 
 def _validate_bc_claim(
-    inst: BugInstance, verdict: ModelVerdict, toolchain
+    inst: BugInstance, verdict: ModelVerdict, toolchain: Toolchain
 ) -> tuple[str, DiscriminationResult | None, bool, bool]:
     """(answer_label, evidence, reflective, inconclusive) for a BC claim."""
     try:
@@ -225,66 +256,6 @@ def _validate_bc_claim(
     if evidence.discriminates:
         return SAID_BC_VALID, evidence, False, False
     return SAID_BC_TEST_NOT_DISCRIMINATING, evidence, False, False
-
-
-def assess_preserving(
-    inst: BugInstance,
-    verdict: ModelVerdict | ParseFailure,
-    toolchain=None,
-    *,
-    attempt_index: int = 1,
-    backend_name: str = "",
-    variant_tag: str = "",
-) -> AssessmentOutcome:
-    """Judge one attempt on a behavior-preserving instance.
-
-    Correct iff the model answers YES. NO verdicts are recorded with
-    their claimed category for false-positive analysis; when a toolchain
-    is available the claimed test evidence is validated too, and
-    reflective tests are flagged.
-    """
-    if inst.label != "PRESERVING":
-        raise ValueError(f"assess_preserving() expects PRESERVING, got {inst.label}")
-    base = _base(inst, verdict, attempt_index, backend_name, variant_tag)
-
-    if isinstance(verdict, ParseFailure):
-        return AssessmentOutcome(
-            correct=False, answer_label=PARSE_ERROR, parse_reason=verdict.reason, **base
-        )
-
-    base["explanation"] = verdict.explanation
-    if verdict.category == verdict_parser.YES:
-        return AssessmentOutcome(correct=True, answer_label=SAID_YES, **base)
-    if verdict.category == verdict_parser.UNKNOWN:
-        return AssessmentOutcome(correct=False, answer_label=SAID_UNKNOWN, **base)
-    if verdict.category == verdict_parser.NO_COMPILATION_ERROR:
-        return AssessmentOutcome(correct=False, answer_label=SAID_CE, **base)
-
-    # NO - BEHAVIOR CHANGE on a preserving instance is a false positive.
-    reflective = verdict.junit_test is not None and java_executor.uses_reflection(
-        verdict.junit_test
-    )
-    if toolchain is None:
-        # without an executor the claim stays unvalidated: on a confirmed
-        # behavior-preserving pair a non-reflective test cannot truly
-        # discriminate, so the claim is recorded as unsupported
-        label = (
-            SAID_BC_TEST_NOT_COMPILING
-            if verdict.junit_test is None
-            else SAID_BC_TEST_NOT_DISCRIMINATING
-        )
-        return AssessmentOutcome(
-            correct=False, answer_label=label, reflective_test=reflective, **base
-        )
-    label, evidence, reflective, inconclusive = _validate_bc_claim(inst, verdict, toolchain)
-    return AssessmentOutcome(
-        correct=False,
-        answer_label=label,
-        evidence=evidence,
-        reflective_test=reflective,
-        inconclusive=inconclusive,
-        **base,
-    )
 
 
 def write_outcomes(outcomes, path: str | Path) -> None:

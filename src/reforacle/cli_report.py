@@ -132,20 +132,15 @@ def _render(cfg: RunConfig, inst: BugInstance, variant_tag: str,
 def run_benchmark(
     cfg: RunConfig,
     backends_impl: dict[str, object] | None = None,
-    toolchain=None,
+    *,
+    toolchain: java_executor.Toolchain,
 ) -> RunArtifacts:
     """Execute render - query - parse - assess over the whole grid.
 
     Per-call transport errors are logged and counted but never abort the
-    run; configuration errors raise before any work starts. A toolchain
-    built here, when none is passed, is closed before returning.
+    run; configuration errors raise before any work starts. The caller
+    owns the toolchain and closes it.
     """
-    if toolchain is None:
-        jdk = java_executor.find_jdk()
-        if jdk is None:
-            return run_benchmark(cfg, backends_impl, _NO_TOOLCHAIN)
-        with contextlib.closing(java_executor.RealToolchain(jdk)) as own:
-            return run_benchmark(cfg, backends_impl, own)
     corpus = load_corpus(cfg.corpus_root)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,23 +219,17 @@ def run_benchmark(
         mode = prompting.DIFF_ONLY if cfg.mode == DIFF_ONLY_MODE else prompting.FULL_SOURCE
         verdict = parse_response(response, mode)
         if task.instance.label == "PRESERVING":
-            outcome = assessor.assess_preserving(
-                task.instance,
-                verdict,
-                toolchain if toolchain is not _NO_TOOLCHAIN else None,
-                attempt_index=task.attempt,
-                backend_name=task.backend_cfg.name,
-                variant_tag=task.prompt.variant_tag,
-            )
+            assess = assessor.assess_preserving
         else:
-            outcome = assessor.assess(
-                task.instance,
-                verdict,
-                toolchain,
-                attempt_index=task.attempt,
-                backend_name=task.backend_cfg.name,
-                variant_tag=task.prompt.variant_tag,
-            )
+            assess = assessor.assess
+        outcome = assess(
+            task.instance,
+            verdict,
+            toolchain,
+            attempt_index=task.attempt,
+            backend_name=task.backend_cfg.name,
+            variant_tag=task.prompt.variant_tag,
+        )
         outcome = replace(
             outcome,
             prompt_hash=prompt_hash(task.prompt.text),
@@ -271,26 +260,6 @@ def run_benchmark(
         telemetry=telemetry,
         call_errors=call_errors,
     )
-
-
-class _NoToolchain:
-    """Placeholder when no JDK is configured: evidence checks become
-    inconclusive rather than fabricated."""
-
-    def version(self) -> str:
-        return "none"
-
-    def compile(self, *args, **kwargs):
-        raise java_executor.ToolchainUnavailable("no JDK configured")
-
-    def run_test(self, *args, **kwargs):
-        raise java_executor.ToolchainUnavailable("no JDK configured")
-
-    def check_discriminating(self, *args, **kwargs):
-        raise java_executor.ToolchainUnavailable("no JDK configured")
-
-
-_NO_TOOLCHAIN = _NoToolchain()
 
 
 def _completed_keys(outcomes_path: Path) -> set[tuple[str, str, str, int]]:
@@ -572,7 +541,9 @@ def _load_backends(args) -> list[BackendConfig]:
     return chosen
 
 
-def _toolchain_from_args(args):
+def _toolchain_from_args(args) -> java_executor.Toolchain:
+    """The toolchain named on the command line, else the JDK on PATH,
+    else a NullToolchain. The one place a JDK is looked for."""
     compiler = getattr(args, "compiler", None)
     junit_cp = getattr(args, "junit_cp", None)
     entries = tuple(junit_cp.split(os.pathsep)) if junit_cp else ()
@@ -584,7 +555,7 @@ def _toolchain_from_args(args):
         )
         return java_executor.RealToolchain(cfg)
     found = java_executor.find_jdk(entries)
-    return java_executor.RealToolchain(found) if found else None
+    return java_executor.RealToolchain(found) if found else java_executor.NullToolchain()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -654,34 +625,34 @@ def _dispatch(args) -> int:
         from .dataset import validate_instance
 
         corpus = load_corpus(args.corpus)
-        toolchain = _toolchain_from_args(args)
-        if toolchain is None:
-            raise ConfigError("validate needs a JDK (use --compiler)")
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / "validation.jsonl"
-        confirmed = quarantined = 0
-        with report_path.open("w", encoding="utf-8") as fh, contextlib.closing(toolchain):
-            for inst in corpus.instances:
-                report = validate_instance(inst, toolchain)
-                confirmed += int(report.ground_truth_confirmed)
-                quarantined += int(report.quarantined)
-                fh.write(
-                    json.dumps(
-                        {
-                            "instance_id": report.instance_id,
-                            "label": report.label,
-                            "original_compiles": report.original_compiles,
-                            "resulting_compiles": report.resulting_compiles,
-                            "test_compiles_on_both": report.test_compiles_on_both,
-                            "test_discriminates": report.test_discriminates,
-                            "ground_truth_confirmed": report.ground_truth_confirmed,
-                            "quarantined": report.quarantined,
-                            "toolchain_version": report.toolchain_version,
-                        }
+        with contextlib.closing(_toolchain_from_args(args)) as toolchain:
+            if isinstance(toolchain, java_executor.NullToolchain):
+                raise ConfigError("validate needs a JDK (use --compiler)")
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            report_path = out_dir / "validation.jsonl"
+            confirmed = quarantined = 0
+            with report_path.open("w", encoding="utf-8") as fh:
+                for inst in corpus.instances:
+                    report = validate_instance(inst, toolchain)
+                    confirmed += int(report.ground_truth_confirmed)
+                    quarantined += int(report.quarantined)
+                    fh.write(
+                        json.dumps(
+                            {
+                                "instance_id": report.instance_id,
+                                "label": report.label,
+                                "original_compiles": report.original_compiles,
+                                "resulting_compiles": report.resulting_compiles,
+                                "test_compiles_on_both": report.test_compiles_on_both,
+                                "test_discriminates": report.test_discriminates,
+                                "ground_truth_confirmed": report.ground_truth_confirmed,
+                                "quarantined": report.quarantined,
+                                "toolchain_version": report.toolchain_version,
+                            }
+                        )
+                        + "\n"
                     )
-                    + "\n"
-                )
         print(
             f"validated {corpus.total} instances: {confirmed} confirmed, "
             f"{quarantined} quarantined -> {report_path}"
@@ -706,12 +677,8 @@ def _dispatch(args) -> int:
             jobs=args.jobs,
             template_path=args.template,
         )
-        toolchain = _toolchain_from_args(args)
-        try:
+        with contextlib.closing(_toolchain_from_args(args)) as toolchain:
             artifacts = run_benchmark(cfg, toolchain=toolchain)
-        finally:
-            if toolchain is not None:
-                toolchain.close()
         print(f"outcomes: {artifacts.outcomes_path}")
         for path in artifacts.metrics_paths:
             print(f"metrics: {path}")

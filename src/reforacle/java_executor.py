@@ -1,10 +1,11 @@
 """Compile source sets and run single JUnit tests in isolated workspaces.
 
-Two toolchains share one surface: RealToolchain compiles with javac and
-runs each test in a fresh JVM with a JUnit 4 runner on the classpath,
-MockToolchain answers from a table keyed by content hashes so everything
-above it can be exercised without a JDK. Every task gets its own
-workspace directory; nothing is shared between tasks.
+Every toolchain implements the Toolchain protocol. RealToolchain compiles
+with javac and runs each test in a fresh JVM with a JUnit 4 runner on the
+classpath; MockToolchain answers from a table keyed by content hashes so
+everything above it can be exercised without a JDK; NullToolchain stands
+for "no JDK" and makes every compile and test run unavailable. Every task
+gets its own workspace directory; nothing is shared between tasks.
 """
 
 from __future__ import annotations
@@ -132,16 +133,64 @@ def find_jdk(junit_classpath: tuple[str, ...] = ()) -> ToolchainConfig | None:
     return ToolchainConfig(javac_path=javac, java_path=java, junit_classpath=junit_classpath)
 
 
-class RealToolchain:
+class Toolchain:
+    """What the assessor and the validator need from a Java toolchain.
+
+    A toolchain that cannot produce evidence raises ToolchainError, which
+    callers record as inconclusive, never as a wrong answer.
+    """
+
+    def version(self) -> str:
+        raise NotImplementedError
+
+    def compile(self, src: SourceSet, workspace: str | Path | None = None) -> CompileResult:
+        raise NotImplementedError
+
+    def run_test(
+        self, program: SourceSet, test_source: str, workspace: str | Path | None = None
+    ) -> TestRunResult:
+        raise NotImplementedError
+
+    def check_discriminating(
+        self, test_source: str, original: SourceSet, resulting: SourceSet
+    ) -> DiscriminationResult:
+        """Run the same test against both versions in disjoint workspaces."""
+        return discrimination(
+            self.run_test(original, test_source),
+            self.run_test(resulting, test_source),
+        )
+
+    def close(self) -> None:
+        """Release whatever the toolchain holds; nothing by default."""
+
+
+class NullToolchain(Toolchain):
+    """No JDK: nothing compiles or runs, so every behavior-change claim
+    is inconclusive."""
+
+    def version(self) -> str:
+        return "none"
+
+    def compile(self, src: SourceSet, workspace: str | Path | None = None) -> CompileResult:
+        raise ToolchainUnavailable("no JDK configured")
+
+    def run_test(
+        self, program: SourceSet, test_source: str, workspace: str | Path | None = None
+    ) -> TestRunResult:
+        raise ToolchainUnavailable("no JDK configured")
+
+
+class RealToolchain(Toolchain):
     """javac/java wrapper; one fresh workspace per compile or run.
 
     Compiles go to a pool of warm compiler JVMs (CompileWorker.java) that
     run javac in process with the argv one-shot javac would get. A worker
     starts on the first compile that finds none idle, so the pool never
     outgrows the number of concurrent callers. A worker that cannot
-    start, dies or overruns COMPILE_TIMEOUT_S is killed and that compile
-    runs one-shot javac instead. Each test still runs in a fresh JVM.
-    Call close() to stop the workers.
+    start or dies is dropped and that compile runs one-shot javac
+    instead; a compile that overruns COMPILE_TIMEOUT_S, in a worker or
+    one-shot, raises ToolchainError at once. Each test still runs in a
+    fresh JVM. Call close() to stop the workers.
     """
 
     def __init__(self, config: ToolchainConfig, workspace_root: str | Path | None = None) -> None:
@@ -207,9 +256,13 @@ class RealToolchain:
             cmd += ["-cp", _join_cp(self.config.junit_classpath)]
         cmd += [str(f) for f in files]
         start = time.monotonic()
-        result = self._compile_in_worker(cmd[1:])
-        if result is None:
-            result = _compile_one_shot(cmd)
+        try:
+            result = self._compile_in_worker(cmd[1:])
+            if result is None:
+                result = _compile_one_shot(cmd)
+        except ToolchainError as err:  # the compile overran COMPILE_TIMEOUT_S
+            _log_invocation(ws, cmd, str(err))
+            raise
         returncode, diagnostics = result
         elapsed = time.monotonic() - start
         _log_invocation(ws, cmd, diagnostics)
@@ -217,7 +270,9 @@ class RealToolchain:
 
     def _compile_in_worker(self, javac_args: list[str]) -> tuple[int, str] | None:
         """(exit code, diagnostics) from a warm worker, or None when this
-        compile has to run one-shot javac."""
+        compile has to run one-shot javac. A worker that overruns the
+        compile limit raises ToolchainError: a retry would get the same
+        budget again."""
         if any("\n" in arg for arg in javac_args):  # a request is one line
             return None
         with self._workers_lock:
@@ -241,6 +296,8 @@ class RealToolchain:
             worker.kill()
             with self._workers_lock:
                 self._workers.remove(worker)
+            if isinstance(err, _WorkerTimedOut):
+                raise ToolchainError(f"javac {err}") from err
             logger.warning("compile worker failed (%s); this compile uses one-shot javac", err)
             return None
         with self._workers_lock:
@@ -308,16 +365,12 @@ class RealToolchain:
             outcome = ERROR
         return TestRunResult(outcome=outcome, runner_output=output, elapsed_s=elapsed)
 
-    def check_discriminating(
-        self, test_source: str, original: SourceSet, resulting: SourceSet
-    ) -> DiscriminationResult:
-        """Run the same test against both versions in disjoint workspaces."""
-        on_original = self.run_test(original, test_source)
-        on_resulting = self.run_test(resulting, test_source)
-        return discrimination(on_original, on_resulting)
-
 
 class _WorkerFailed(Exception):
+    pass
+
+
+class _WorkerTimedOut(_WorkerFailed):
     pass
 
 
@@ -361,7 +414,8 @@ class _CompileWorker:
 
     def _with_deadline(self, step):
         """step(), with the worker killed if it takes longer than the
-        compile limit; a dead or timed-out worker raises _WorkerFailed."""
+        compile limit; a dead worker raises _WorkerFailed, a timed-out one
+        _WorkerTimedOut."""
         expired = threading.Event()
 
         def expire() -> None:
@@ -374,7 +428,7 @@ class _CompileWorker:
             return step()
         except (OSError, ValueError, EOFError) as err:
             if expired.is_set():
-                raise _WorkerFailed(f"exceeded {COMPILE_TIMEOUT_S:g} s") from err
+                raise _WorkerTimedOut(f"exceeded {COMPILE_TIMEOUT_S:g} s") from err
             raise _WorkerFailed(f"worker exited: {err!r}") from err
         finally:
             timer.cancel()
@@ -405,7 +459,7 @@ def _compile_one_shot(cmd: list[str]) -> tuple[int, str]:
     return proc.returncode, proc.stdout + proc.stderr
 
 
-class MockToolchain:
+class MockToolchain(Toolchain):
     """Scripted toolchain: content-hash tables for compiles and runs.
 
     Unscripted programs compile successfully and unscripted tests pass,
@@ -472,14 +526,6 @@ class MockToolchain:
         if key in self._run_table:
             return self._run_table[key]
         return TestRunResult(outcome=self.default_run_outcome, runner_output="", elapsed_s=0.0)
-
-    def check_discriminating(
-        self, test_source: str, original: SourceSet, resulting: SourceSet
-    ) -> DiscriminationResult:
-        return discrimination(
-            self.run_test(original, test_source),
-            self.run_test(resulting, test_source),
-        )
 
 
 def source_set_hash(src: SourceSet) -> str:

@@ -64,7 +64,6 @@ class FileScan:
     # Innermost open context right after each line's newline; None at depth 0.
     context_at_line_end: list[BraceContext | None] = field(default_factory=list)
     package_line: int | None = None
-    last_import_line: int | None = None
 
     @property
     def type_contexts(self) -> list[BraceContext]:
@@ -331,7 +330,7 @@ def scan_file(text: str, path: str = "<source>") -> FileScan:
         result.context_at_line_end.append(None)
 
     result.contexts = contexts
-    _find_package_and_imports(result)
+    _find_package_line(result)
     return result
 
 
@@ -379,15 +378,13 @@ def _classify_brace(
     return BraceContext(kind=OTHER_BLOCK, open_line=line_no, depth=depth, parent=parent)
 
 
-def _find_package_and_imports(result: FileScan) -> None:
-    """Locate package/import lines textually; they are line-oriented in practice."""
+def _find_package_line(result: FileScan) -> None:
+    """Locate the package line textually; it is line-oriented in practice."""
     for idx, line in enumerate(result.lines):
         stripped = line.strip()
         if stripped.startswith("package ") and stripped.endswith(";"):
-            if result.package_line is None:
-                result.package_line = idx
-        elif stripped.startswith("import ") and stripped.endswith(";"):
-            result.last_import_line = idx
+            result.package_line = idx
+            return
 
 
 def count_top_level_public_classes(text: str) -> int:

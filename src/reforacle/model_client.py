@@ -173,12 +173,6 @@ class TranscriptStore:
         return list(self._records)
 
 
-def record(store: TranscriptStore, key: RequestKey, resp: RawModelResponse,
-           overwrite: bool = False) -> TranscriptStore:
-    store.put(key, resp, overwrite=overwrite)
-    return store
-
-
 def manual_response(text: str, backend_name: str, attempt_index: int = 1) -> RawModelResponse:
     """Wrap a hand-pasted model answer (e.g. from a web UI) for the store."""
     return RawModelResponse(

@@ -327,7 +327,7 @@ def test_criterion_07_assessor_truth_table():
             (parse_response("junk", FULL_SOURCE), assessor.PARSE_ERROR, False),
         ]
         for v, expected_label, expected_correct in preserving_cases:
-            outcome = assessor.assess_preserving(preserving, v)
+            outcome = assessor.assess_preserving(preserving, v, MockToolchain())
             assert outcome.answer_label == expected_label
             assert outcome.correct == expected_correct
 

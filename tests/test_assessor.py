@@ -21,7 +21,7 @@ from reforacle.assessor import (
     write_outcomes,
 )
 from reforacle.dataset import BugInstance, SourceSet
-from reforacle.java_executor import FAIL, PASS, MockToolchain
+from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain
 from reforacle.model_client import RawModelResponse
 from reforacle.prompting import DIFF_ONLY, FULL_SOURCE
 from reforacle.verdict_parser import parse_response
@@ -188,12 +188,14 @@ class TestBugAssessment:
 
 class TestPreservingAssessment:
     def test_yes_is_correct(self):
-        outcome = assess_preserving(PRESERVING_INSTANCE, verdict_of("YES"))
+        outcome = assess_preserving(PRESERVING_INSTANCE, verdict_of("YES"), NullToolchain())
         assert outcome.correct
         assert outcome.answer_label == SAID_YES
 
     def test_no_ce_claim_recorded(self):
-        outcome = assess_preserving(PRESERVING_INSTANCE, verdict_of("NO - COMPILATION ERROR"))
+        outcome = assess_preserving(
+            PRESERVING_INSTANCE, verdict_of("NO - COMPILATION ERROR"), NullToolchain()
+        )
         assert not outcome.correct
         assert outcome.answer_label == SAID_CE
 
@@ -201,13 +203,13 @@ class TestPreservingAssessment:
         verdict = verdict_of(
             "NO - BEHAVIOR CHANGE", junit_test=java_fixtures.REFLECTIVE_TEST
         )
-        outcome = assess_preserving(PRESERVING_INSTANCE, verdict)
+        outcome = assess_preserving(PRESERVING_INSTANCE, verdict, NullToolchain())
         assert not outcome.correct
         assert outcome.reflective_test
 
     def test_parse_failure(self):
         failure = parse_response(raw("garbage"), FULL_SOURCE)
-        outcome = assess_preserving(PRESERVING_INSTANCE, failure)
+        outcome = assess_preserving(PRESERVING_INSTANCE, failure, NullToolchain())
         assert outcome.answer_label == PARSE_ERROR
         assert not outcome.correct
 
@@ -216,9 +218,35 @@ class TestPreservingAssessment:
         outcome = assess_preserving(PRESERVING_INSTANCE, verdict, MockToolchain())
         assert outcome.answer_label == SAID_BC_TEST_NOT_DISCRIMINATING
 
+    @pytest.mark.parametrize(
+        "toolchain", [NullToolchain(), MockToolchain()], ids=lambda t: type(t).__name__
+    )
+    def test_two_public_classes_do_not_compile(self, toolchain):
+        verdict = verdict_of(
+            "NO - BEHAVIOR CHANGE", junit_test="public class A {}\npublic class B {}"
+        )
+        outcome = assess_preserving(PRESERVING_INSTANCE, verdict, toolchain)
+        assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
+        assert not outcome.inconclusive
+        assert not outcome.correct
+
     def test_rejects_bug_instances(self):
         with pytest.raises(ValueError):
-            assess_preserving(CE_INSTANCE, verdict_of("YES"))
+            assess_preserving(CE_INSTANCE, verdict_of("YES"), NullToolchain())
+
+
+class TestWithoutAJdk:
+    @pytest.mark.parametrize(
+        "inst", [BC_INSTANCE, CE_INSTANCE, PRESERVING_INSTANCE], ids=lambda i: i.label
+    )
+    def test_every_bc_claim_is_inconclusive(self, inst):
+        judge = assess_preserving if inst.label == "PRESERVING" else assess
+        verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.BEHAVIOR_TEST)
+        outcome = judge(inst, verdict, NullToolchain())
+        assert outcome.inconclusive
+        assert not outcome.correct
+        assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
+        assert outcome.evidence is None
 
 
 class TestInvariants:

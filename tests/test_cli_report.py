@@ -8,7 +8,7 @@ import pytest
 import java_fixtures
 from reforacle import assessor, cli_report
 from reforacle.cli_report import ConfigError, RunConfig, main, run_benchmark, summarize
-from reforacle.java_executor import FAIL, PASS, MockToolchain
+from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain
 from reforacle.model_client import BackendConfig, MockBackend
 
 CE_ANSWER = '{"verdict": "NO - COMPILATION ERROR", "explanation": "does not compile", "junit_test": null}'
@@ -217,11 +217,13 @@ class TestRunBenchmark:
         )
         cfg = base_config(mini_corpus_root, tmp_path / "not")
         artifacts = run_benchmark(
-            cfg, backends_impl={"mock": MockBackend(bc_answer)}, toolchain=None
+            cfg, backends_impl={"mock": MockBackend(bc_answer)}, toolchain=NullToolchain()
         )
         records = assessor.read_outcomes(artifacts.outcomes_path)
-        bugs = [r for r in records if r["ground_label"] in ("BC", "CE")]
-        assert bugs and all(r["inconclusive"] for r in bugs)
+        # PRESERVING rows too: a missing JDK never makes an answer wrong
+        assert {r["ground_label"] for r in records} == {"BC", "CE", "PRESERVING"}
+        assert all(r["inconclusive"] and not r["correct"] for r in records)
+        assert {r["toolchain_version"] for r in records} == {"none"}
 
     def test_telemetry_totals_match_outcomes(self, mini_corpus_root, tmp_path):
         cfg = base_config(mini_corpus_root, tmp_path / "tele")
@@ -441,24 +443,26 @@ class TestToolchainLifetime:
         assert main(argv) == 0
         assert [t.closed for t in built] == [1]
 
-    def test_run_benchmark_closes_the_toolchain_it_builds(
-        self, mini_corpus_root, tmp_path, monkeypatch
-    ):
-        built = []
-
-        def real_toolchain(config):
-            built.append(ClosingToolchain())
-            return built[-1]
-
-        monkeypatch.setattr(cli_report.java_executor, "find_jdk", lambda: object())
-        monkeypatch.setattr(cli_report.java_executor, "RealToolchain", real_toolchain)
-        run_benchmark(base_config(mini_corpus_root, tmp_path / "out"), {"mock": ce_backend()})
-        assert [t.closed for t in built] == [1]
-
     def test_junit_cp_splits_on_the_path_separator(self, monkeypatch):
         seen = []
         monkeypatch.setattr(cli_report.java_executor, "find_jdk", seen.append)
         monkeypatch.setattr(os, "pathsep", ";")  # as on Windows, where ":" ends a drive
         args = argparse.Namespace(compiler=None, junit_cp=r"C:\junit.jar;C:\hamcrest.jar")
-        assert cli_report._toolchain_from_args(args) is None
+        assert isinstance(cli_report._toolchain_from_args(args), NullToolchain)
         assert seen == [(r"C:\junit.jar", r"C:\hamcrest.jar")]
+
+    def test_no_jdk_gives_a_null_toolchain(self, monkeypatch):
+        monkeypatch.setattr(cli_report.java_executor, "find_jdk", lambda entries: None)
+        args = argparse.Namespace(compiler=None, junit_cp=None)
+        toolchain = cli_report._toolchain_from_args(args)
+        assert isinstance(toolchain, NullToolchain)
+        assert toolchain.version() == "none"
+
+    def test_validate_without_a_jdk_is_a_config_error(
+        self, mini_corpus_root, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli_report.java_executor, "find_jdk", lambda entries: None)
+        out = tmp_path / "out"
+        assert main(["validate", "--corpus", str(mini_corpus_root), "--out", str(out)]) == 2
+        assert "validate needs a JDK" in capsys.readouterr().err
+        assert not out.exists()

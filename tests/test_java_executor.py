@@ -16,6 +16,9 @@ from reforacle.java_executor import (
     PASS,
     TIMEOUT,
     MockToolchain,
+    NullToolchain,
+    RealToolchain,
+    Toolchain,
     ToolchainUnavailable,
     WorkspaceCreationFailed,
     discrimination,
@@ -127,6 +130,23 @@ class TestMockToolchain:
         h2 = source_set_hash(FIG1_RESULTING)
         assert h1 != h2
         assert h1 == source_set_hash(src(**java_fixtures.PUSH_DOWN_ORIGINAL))
+
+
+class TestToolchainProtocol:
+    def test_one_shared_discrimination_check(self):
+        for toolchain in (RealToolchain, MockToolchain, NullToolchain):
+            assert toolchain.check_discriminating is Toolchain.check_discriminating
+
+    def test_null_toolchain_has_no_evidence(self):
+        toolchain = NullToolchain()
+        assert toolchain.version() == "none"
+        with pytest.raises(ToolchainUnavailable):
+            toolchain.compile(FIG1_ORIGINAL)
+        with pytest.raises(ToolchainUnavailable):
+            toolchain.check_discriminating(
+                java_fixtures.BEHAVIOR_TEST, FIG1_ORIGINAL, FIG1_RESULTING
+            )
+        toolchain.close()
 
 
 class TestRealToolchainConstruction:
@@ -300,14 +320,20 @@ class TestCompileWorker:
         assert 1 <= len(fresh_jdk._workers) <= 3
         assert sorted(map(id, fresh_jdk._idle_workers)) == sorted(map(id, fresh_jdk._workers))
 
-    def test_worker_timeout_is_a_toolchain_error(self, fresh_jdk, monkeypatch, caplog):
+    def test_worker_timeout_is_a_toolchain_error(self, fresh_jdk, monkeypatch, tmp_path):
         assert fresh_jdk.compile(FIG1_ORIGINAL).success
         (worker,) = fresh_jdk._workers
+
+        def no_retry(cmd):
+            raise AssertionError("a timed-out compile was retried one-shot")
+
+        monkeypatch.setattr(java_executor, "_compile_one_shot", no_retry)
         monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.001)
         with pytest.raises(java_executor.ToolchainError, match="exceeded"):
-            fresh_jdk.compile(FIG1_RESULTING)
-        assert "exceeded" in caplog.text
+            fresh_jdk.compile(FIG1_RESULTING, tmp_path / "ws")
         assert worker.proc.poll() is not None
+        assert fresh_jdk._workers == []
+        assert "javac exceeded" in (tmp_path / "ws" / "invocations.log").read_text()
 
 
 class TestCompileTimeout:
@@ -321,6 +347,9 @@ class TestCompileTimeout:
         with pytest.raises(java_executor.ToolchainError, match="exceeded"):
             toolchain.compile(FIG1_ORIGINAL, tmp_path / "ws")
         toolchain.close()
+        log = (tmp_path / "ws" / "invocations.log").read_text()
+        assert log.startswith(f"{javac} -d ")
+        assert "javac exceeded 0.5 s" in log
 
 
 class TestRunTestWithoutJUnit:

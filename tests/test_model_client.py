@@ -17,7 +17,6 @@ from reforacle.model_client import (
     TranscriptStore,
     TransportFailure,
     manual_response,
-    record,
 )
 from reforacle.prompting import render_full_prompt
 
@@ -207,7 +206,7 @@ class TestTranscriptStore:
     def test_record_then_replay_byte_identical(self, tmp_path):
         path = tmp_path / "t.jsonl"
         store = TranscriptStore(path)
-        record(store, self.key(), self.response())
+        store.put(self.key(), self.response())
         again = TranscriptStore(path)
         replayed = again.get(self.key())
         assert replayed is not None
@@ -216,14 +215,14 @@ class TestTranscriptStore:
 
     def test_duplicate_key_rejected(self):
         store = TranscriptStore()
-        record(store, self.key(), self.response())
+        store.put(self.key(), self.response())
         with pytest.raises(DuplicateKey):
-            record(store, self.key(), self.response("other"))
+            store.put(self.key(), self.response("other"))
 
     def test_overwrite_flag(self):
         store = TranscriptStore()
-        record(store, self.key(), self.response())
-        record(store, self.key(), self.response("other"), overwrite=True)
+        store.put(self.key(), self.response())
+        store.put(self.key(), self.response("other"), overwrite=True)
         assert store.get(self.key()).text == "other"
 
     def test_replay_through_client_needs_no_backend(self, tmp_path):
@@ -238,7 +237,7 @@ class TestTranscriptStore:
     def test_manual_import(self):
         store = TranscriptStore()
         key = self.key()
-        record(store, key, manual_response("pasted from a web UI", "m"))
+        store.put(key, manual_response("pasted from a web UI", "m"))
         assert store.get(key).text == "pasted from a web UI"
 
     def test_full_benchmark_store_has_1130_records(self, tmp_path):
@@ -268,8 +267,8 @@ class TestTranscriptStore:
     def test_jsonl_format_one_record_per_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         store = TranscriptStore(path)
-        record(store, self.key(1), self.response())
-        record(store, self.key(2), self.response())
+        store.put(self.key(1), self.response())
+        store.put(self.key(2), self.response())
         lines = [ln for ln in path.read_text().splitlines() if ln]
         assert len(lines) == 2
         doc = json.loads(lines[0])
