@@ -321,15 +321,3 @@ def union_coverage(
         union_size=len(union),
         regions=regions,
     )
-
-
-def solved_set(records: list[dict], backend_name: str, attempt: int = 1) -> set[str]:
-    """Instances a model solved at a given attempt, from outcome records."""
-    return {
-        r["instance_id"]
-        for r in records
-        if r["backend_name"] == backend_name
-        and r["attempt_index"] == attempt
-        and r["correct"]
-        and not r.get("inconclusive", False)
-    }

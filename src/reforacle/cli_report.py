@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import itertools
 import json
 import logging
 import os
 import statistics as pystats
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -278,12 +281,29 @@ def _completed_keys(outcomes_path: Path) -> set[tuple[str, str, str, int]]:
     return done
 
 
+def _by_model(records: list[dict]) -> dict[str, list[dict]]:
+    """The one grouping every report reads: rows per backend name (the
+    temperature folded in as `name@t=T`), in name order, each group in
+    file order."""
+    groups: dict[str, list[dict]] = {}
+    for r in records:
+        groups.setdefault(r["backend_name"], []).append(r)
+    return {name: groups[name] for name in sorted(groups)}
+
+
+def _first_attempts(rows: list[dict]) -> list[dict]:
+    return [r for r in rows if r["attempt_index"] == 1]
+
+
+def _conclusive(rows: list[dict]) -> list[dict]:
+    return [r for r in rows if not r.get("inconclusive")]
+
+
 def write_metric_reports(records: list[dict], out_dir: Path) -> list[Path]:
     paths = []
-    backends = sorted({r["backend_name"] for r in records})
-    for name in backends:
+    for name, rows in _by_model(records).items():
         try:
-            report = analytics.metric_report(analytics.matrix_from_outcomes(records, name))
+            report = analytics.metric_report(analytics.matrix_from_outcomes(rows, name))
         except analytics.AnalyticsError as err:  # e.g. every row inconclusive
             logger.warning("no metrics for %s: %s", name, err)
             continue
@@ -298,18 +318,16 @@ def write_metric_reports(records: list[dict], out_dir: Path) -> list[Path]:
 
 def write_stats_report(records: list[dict], out_dir: Path) -> Path | None:
     """Wilson CIs per model plus pairwise exact McNemar with Holm, and
-    Cochran's Q, over first-attempt outcomes."""
-    backends = sorted({r["backend_name"] for r in records})
-    first = [r for r in records if r["attempt_index"] == 1 and not r.get("inconclusive")]
-    if not first:
+    Cochran's Q, over first-attempt conclusive outcomes."""
+    per_model = {
+        name: {r["instance_id"]: bool(r["correct"]) for r in _conclusive(_first_attempts(rows))}
+        for name, rows in _by_model(records).items()
+    }
+    if not any(per_model.values()):
         return None
-    per_model: dict[str, dict[str, bool]] = {b: {} for b in backends}
-    for r in first:
-        if r["backend_name"] in per_model:
-            per_model[r["backend_name"]][r["instance_id"]] = bool(r["correct"])
+    backends = list(per_model)
     doc: dict = {"models": {}, "pairwise": [], "cochran_q": None}
-    for name in backends:
-        outcomes = per_model[name]
+    for name, outcomes in per_model.items():
         n = len(outcomes)
         if n == 0:
             continue
@@ -321,26 +339,19 @@ def write_stats_report(records: list[dict], out_dir: Path) -> Path | None:
             "accuracy": successes / n,
             "wilson_95": [low, high],
         }
-    common = None
-    for name in backends:
-        ids = set(per_model[name])
-        common = ids if common is None else common & ids
-    common = sorted(common or [])
-    pair_ps = []
+    common = sorted(set.intersection(*(set(outcomes) for outcomes in per_model.values())))
     pairs = []
-    for i, a in enumerate(backends):
-        for b in backends[i + 1 :]:
-            counts = stats.PairedCounts(
-                n11=sum(1 for x in common if per_model[a][x] and per_model[b][x]),
-                n10=sum(1 for x in common if per_model[a][x] and not per_model[b][x]),
-                n01=sum(1 for x in common if not per_model[a][x] and per_model[b][x]),
-                n00=sum(1 for x in common if not per_model[a][x] and not per_model[b][x]),
-            )
-            result = stats.mcnemar_exact(counts)
-            pairs.append((a, b, counts, result))
-            pair_ps.append(result.p_value)
+    for a, b in itertools.combinations(backends, 2):
+        cells = Counter((per_model[a][x], per_model[b][x]) for x in common)
+        counts = stats.PairedCounts(
+            n11=cells[True, True],
+            n10=cells[True, False],
+            n01=cells[False, True],
+            n00=cells[False, False],
+        )
+        pairs.append((a, b, counts, stats.mcnemar_exact(counts)))
     if pairs:
-        adjusted = stats.holm_correct(pair_ps)
+        adjusted = stats.holm_correct([result.p_value for _, _, _, result in pairs])
         for (a, b, counts, result), p_holm in zip(pairs, adjusted):
             doc["pairwise"].append(
                 {
@@ -371,24 +382,19 @@ def write_stats_report(records: list[dict], out_dir: Path) -> Path | None:
 
 def telemetry_summary(records: list[dict]) -> dict:
     summary: dict = {}
-    for name in sorted({r["backend_name"] for r in records}):
-        rows = [r for r in records if r["backend_name"] == name]
+    for name, rows in _by_model(records).items():
         latencies = [r["latency_s"] for r in rows]
-        tokens_in = sum(r["tokens_in"] or 0 for r in rows)
-        tokens_out = sum(r["tokens_out"] or 0 for r in rows)
-        tokens_reasoning = sum(r.get("tokens_reasoning") or 0 for r in rows)
-        cost = sum(r["cost_estimate"] or 0.0 for r in rows)
         summary[name] = {
             "calls": len(rows),
             "latency_total_s": sum(latencies),
-            "latency_mean_s": pystats.mean(latencies) if latencies else 0.0,
-            "latency_median_s": pystats.median(latencies) if latencies else 0.0,
-            "latency_min_s": min(latencies) if latencies else 0.0,
-            "latency_max_s": max(latencies) if latencies else 0.0,
-            "tokens_in": tokens_in,
-            "tokens_out": tokens_out,
-            "tokens_reasoning": tokens_reasoning,
-            "cost_total": cost,
+            "latency_mean_s": pystats.mean(latencies),
+            "latency_median_s": pystats.median(latencies),
+            "latency_min_s": min(latencies),
+            "latency_max_s": max(latencies),
+            "tokens_in": sum(r["tokens_in"] or 0 for r in rows),
+            "tokens_out": sum(r["tokens_out"] or 0 for r in rows),
+            "tokens_reasoning": sum(r.get("tokens_reasoning") or 0 for r in rows),
+            "cost_total": sum(r["cost_estimate"] or 0.0 for r in rows),
         }
     return summary
 
@@ -396,118 +402,71 @@ def telemetry_summary(records: list[dict]) -> dict:
 def summarize(outcomes_path: str | Path, out_dir: str | Path) -> list[Path]:
     """Emit the summary CSVs: accuracy, per-type heatmap data, failure
     modes, telemetry, and the UNKNOWN adjudication worksheet."""
-    import csv
-
     records = assessor.read_outcomes(outcomes_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    backends = sorted({r["backend_name"] for r in records})
-
-    acc_path = out_dir / "accuracy_by_model.csv"
-    with acc_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "overall", "bc", "ce", "n", "inconclusive"])
-        for name in backends:
-            rows = [
-                r
-                for r in records
-                if r["backend_name"] == name and r["attempt_index"] == 1
-            ]
-            usable = [r for r in rows if not r.get("inconclusive")]
-            dropped = len(rows) - len(usable)
-            bc = [r for r in usable if r["ground_label"] == "BC"]
-            ce = [r for r in usable if r["ground_label"] == "CE"]
-            writer.writerow(
-                [
-                    name,
-                    _rate(usable),
-                    _rate(bc),
-                    _rate(ce),
-                    len(usable),
-                    dropped,
-                ]
-            )
-    paths.append(acc_path)
-
-    heat_path = out_dir / "heatmap_by_refactoring.csv"
-    with heat_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "refactoring", "label", "accuracy", "n"])
-        for name in backends:
-            rows = [
-                r
-                for r in records
-                if r["backend_name"] == name
-                and r["attempt_index"] == 1
-                and not r.get("inconclusive")
-            ]
-            groups: dict[tuple[str, str], list[dict]] = {}
-            for r in rows:
-                groups.setdefault((r["refactoring_type"], r["ground_label"]), []).append(r)
-            for (rtype, label), grp in sorted(groups.items()):
-                writer.writerow([name, rtype, label, _rate(grp), len(grp)])
-    paths.append(heat_path)
-
-    modes_path = out_dir / "failure_modes.csv"
-    with modes_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "answer_label", "count"])
-        for name in backends:
-            counts: dict[str, int] = {}
-            for r in records:
-                if r["backend_name"] == name:
-                    counts[r["answer_label"]] = counts.get(r["answer_label"], 0) + 1
-            for label in assessor.ANSWER_LABELS:
-                if counts.get(label):
-                    writer.writerow([name, label, counts[label]])
-    paths.append(modes_path)
-
-    tele_path = out_dir / "telemetry.csv"
-    with tele_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "calls", "mean_s", "median_s", "min_s", "max_s", "total_s",
-             "tokens_in", "tokens_out", "cost_total"]
+    accuracy, heatmap, modes = [], [], []
+    for name, rows in _by_model(records).items():
+        first = _first_attempts(rows)
+        usable = _conclusive(first)
+        bc = [r for r in usable if r["ground_label"] == "BC"]
+        ce = [r for r in usable if r["ground_label"] == "CE"]
+        accuracy.append(
+            [name, _rate(usable), _rate(bc), _rate(ce), len(usable), len(first) - len(usable)]
         )
-        for name, row in telemetry_summary(records).items():
-            writer.writerow(
-                [
-                    name,
-                    row["calls"],
-                    f"{row['latency_mean_s']:.3f}",
-                    f"{row['latency_median_s']:.3f}",
-                    f"{row['latency_min_s']:.3f}",
-                    f"{row['latency_max_s']:.3f}",
-                    f"{row['latency_total_s']:.3f}",
-                    row["tokens_in"],
-                    row["tokens_out"],
-                    f"{row['cost_total']:.4f}",
-                ]
-            )
-    paths.append(tele_path)
-
-    unknowns = [r for r in records if r["answer_label"] == assessor.SAID_UNKNOWN]
+        cells: dict[tuple[str, str], list[dict]] = {}
+        for r in usable:
+            cells.setdefault((r["refactoring_type"], r["ground_label"]), []).append(r)
+        for (rtype, label), grp in sorted(cells.items()):
+            heatmap.append([name, rtype, label, _rate(grp), len(grp)])
+        counts = Counter(r["answer_label"] for r in rows)
+        modes += [[name, label, counts[label]] for label in assessor.ANSWER_LABELS if counts[label]]
+    telemetry = [
+        [
+            name,
+            row["calls"],
+            f"{row['latency_mean_s']:.3f}",
+            f"{row['latency_median_s']:.3f}",
+            f"{row['latency_min_s']:.3f}",
+            f"{row['latency_max_s']:.3f}",
+            f"{row['latency_total_s']:.3f}",
+            row["tokens_in"],
+            row["tokens_out"],
+            f"{row['cost_total']:.4f}",
+        ]
+        for name, row in telemetry_summary(records).items()
+    ]
+    unknowns = [
+        [r["backend_name"], r["instance_id"], r["attempt_index"], r["ground_label"],
+         r.get("explanation", ""), ""]
+        for r in records
+        if r["answer_label"] == assessor.SAID_UNKNOWN
+    ]
+    paths = [
+        _write_csv(out_dir / "accuracy_by_model.csv",
+                   ["model", "overall", "bc", "ce", "n", "inconclusive"], accuracy),
+        _write_csv(out_dir / "heatmap_by_refactoring.csv",
+                   ["model", "refactoring", "label", "accuracy", "n"], heatmap),
+        _write_csv(out_dir / "failure_modes.csv", ["model", "answer_label", "count"], modes),
+        _write_csv(out_dir / "telemetry.csv",
+                   ["model", "calls", "mean_s", "median_s", "min_s", "max_s", "total_s",
+                    "tokens_in", "tokens_out", "cost_total"], telemetry),
+    ]
     if unknowns:
-        unknown_path = out_dir / "unknown_adjudication.csv"
-        with unknown_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["model", "instance", "attempt", "ground_label", "explanation", "adjudication"]
-            )
-            for r in unknowns:
-                writer.writerow(
-                    [
-                        r["backend_name"],
-                        r["instance_id"],
-                        r["attempt_index"],
-                        r["ground_label"],
-                        r.get("explanation", ""),
-                        "",
-                    ]
-                )
-        paths.append(unknown_path)
+        paths.append(_write_csv(
+            out_dir / "unknown_adjudication.csv",
+            ["model", "instance", "attempt", "ground_label", "explanation", "adjudication"],
+            unknowns,
+        ))
     return paths
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _rate(rows: list[dict]) -> str:
@@ -553,7 +512,10 @@ def _toolchain_from_args(args) -> java_executor.Toolchain:
             java_path=getattr(args, "java", "java"),
             junit_classpath=entries,
         )
-        return java_executor.RealToolchain(cfg)
+        try:
+            return java_executor.RealToolchain(cfg)
+        except java_executor.ToolchainUnavailable as err:  # e.g. no such compiler
+            raise ConfigError(str(err)) from err
     found = java_executor.find_jdk(entries)
     return java_executor.RealToolchain(found) if found else java_executor.NullToolchain()
 

@@ -15,7 +15,6 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 logger = logging.getLogger(__name__)
 
@@ -101,10 +100,6 @@ class BugInstance:
         if self.label != "BC" and self.exposing_test is not None:
             raise ValueError(f"{self.id}: exposing test only allowed for label BC")
 
-    @property
-    def loc_original(self) -> int:
-        return sum(count_loc(content) for _, content in self.original.files)
-
 
 @dataclass(frozen=True)
 class BugCorpus:
@@ -164,34 +159,6 @@ class ValidationReport:
     quarantined: bool = False
     toolchain_version: str = ""
     logs: dict[str, str] = field(default_factory=dict)
-
-
-def count_loc(content: str) -> int:
-    """Non-blank lines after stripping // and /* */ comments."""
-    out = []
-    in_block = False
-    for line in content.split("\n"):
-        buf = []
-        i = 0
-        while i < len(line):
-            if in_block:
-                end = line.find("*/", i)
-                if end == -1:
-                    i = len(line)
-                else:
-                    in_block = False
-                    i = end + 2
-                continue
-            if line.startswith("//", i):
-                break
-            if line.startswith("/*", i):
-                in_block = True
-                i += 2
-                continue
-            buf.append(line[i])
-            i += 1
-        out.append("".join(buf))
-    return sum(1 for line in out if line.strip())
 
 
 def _read_meta(meta_path: Path) -> dict[str, str]:
@@ -291,18 +258,6 @@ def load_corpus(root: str | Path) -> BugCorpus:
         corpus.n_preserving,
     )
     return corpus
-
-
-def filter_corpus(
-    corpus: BugCorpus, predicate: Callable[[str, str, str], bool]
-) -> BugCorpus:
-    """Keep instances where predicate(label, tool, refactoring_type) holds."""
-    kept = tuple(
-        inst
-        for inst in corpus.instances
-        if predicate(inst.label, inst.tool, inst.refactoring_type)
-    )
-    return BugCorpus(instances=kept)
 
 
 def validate_instance(inst: BugInstance, toolchain) -> ValidationReport:

@@ -40,10 +40,6 @@ class CounterRng:
     def key(self) -> int:
         return self._key
 
-    def derive(self, *tokens: int | str) -> "CounterRng":
-        """New independent stream keyed by this key plus extra tokens."""
-        return CounterRng(derive_key(self._key, *tokens))
-
     def next_u64(self) -> int:
         self._counter = (self._counter + 1) & _MASK64
         z = (self._key + self._counter * _GAMMA) & _MASK64

@@ -40,9 +40,6 @@ class PairedCounts:
     def total(self) -> int:
         return self.n11 + self.n10 + self.n01 + self.n00
 
-    def swapped(self) -> "PairedCounts":
-        return PairedCounts(n11=self.n11, n10=self.n01, n01=self.n10, n00=self.n00)
-
 
 @dataclass(frozen=True)
 class TestResult:

@@ -17,7 +17,6 @@ from reforacle.analytics import (
     mean_accuracy,
     metric_report,
     per_attempt_accuracy,
-    solved_set,
     tar_at,
     union_coverage,
 )
@@ -327,14 +326,6 @@ class TestMatrixFromOutcomes:
         records = [self.outcome("a", 1, True), self.outcome("a", 3, True)]
         with pytest.raises(Exception):
             matrix_from_outcomes(records, "m")
-
-    def test_solved_set(self):
-        records = [
-            self.outcome("a", 1, True),
-            self.outcome("b", 1, False),
-            self.outcome("b", 2, True),
-        ]
-        assert solved_set(records, "m", attempt=1) == {"a"}
 
     def test_metric_report_serializes(self, tmp_path):
         records = [

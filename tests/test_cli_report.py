@@ -330,6 +330,80 @@ class TestSummarize:
         assert paths  # tables exist, just empty
 
 
+def row(backend, instance, attempt=1, correct=True, inconclusive=False, latency=1.0,
+        tokens_in=10, tokens_out=5, cost=0.5):
+    return {
+        "backend_name": backend,
+        "instance_id": instance,
+        "attempt_index": attempt,
+        "correct": correct,
+        "inconclusive": inconclusive,
+        "latency_s": latency,
+        "tokens_in": tokens_in,
+        "tokens_out": tokens_out,
+        "cost_estimate": cost,
+    }
+
+
+class TestGroupedView:
+    def test_by_model_groups_in_name_order_and_file_order(self):
+        records = [row("b", "i1"), row("a@t=0.7", "i1"), row("b", "i2"), row("a@t=0.2", "i3")]
+        groups = cli_report._by_model(records)
+        assert list(groups) == ["a@t=0.2", "a@t=0.7", "b"]
+        assert [r["instance_id"] for r in groups["b"]] == ["i1", "i2"]
+        assert sum(len(rows) for rows in groups.values()) == len(records)
+
+    def test_selectors_keep_first_attempt_conclusive_rows(self):
+        rows = [
+            row("m", "i1", attempt=1),
+            row("m", "i1", attempt=2),
+            row("m", "i2", attempt=1, inconclusive=True),
+            {k: v for k, v in row("m", "i3", attempt=1).items() if k != "inconclusive"},
+        ]
+        first = cli_report._first_attempts(rows)
+        assert [r["instance_id"] for r in first] == ["i1", "i2", "i3"]
+        assert [r["instance_id"] for r in cli_report._conclusive(first)] == ["i1", "i3"]
+
+    def test_mcnemar_cells_count_common_first_attempts(self, tmp_path):
+        # a/b per instance: i1 TT, i2 TF, i3 TF, i4 FT, i5 FF; i6 only a has.
+        outcomes = {"i1": (True, True), "i2": (True, False), "i3": (True, False),
+                    "i4": (False, True), "i5": (False, False)}
+        records = []
+        for inst, (a, b) in outcomes.items():
+            records += [row("a", inst, correct=a), row("b", inst, correct=b),
+                        row("a", inst, attempt=2, correct=not a)]
+        records += [row("a", "i6"), row("b", "i6", inconclusive=True)]
+        doc = json.loads(cli_report.write_stats_report(records, tmp_path).read_text())
+        (pair,) = doc["pairwise"]
+        assert pair["pair"] == ["a", "b"]
+        assert (pair["n11"], pair["n10"], pair["n01"], pair["n00"]) == (1, 2, 1, 1)
+        assert doc["models"]["a"]["n"] == 6 and doc["models"]["a"]["correct"] == 4
+        assert doc["models"]["b"]["n"] == 5 and doc["models"]["b"]["correct"] == 2
+        assert doc["cochran_q"]["n"] == 5
+
+    def test_no_conclusive_first_attempt_writes_no_stats(self, tmp_path):
+        records = [row("a", "i1", inconclusive=True), row("a", "i1", attempt=2)]
+        assert cli_report.write_stats_report(records, tmp_path) is None
+        assert not (tmp_path / "stats.json").exists()
+
+    def test_telemetry_summary_totals_every_attempt(self):
+        records = [row("b", "i1", latency=1.0, cost=0.25, tokens_in=None),
+                   row("a", "i1", latency=4.0),
+                   row("b", "i1", attempt=2, latency=3.0, inconclusive=True, cost=None)]
+        summary = cli_report.telemetry_summary(records)
+        assert list(summary) == ["a", "b"]
+        b = summary["b"]
+        assert b["calls"] == 2
+        assert b["latency_total_s"] == 4.0 and b["latency_median_s"] == 2.0
+        assert (b["latency_min_s"], b["latency_max_s"]) == (1.0, 3.0)
+        assert (b["tokens_in"], b["tokens_out"], b["cost_total"]) == (10, 10, 0.25)
+
+    def test_write_csv_writes_header_then_rows(self, tmp_path):
+        path = cli_report._write_csv(tmp_path / "t.csv", ["x", "y"], [[1, "a,b"], [2, ""]])
+        assert path == tmp_path / "t.csv"
+        assert path.read_bytes() == b'x,y\r\n1,"a,b"\r\n2,\r\n'
+
+
 class TestCliEntry:
     def test_run_and_summarize_via_cli(self, mini_corpus_root, tmp_path, capsys):
         out = tmp_path / "cli-out"
@@ -466,3 +540,15 @@ class TestToolchainLifetime:
         assert main(["validate", "--corpus", str(mini_corpus_root), "--out", str(out)]) == 2
         assert "validate needs a JDK" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_missing_compiler_is_a_config_error(
+        self, command, mini_corpus_root, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "nonexistent" / "javac")
+        argv = [command, "--corpus", str(mini_corpus_root), "--out", str(tmp_path / "out"),
+                "--compiler", missing]
+        if command == "run":
+            argv += ["--backend", "mock"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == f"error: compiler not found: {missing}"

@@ -9,8 +9,6 @@ from reforacle.dataset import (
     MissingMetadata,
     MissingTestForBC,
     SourceSet,
-    count_loc,
-    filter_corpus,
     load_corpus,
     validate_instance,
 )
@@ -59,36 +57,6 @@ class TestBugInstance:
                 resulting=src,
                 exposing_test="class T {}",
             )
-
-    def test_loc_counts_original(self):
-        src = SourceSet(
-            files=(
-                (
-                    "A.java",
-                    "// header\nclass A {\n\n  /* doc */ int x = 1;\n}\n",
-                ),
-            )
-        )
-        inst = BugInstance(
-            id="x",
-            tool="Other",
-            refactoring_type="t",
-            label="PRESERVING",
-            original=src,
-            resulting=src,
-        )
-        assert inst.loc_original == 3  # class line, field line, closing brace
-
-
-class TestCountLoc:
-    def test_strips_line_comments(self):
-        assert count_loc("int x; // trailing\n// whole line\n") == 1
-
-    def test_strips_block_comments(self):
-        assert count_loc("/* a\nb\nc */\nint x;\n") == 1
-
-    def test_blank_lines_ignored(self):
-        assert count_loc("\n\n  \nint x;\n\n") == 1
 
 
 class TestLoadCorpus:
@@ -152,39 +120,6 @@ class TestLoadCorpus:
         a = load_corpus(corpus_root).serialize()
         b = load_corpus(corpus_root).serialize()
         assert a == b
-
-
-class TestFilterCorpus:
-    def test_filter_bc(self, corpus_root):
-        corpus = load_corpus(corpus_root)
-        bc = filter_corpus(corpus, lambda label, tool, rtype: label == "BC")
-        assert bc.total == 6
-        assert bc.n_bc == 6
-
-    def test_filter_tool(self, corpus_root):
-        corpus = load_corpus(corpus_root)
-        eclipse = filter_corpus(corpus, lambda label, tool, rtype: tool == "Eclipse")
-        assert eclipse.total == sum(1 for f in java_fixtures.FIXTURES if f.tool == "Eclipse")
-
-    def test_always_false(self, corpus_root):
-        corpus = load_corpus(corpus_root)
-        assert filter_corpus(corpus, lambda *a: False).total == 0
-
-    def test_identity_and_composition(self, corpus_root):
-        corpus = load_corpus(corpus_root)
-        assert filter_corpus(corpus, lambda *a: True).instances == corpus.instances
-        p = lambda label, tool, rtype: label == "CE"
-        q = lambda label, tool, rtype: tool == "NetBeans"
-        composed = filter_corpus(filter_corpus(corpus, p), q)
-        conjoined = filter_corpus(
-            corpus, lambda label, tool, rtype: p(label, tool, rtype) and q(label, tool, rtype)
-        )
-        assert composed.instances == conjoined.instances
-
-    def test_order_preserved(self, corpus_root):
-        corpus = load_corpus(corpus_root)
-        filtered = filter_corpus(corpus, lambda *a: True)
-        assert [i.id for i in filtered.instances] == [i.id for i in corpus.instances]
 
 
 def mock_for(corpus):

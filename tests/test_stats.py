@@ -102,7 +102,10 @@ class TestMcNemar:
                 n00=rng.randint(0, 50),
             )
             a = mcnemar_exact(counts)
-            b = mcnemar_exact(counts.swapped())
+            swapped = PairedCounts(
+                n11=counts.n11, n10=counts.n01, n01=counts.n10, n00=counts.n00
+            )
+            b = mcnemar_exact(swapped)
             assert a.p_value == pytest.approx(b.p_value, abs=1e-15)
             if counts.total:
                 assert a.delta == pytest.approx(-b.delta, abs=1e-15)
