@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import java_executor, verdict_parser
+from . import java_executor, jsonl, verdict_parser
 from .dataset import BugInstance
 from .java_executor import DiscriminationResult, Toolchain
 from .verdict_parser import ModelVerdict, ParseFailure
@@ -260,22 +260,15 @@ def _validate_bc_claim(
 
 def write_outcomes(outcomes, path: str | Path) -> None:
     """Append outcomes to a JSON-lines results file."""
-    path = Path(path)
-    with path.open("a", encoding="utf-8") as fh:
-        for outcome in outcomes:
-            fh.write(outcome.to_json_line() + "\n")
+    jsonl.append(path, [outcome.to_json_line() for outcome in outcomes])
 
 
 def read_outcomes(path: str | Path) -> list[dict]:
-    """Outcome records as dicts; raises on schema mismatch."""
+    """Outcome records as dicts, without a torn last line; raises on
+    schema mismatch."""
     rows = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if doc.get("schema") != OUTCOME_SCHEMA:
-                raise ValueError(f"{path}:{n}: unsupported outcome schema {doc.get('schema')}")
-            rows.append(doc)
+    for n, doc in jsonl.records(path):
+        if doc.get("schema") != OUTCOME_SCHEMA:
+            raise ValueError(f"{path}:{n}: unsupported outcome schema {doc.get('schema')}")
+        rows.append(doc)
     return rows

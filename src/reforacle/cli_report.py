@@ -319,18 +319,20 @@ def write_metric_reports(records: list[dict], out_dir: Path) -> list[Path]:
 def write_stats_report(records: list[dict], out_dir: Path) -> Path | None:
     """Wilson CIs per model plus pairwise exact McNemar with Holm, and
     Cochran's Q, over first-attempt conclusive outcomes."""
-    per_model = {
-        name: {r["instance_id"]: bool(r["correct"]) for r in _conclusive(_first_attempts(rows))}
-        for name, rows in _by_model(records).items()
-    }
-    if not any(per_model.values()):
+    per_model = {}
+    for name, rows in _by_model(records).items():
+        first = _conclusive(_first_attempts(rows))
+        outcomes = {r["instance_id"]: bool(r["correct"]) for r in first}
+        if outcomes:
+            per_model[name] = outcomes
+        else:  # it would leave the models no instance in common
+            logger.warning("no stats for %s: no conclusive first attempt", name)
+    if not per_model:
         return None
     backends = list(per_model)
     doc: dict = {"models": {}, "pairwise": [], "cochran_q": None}
     for name, outcomes in per_model.items():
         n = len(outcomes)
-        if n == 0:
-            continue
         successes = sum(outcomes.values())
         low, high = stats.wilson_ci(successes, n, 0.95)
         doc["models"][name] = {

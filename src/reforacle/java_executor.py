@@ -5,7 +5,8 @@ with javac and runs each test in a fresh JVM with a JUnit 4 runner on the
 classpath; MockToolchain answers from a table keyed by content hashes so
 everything above it can be exercised without a JDK; NullToolchain stands
 for "no JDK" and makes every compile and test run unavailable. Every task
-gets its own workspace directory; nothing is shared between tasks.
+gets its own workspace directory; nothing is shared between tasks. A
+toolchain runs each (program, test) pair once and reuses that run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import Future
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import javalex
@@ -140,6 +143,12 @@ class Toolchain:
     callers record as inconclusive, never as a wrong answer.
     """
 
+    def __init__(self) -> None:
+        # (program hash, test hash) -> the run of that test on that program;
+        # see check_discriminating
+        self._runs_lock = threading.Lock()
+        self._runs: dict[tuple[str, str], Future] = {}
+
     def version(self) -> str:
         raise NotImplementedError
 
@@ -154,11 +163,50 @@ class Toolchain:
     def check_discriminating(
         self, test_source: str, original: SourceSet, resulting: SourceSet
     ) -> DiscriminationResult:
-        """Run the same test against both versions in disjoint workspaces."""
-        return discrimination(
-            self.run_test(original, test_source),
-            self.run_test(resulting, test_source),
-        )
+        """Run the same test against both versions in disjoint workspaces.
+
+        Each (program, test) pair runs once per toolchain, single-flight:
+        a caller claims, one at a time, each side nobody has claimed yet
+        and runs it, and only then waits for the sides others are running.
+        So two concurrent checks of one pair split its sides, and nobody
+        waits while holding an unfinished claim. Every finished run is
+        kept, whatever its outcome; a side answered from a run made
+        elsewhere reports elapsed_s 0.0, as no JVM ran for it. An
+        exception reaches the callers waiting on that run and is not
+        kept, so the next check retries.
+        """
+        test_hash = _text_hash(test_source)
+        sides = [(p, (source_set_hash(p), test_hash)) for p in (original, resulting)]
+        runs: dict[tuple[str, str], Future] = {}  # every side's run, wherever it is made
+        ran: dict[tuple[str, str], TestRunResult] = {}  # the runs made by this call
+        while True:
+            claim = None
+            with self._runs_lock:
+                for program, key in sides:
+                    if key in runs:
+                        continue
+                    if key in self._runs:
+                        runs[key] = self._runs[key]
+                        continue
+                    claim = program, key
+                    runs[key] = self._runs[key] = Future()
+                    break
+            if claim is None:
+                break
+            program, key = claim
+            try:
+                ran[key] = self.run_test(program, test_source)
+            except BaseException as err:
+                with self._runs_lock:
+                    self._runs.pop(key, None)  # gone if a mock was re-scripted meanwhile
+                runs[key].set_exception(err)
+                raise
+            runs[key].set_result(ran[key])
+        # identical versions share a key: the run counts once, on the first side
+        return discrimination(*(
+            ran.pop(key) if key in ran else replace(runs[key].result(), elapsed_s=0.0)
+            for _, key in sides
+        ))
 
     def close(self) -> None:
         """Release whatever the toolchain holds; nothing by default."""
@@ -199,6 +247,7 @@ class RealToolchain(Toolchain):
             raise ToolchainUnavailable(f"compiler not found: {config.javac_path}")
         if shutil.which(config.java_path) is None:
             raise ToolchainUnavailable(f"runtime not found: {config.java_path}")
+        super().__init__()
         self.config = config
         self.workspace_root = Path(workspace_root) if workspace_root else None
         self._version: str | None = None
@@ -230,6 +279,23 @@ class RealToolchain(Toolchain):
         except OSError as err:
             raise WorkspaceCreationFailed(str(err)) from err
 
+    @contextmanager
+    def _workspace(self, tag: str, given: str | Path | None):
+        """The caller's workspace, left alone, or a new one that is deleted
+        once the call returns a result. A new workspace whose call raised
+        ToolchainError is kept for its invocations.log, and the error
+        names it."""
+        if given:
+            yield Path(given).absolute()
+            return
+        ws = self._new_workspace(tag)
+        try:
+            yield ws
+        except ToolchainError as err:
+            err.args = (f"{err} (workspace kept: {ws})",)
+            raise
+        shutil.rmtree(ws, ignore_errors=True)
+
     def _write_sources(self, src: SourceSet, workspace: Path) -> list[Path]:
         files = []
         for rel, content in src.files:
@@ -247,7 +313,10 @@ class RealToolchain(Toolchain):
         """
         if not src.files:
             raise WorkspaceCreationFailed("empty source set")
-        ws = Path(workspace).absolute() if workspace else self._new_workspace("compile")
+        with self._workspace("compile", workspace) as ws:
+            return self._compile_in(src, ws)
+
+    def _compile_in(self, src: SourceSet, ws: Path) -> CompileResult:
         files = self._write_sources(src, ws)
         out = ws / "classes"
         out.mkdir(exist_ok=True)
@@ -324,7 +393,12 @@ class RealToolchain(Toolchain):
         test_class = javalex.top_level_public_class(test_source)
         if test_class is None:
             raise ToolchainError("test must declare exactly one public class")
-        ws = Path(workspace) if workspace else self._new_workspace("test")
+        with self._workspace("test", workspace) as ws:
+            return self._run_test_in(program, test_source, test_class, ws)
+
+    def _run_test_in(
+        self, program: SourceSet, test_source: str, test_class: str, ws: Path
+    ) -> TestRunResult:
         test_rel = _test_relative_path(test_source, test_class)
         combined = SourceSet(files=program.files + ((test_rel, test_source),))
         compile_result = self.compile(combined, ws)
@@ -472,6 +546,7 @@ class MockToolchain(Toolchain):
         default_compile_success: bool = True,
         default_run_outcome: str = PASS,
     ) -> None:
+        super().__init__()
         self._compile_table: dict[str, CompileResult] = {}
         self._run_table: dict[tuple[str, str], TestRunResult] = {}
         self.default_compile_success = default_compile_success
@@ -484,6 +559,7 @@ class MockToolchain(Toolchain):
         self._compile_table[source_set_hash(src)] = CompileResult(
             success=success, diagnostics=diagnostics, elapsed_s=0.0
         )
+        self._runs.clear()  # a re-scripted program may change a kept run
 
     def script_run(
         self,
@@ -496,6 +572,7 @@ class MockToolchain(Toolchain):
         self._run_table[key] = TestRunResult(
             outcome=outcome, runner_output=runner_output, elapsed_s=0.0
         )
+        self._runs.clear()
 
     def compile(self, src: SourceSet, workspace: str | Path | None = None) -> CompileResult:
         if not src.files:

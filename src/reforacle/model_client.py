@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
+from . import jsonl
 from .prompting import RenderedPrompt
 
 logger = logging.getLogger(__name__)
@@ -139,14 +140,9 @@ class TranscriptStore:
 
     def _load(self) -> None:
         assert self.path is not None
-        with self.path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                key = RequestKey(**doc["key"])
-                self._records[key] = RawModelResponse(**doc["response"])
+        for _, doc in jsonl.records(self.path):
+            key = RequestKey(**doc["key"])
+            self._records[key] = RawModelResponse(**doc["response"])
 
     def __len__(self) -> int:
         return len(self._records)
@@ -166,8 +162,7 @@ class TranscriptStore:
                 line = json.dumps(
                     {"key": key.as_dict(), "response": asdict(resp)}, sort_keys=True
                 )
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
+                jsonl.append(self.path, [line])
 
     def keys(self) -> list[RequestKey]:
         return list(self._records)

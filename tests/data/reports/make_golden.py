@@ -8,10 +8,10 @@ names), one backend whose every row is inconclusive, one backend that
 lacks some instances, three attempts, UNKNOWN rows, parse errors and
 missing token counts. `expected/outcomes/` holds what `reforacle
 metrics`, `stats` and `summarize` write for it, and
-`expected/telemetry.json` the telemetry summary as JSON. The backend
-with no conclusive row leaves the models no instance in common, so
-`expected/paired/` holds the `stats` output for the same rows without
-that backend, where the McNemar cells and Cochran's Q are not empty.
+`expected/telemetry.json` the telemetry summary as JSON. `stats` drops
+the backend with no conclusive row, so `expected/paired/`, the `stats`
+output for the same rows without that backend, is the same file as
+`expected/outcomes/stats/`.
 Rerun this only when a change to the report output is intended;
 tests/test_reports_golden.py compares against these files byte for byte.
 """

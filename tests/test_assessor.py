@@ -297,3 +297,32 @@ class TestOutcomePersistence:
         path.write_text(json.dumps({"schema": 99}) + "\n")
         with pytest.raises(ValueError):
             read_outcomes(path)
+
+    def test_torn_last_line_is_skipped_then_cut(self, tmp_path, caplog):
+        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        path = tmp_path / "outcomes.jsonl"
+        write_outcomes([outcome, outcome], path)
+        whole = path.read_text()
+        with path.open("a") as fh:
+            fh.write(outcome.to_json_line()[:40])  # killed mid-write
+        assert len(read_outcomes(path)) == 2
+        assert "torn last line" in caplog.text
+        write_outcomes([outcome], path)
+        assert path.read_text() == whole + outcome.to_json_line() + "\n"
+        assert len(read_outcomes(path)) == 3
+
+    def test_whole_last_line_without_newline_is_kept(self, tmp_path):
+        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        path = tmp_path / "outcomes.jsonl"
+        path.write_text(outcome.to_json_line())
+        assert len(read_outcomes(path)) == 1
+        write_outcomes([outcome], path)
+        assert path.read_text() == (outcome.to_json_line() + "\n") * 2
+
+    def test_malformed_line_before_the_last_is_an_error(self, tmp_path):
+        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        path = tmp_path / "outcomes.jsonl"
+        line = outcome.to_json_line()
+        path.write_text(line[:40] + "\n" + line)
+        with pytest.raises(ValueError):
+            read_outcomes(path)

@@ -118,6 +118,34 @@ class TestRunBenchmark:
         resumed_lines = Path(resumed.outcomes_path).read_text().splitlines()
         assert keyed(resumed_lines) == keyed(full_lines)
 
+    def test_resume_after_a_torn_last_line(self, mini_corpus_root, tmp_path):
+        toolchain = scripted_toolchain(mini_corpus_root)
+        full = run_benchmark(
+            base_config(mini_corpus_root, tmp_path / "full"),
+            backends_impl={"mock": ce_backend()},
+            toolchain=toolchain,
+        )
+        full_lines = Path(full.outcomes_path).read_text().splitlines()
+        resumed_dir = tmp_path / "resumed"
+        resumed_dir.mkdir()
+        half = len(full_lines) // 2
+        # the process was killed while it wrote the next row
+        (resumed_dir / "outcomes.jsonl").write_text(
+            "\n".join(full_lines[:half]) + "\n" + full_lines[half][:50]
+        )
+        resumed = run_benchmark(
+            base_config(mini_corpus_root, resumed_dir),
+            backends_impl={"mock": ce_backend()},
+            toolchain=toolchain,
+        )
+        resumed_lines = Path(resumed.outcomes_path).read_text().splitlines()
+        assert resumed_lines[:half] == full_lines[:half]
+
+        def rows(lines):  # the live mock backend's latency varies
+            return sorted(json.dumps({**json.loads(line), "latency_s": 0}) for line in lines)
+
+        assert rows(resumed_lines) == rows(full_lines)
+
     def test_metamorphic_mode_is_seed_deterministic(self, mini_corpus_root, tmp_path):
         outputs = []
         for name in ("mt1", "mt2"):
@@ -380,6 +408,19 @@ class TestGroupedView:
         assert doc["models"]["a"]["n"] == 6 and doc["models"]["a"]["correct"] == 4
         assert doc["models"]["b"]["n"] == 5 and doc["models"]["b"]["correct"] == 2
         assert doc["cochran_q"]["n"] == 5
+
+    def test_backend_without_conclusive_rows_is_left_out_of_the_comparison(
+        self, tmp_path, caplog
+    ):
+        records = [row("a", "i1"), row("b", "i1", correct=False), row("a", "i2"),
+                   row("b", "i2"), row("c", "i1", inconclusive=True), row("c", "i2", attempt=2)]
+        doc = json.loads(cli_report.write_stats_report(records, tmp_path).read_text())
+        assert "no stats for c" in caplog.text
+        assert list(doc["models"]) == ["a", "b"]
+        (pair,) = doc["pairwise"]
+        assert pair["pair"] == ["a", "b"]
+        assert (pair["n11"], pair["n10"], pair["n01"], pair["n00"]) == (1, 1, 0, 0)
+        assert doc["cochran_q"]["models"] == ["a", "b"] and doc["cochran_q"]["n"] == 2
 
     def test_no_conclusive_first_attempt_writes_no_stats(self, tmp_path):
         records = [row("a", "i1", inconclusive=True), row("a", "i1", attempt=2)]

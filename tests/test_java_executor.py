@@ -2,7 +2,9 @@ import fnmatch
 import importlib.resources
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from reforacle import java_executor
 from reforacle.dataset import SourceSet
 from reforacle.java_executor import (
     DID_NOT_COMPILE,
+    ERROR,
     FAIL,
     PASS,
     TIMEOUT,
@@ -19,6 +22,7 @@ from reforacle.java_executor import (
     NullToolchain,
     RealToolchain,
     Toolchain,
+    ToolchainError,
     ToolchainUnavailable,
     WorkspaceCreationFailed,
     discrimination,
@@ -149,6 +153,144 @@ class TestToolchainProtocol:
         toolchain.close()
 
 
+class CountingToolchain(MockToolchain):
+    """A mock that counts the test runs it is asked for, per program, and
+    reports each run as taking `elapsed_s`."""
+
+    def __init__(self, elapsed_s: float = 0.0, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.elapsed_s = elapsed_s
+        self.runs: Counter = Counter()
+        self._count_lock = threading.Lock()
+
+    def run_test(self, program, test_source, workspace=None):
+        with self._count_lock:
+            self.runs[program] += 1
+        return replace(super().run_test(program, test_source), elapsed_s=self.elapsed_s)
+
+
+class TestRunMemo:
+    """check_discriminating runs each (program, test) pair once."""
+
+    def check(self, toolchain, original=FIG1_ORIGINAL, resulting=FIG1_RESULTING):
+        return toolchain.check_discriminating(java_fixtures.BEHAVIOR_TEST, original, resulting)
+
+    @pytest.mark.parametrize("outcome", [PASS, FAIL, ERROR, TIMEOUT, DID_NOT_COMPILE])
+    def test_repeated_pair_runs_once(self, outcome):
+        if outcome == DID_NOT_COMPILE:
+            toolchain = CountingToolchain(default_compile_success=False)
+        else:
+            toolchain = CountingToolchain(default_run_outcome=outcome)
+        first, second = self.check(toolchain), self.check(toolchain)
+        assert toolchain.runs == {FIG1_ORIGINAL: 1, FIG1_RESULTING: 1}
+        assert second == first
+        assert second.on_original.outcome == outcome
+
+    def test_identical_versions_run_once(self):
+        toolchain = CountingToolchain(elapsed_s=1.5)
+        result = self.check(toolchain, FIG1_ORIGINAL, FIG1_ORIGINAL)
+        assert toolchain.runs == {FIG1_ORIGINAL: 1}
+        assert result.on_original.elapsed_s == 1.5
+        assert result.on_resulting == replace(result.on_original, elapsed_s=0.0)
+
+    def test_a_hit_reports_no_elapsed_time(self):
+        toolchain = CountingToolchain(elapsed_s=1.5)
+        first, second = self.check(toolchain), self.check(toolchain)
+        assert first.on_original.elapsed_s == first.on_resulting.elapsed_s == 1.5
+        assert second.on_original.elapsed_s == second.on_resulting.elapsed_s == 0.0
+        assert second.on_original.outcome == first.on_original.outcome
+
+    def test_concurrent_checks_split_the_sides(self):
+        # each run waits for a second run to be in flight, so the checks
+        # finish only if the two threads run one side each
+        both_running = threading.Barrier(2, timeout=30)
+
+        class Splitting(CountingToolchain):
+            def run_test(self, program, test_source, workspace=None):
+                both_running.wait()
+                return super().run_test(program, test_source)
+
+        toolchain = Splitting()
+        toolchain.script_run(FIG1_RESULTING, java_fixtures.BEHAVIOR_TEST, FAIL)
+        start = threading.Barrier(2, timeout=30)
+
+        def check(_):
+            start.wait()
+            return self.check(toolchain)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            a, b = pool.map(check, range(2), timeout=60)
+        assert toolchain.runs == {FIG1_ORIGINAL: 1, FIG1_RESULTING: 1}
+        assert a.discriminates and b.discriminates
+        assert (a.on_original.outcome, a.on_resulting.outcome) == (PASS, FAIL)
+        assert (b.on_original.outcome, b.on_resulting.outcome) == (PASS, FAIL)
+
+    def test_an_error_reaches_every_caller_and_is_retried(self):
+        release, resulting_ran = threading.Event(), threading.Event()
+        failing = [True]
+
+        class Flaky(CountingToolchain):
+            def run_test(self, program, test_source, workspace=None):
+                result = super().run_test(program, test_source)
+                if program == FIG1_ORIGINAL and failing[0]:
+                    assert release.wait(timeout=30)
+                    raise ToolchainError("runner crashed")
+                resulting_ran.set()
+                return result
+
+        toolchain = Flaky()
+        start = threading.Barrier(2, timeout=30)
+
+        def check(_):
+            start.wait()
+            try:
+                return self.check(toolchain)
+            except ToolchainError as err:
+                return err
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pending = [pool.submit(check, i) for i in range(2)]
+            try:
+                # the other caller has claimed and run the resulting side,
+                # so it already holds the failing run
+                assert resulting_ran.wait(timeout=30)
+            finally:
+                release.set()
+            errors = [f.result(timeout=60) for f in pending]
+        assert all(isinstance(err, ToolchainError) for err in errors), errors
+        assert toolchain.runs == {FIG1_ORIGINAL: 1, FIG1_RESULTING: 1}
+        failing[0] = False
+        assert self.check(toolchain).on_original.outcome == PASS
+        assert toolchain.runs == {FIG1_ORIGINAL: 2, FIG1_RESULTING: 1}
+
+    def test_every_side_runs_once_under_contention(self):
+        programs = [src(**{f"C{i}.java": f"class C{i} {{ }}\n"}) for i in range(6)]
+        toolchain = CountingToolchain()
+        for program in programs[::2]:
+            toolchain.script_run(program, java_fixtures.BEHAVIOR_TEST, FAIL)
+        pairs = [(a, b) for a in programs for b in programs] * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda ab: self.check(toolchain, *ab), pairs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert toolchain.runs == {program: 1 for program in programs}
+        expected = {program: FAIL if i % 2 == 0 else PASS for i, program in enumerate(programs)}
+        for (a, b), result in zip(pairs, results):
+            outcomes = (result.on_original.outcome, result.on_resulting.outcome)
+            assert outcomes == (expected[a], expected[b])
+
+    def test_rescripting_a_mock_takes_effect(self):
+        toolchain = MockToolchain()
+        assert not self.check(toolchain).discriminates
+        toolchain.script_run(FIG1_RESULTING, java_fixtures.BEHAVIOR_TEST, FAIL)
+        assert self.check(toolchain).discriminates
+        toolchain.script_compile(FIG1_RESULTING, success=False)
+        assert self.check(toolchain).on_resulting.outcome == DID_NOT_COMPILE
+
+
 class TestRealToolchainConstruction:
     def test_missing_compiler_raises(self):
         config = java_executor.ToolchainConfig(javac_path="definitely-not-javac")
@@ -167,9 +309,21 @@ class TestRealCompile:
         assert "int" in result.diagnostics
 
     def test_workspaces_are_disjoint(self, jdk, tmp_path):
-        ws1 = jdk._new_workspace("a")
-        ws2 = jdk._new_workspace("a")
+        toolchain = java_executor.RealToolchain(jdk.config, workspace_root=tmp_path)
+        ws1 = toolchain._new_workspace("a")
+        ws2 = toolchain._new_workspace("a")
         assert ws1 != ws2
+
+    def test_compile_deletes_its_own_workspace(self, jdk, tmp_path):
+        toolchain = java_executor.RealToolchain(jdk.config, workspace_root=tmp_path / "ws")
+        try:
+            assert toolchain.compile(FIG1_ORIGINAL).success
+            assert not toolchain.compile(src(**java_fixtures.INLINE_VAR_RESULTING)).success
+            assert toolchain.compile(FIG1_ORIGINAL, tmp_path / "given").success
+        finally:
+            toolchain.close()
+        assert list((tmp_path / "ws").iterdir()) == []
+        assert (tmp_path / "given" / "invocations.log").is_file()
 
     def test_version_reported(self, jdk):
         assert jdk.version()
@@ -350,6 +504,47 @@ class TestCompileTimeout:
         log = (tmp_path / "ws" / "invocations.log").read_text()
         assert log.startswith(f"{javac} -d ")
         assert "javac exceeded 0.5 s" in log
+
+
+# A test with its own main, run as the runner: a real check without JUnit.
+MAIN_TEST = """public class MainTest {
+  public static void main(String[] args) {
+    if (new C().m() != 10) System.exit(1);
+  }
+}
+"""
+
+
+@pytest.mark.usefixtures("jdk")
+class TestRealCheck:
+    def test_check_leaves_no_workspace(self, jdk, tmp_path):
+        config = replace(
+            jdk.config, junit_classpath=(str(tmp_path.parent / "no-junit"),), runner_main="MainTest"
+        )
+        toolchain = java_executor.RealToolchain(config, workspace_root=tmp_path)
+        try:
+            result = toolchain.check_discriminating(MAIN_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
+        finally:
+            toolchain.close()
+        assert (result.on_original.outcome, result.on_resulting.outcome) == (PASS, ERROR)
+        assert result.discriminates
+        assert list(tmp_path.iterdir()) == []
+
+    def test_toolchain_error_keeps_the_workspace(self, tmp_path, monkeypatch):
+        javac = tmp_path / "javac"
+        javac.write_text("#!/bin/sh\nexec sleep 30\n")
+        javac.chmod(0o755)
+        config = java_executor.ToolchainConfig(
+            javac_path=str(javac), java_path=sys.executable, junit_classpath=("junit.jar",)
+        )
+        toolchain = java_executor.RealToolchain(config, workspace_root=tmp_path / "ws")
+        monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.5)
+        with pytest.raises(ToolchainError, match="workspace kept") as err:
+            toolchain.check_discriminating(MAIN_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
+        toolchain.close()
+        (kept,) = (tmp_path / "ws").iterdir()
+        assert str(kept) in str(err.value)
+        assert "javac exceeded 0.5 s" in (kept / "invocations.log").read_text()
 
 
 class TestRunTestWithoutJUnit:

@@ -213,6 +213,27 @@ class TestTranscriptStore:
         assert replayed.text == FIXED_VERDICT
         assert replayed == self.response()
 
+    def test_torn_last_line_is_skipped_then_cut(self, tmp_path, caplog):
+        path = tmp_path / "t.jsonl"
+        TranscriptStore(path).put(self.key(), self.response())
+        whole = path.read_text()
+        with path.open("a") as fh:
+            fh.write(whole[:30])  # killed mid-write
+        store = TranscriptStore(path)
+        assert store.keys() == [self.key()]
+        assert "torn last line" in caplog.text
+        store.put(self.key(2), self.response())
+        assert path.read_text().startswith(whole)
+        assert TranscriptStore(path).keys() == [self.key(), self.key(2)]
+
+    def test_malformed_line_before_the_last_is_an_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        TranscriptStore(path).put(self.key(), self.response())
+        whole = path.read_text()
+        path.write_text(whole[:30] + "\n" + whole)
+        with pytest.raises(ValueError):
+            TranscriptStore(path)
+
     def test_duplicate_key_rejected(self):
         store = TranscriptStore()
         store.put(self.key(), self.response())
