@@ -67,15 +67,20 @@ class RunMatrix:
         return len(self.instance_ids) - len(self.usable_rows())
 
 
-def matrix_from_outcomes(records: list[dict], backend_name: str) -> RunMatrix:
-    """Assemble a matrix from outcome records for one backend."""
-    chosen = [r for r in records if r["backend_name"] == backend_name]
-    if not chosen:
-        raise EmptyMatrix(f"no outcomes for backend {backend_name!r}")
+def matrix_from_outcomes(records: list[dict], name: str) -> RunMatrix:
+    """Assemble a matrix from the outcome records of one run
+    configuration, under the report name `name`."""
+    if not records:
+        raise EmptyMatrix(f"no outcomes for {name!r}")
     by_instance: dict[str, dict[int, dict]] = {}
     labels: dict[str, str] = {}
-    for r in chosen:
-        by_instance.setdefault(r["instance_id"], {})[r["attempt_index"]] = r
+    for r in records:
+        seen = by_instance.setdefault(r["instance_id"], {})
+        if r["attempt_index"] in seen:
+            raise AnalyticsError(
+                f"{r['instance_id']}: attempt {r['attempt_index']} twice for {name}"
+            )
+        seen[r["attempt_index"]] = r
         labels[r["instance_id"]] = r["ground_label"]
     attempts = max(max(atts) for atts in by_instance.values())
     ids = tuple(sorted(by_instance))
@@ -86,7 +91,7 @@ def matrix_from_outcomes(records: list[dict], backend_name: str) -> RunMatrix:
             rec = by_instance[instance_id].get(k)
             if rec is None:
                 raise AnalyticsError(
-                    f"{instance_id}: missing attempt {k} for {backend_name}"
+                    f"{instance_id}: missing attempt {k} for {name}"
                 )
             row.append(
                 Cell(
@@ -97,7 +102,7 @@ def matrix_from_outcomes(records: list[dict], backend_name: str) -> RunMatrix:
             )
         rows.append(tuple(row))
     return RunMatrix(
-        backend_name=backend_name,
+        backend_name=name,
         instance_ids=ids,
         labels=tuple(labels[i] for i in ids),
         attempts=attempts,

@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages: `validate` (dataset ground-truth
 check), `run` (render - query - parse - assess, streamed to a JSON-lines
 outcomes file), `metamorph` (persist seeded variants), `metrics`,
 `stats`, and `summarize` (CSV tables). Runs are resumable: a completed
-(backend, instance, variant, attempt) key is never re-queried.
+(run configuration, instance, variant, attempt) key is never re-queried.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analytics, assessor, diffs, java_executor, metamorph, prompting, stats
 from .dataset import BugInstance, load_corpus
@@ -82,30 +84,39 @@ class RunArtifacts:
     call_errors: int = 0
 
 
+class RunKey(NamedTuple):
+    """One run configuration, from fields every outcome row has: backend
+    name (`name@t=T` in a sweep), temperature, template version and variant
+    family (`mt-<seed>` for metamorphic rows, else "")."""
+
+    backend_name: str
+    temperature: str | None
+    template_version: str
+    family: str
+
+
 @dataclass(frozen=True)
 class _Task:
-    backend_cfg: BackendConfig
+    key: RunKey
     instance: BugInstance
     attempt: int
     prompt: prompting.RenderedPrompt
-    temperature_tag: str
 
 
-def _sweep_configs(cfg: RunConfig) -> list[BackendConfig]:
-    """One effective backend config per (backend, temperature) pair.
+def _sweep_configs(cfg: RunConfig) -> list[tuple[str, BackendConfig]]:
+    """(row name, backend config) per (backend, temperature) pair.
 
-    Sweeping folds the temperature into the backend name so transcript
-    and outcome keys stay distinct per temperature.
+    A sweep names the rows and transcript keys `name@t=T`, so they stay
+    distinct per temperature; the provider is still sent the configured
+    model name.
     """
     if not cfg.temperatures:
-        return list(cfg.backends)
-    out = []
-    for base in cfg.backends:
-        for temp in cfg.temperatures:
-            out.append(
-                replace(base, name=f"{base.name}@t={temp}", temperature=temp)
-            )
-    return out
+        return [(base.name, base) for base in cfg.backends]
+    return [
+        (f"{base.name}@t={temp}", replace(base, temperature=temp))
+        for base in cfg.backends
+        for temp in cfg.temperatures
+    ]
 
 
 def _load_override_template(cfg: RunConfig) -> prompting.PromptTemplate | None:
@@ -161,8 +172,17 @@ def run_benchmark(
 
     done_keys = _completed_keys(outcomes_path)
     override_template = _load_override_template(cfg)
+    family = f"mt-{cfg.master_seed}" if cfg.mode == METAMORPHIC_MODE else ""
     tasks: list[_Task] = []
-    for backend_cfg in _sweep_configs(cfg):
+    clients: dict[str, ModelClient] = {}
+    for run_name, backend_cfg in _sweep_configs(cfg):
+        clients[run_name] = ModelClient(
+            backend_cfg,
+            backend=backends_impl.get(backend_cfg.name) if backends_impl is not None else None,
+            replay_store=replay_store,
+            record_store=record_store,
+            name=run_name,
+        )
         for inst in corpus.instances:
             variant_tag = ""
             override = None
@@ -171,47 +191,31 @@ def run_benchmark(
                 if variant is None:
                     continue
                 override = variant.transformed_original
-                variant_tag = f"mt-{cfg.master_seed}-{variant.operator}"
+                variant_tag = f"{family}-{variant.operator}"
             try:
                 prompt = _render(cfg, inst, variant_tag, override, override_template)
             except (prompting.EmptyDiff, prompting.NoChangeLines) as err:
                 logger.warning("skipping %s in diff mode: %s", inst.id, err)
                 continue
+            run_key = RunKey(run_name, str(backend_cfg.temperature), prompt.template_version, family)
+            fresh_hash = prompt_hash(prompt.text)
             for attempt in range(1, cfg.attempts + 1):
-                key = (backend_cfg.name, inst.id, variant_tag, attempt)
-                if key in done_keys:
-                    continue
-                tasks.append(
-                    _Task(
-                        backend_cfg=backend_cfg,
-                        instance=inst,
-                        attempt=attempt,
-                        prompt=prompt,
-                        temperature_tag=str(backend_cfg.temperature),
+                stored_hash = done_keys.get((run_key, inst.id, variant_tag, attempt))
+                if stored_hash is None:
+                    tasks.append(_Task(key=run_key, instance=inst, attempt=attempt, prompt=prompt))
+                elif stored_hash != fresh_hash:
+                    raise ConfigError(
+                        f"{outcomes_path}: {inst.id} attempt {attempt} of {run_name} was run "
+                        f"with another {prompt.template_version} prompt; rename the edited "
+                        "template or use a new --out"
                     )
-                )
-
-    clients: dict[str, ModelClient] = {}
-    for backend_cfg in _sweep_configs(cfg):
-        backend = None
-        if backends_impl is not None:
-            backend = backends_impl.get(backend_cfg.name)
-            if backend is None:
-                # sweep-derived names fall back to the base backend entry
-                backend = backends_impl.get(backend_cfg.name.split("@t=")[0])
-        clients[backend_cfg.name] = ModelClient(
-            backend_cfg,
-            backend=backend,
-            replay_store=replay_store,
-            record_store=record_store,
-        )
 
     write_lock = threading.Lock()
     call_errors = 0
 
     def run_task(task: _Task) -> None:
         nonlocal call_errors
-        client = clients[task.backend_cfg.name]
+        client = clients[task.key.backend_name]
         try:
             response = client.query(task.prompt, task.attempt)
         except ModelClientError as err:
@@ -230,7 +234,7 @@ def run_benchmark(
             verdict,
             toolchain,
             attempt_index=task.attempt,
-            backend_name=task.backend_cfg.name,
+            backend_name=task.key.backend_name,
             variant_tag=task.prompt.variant_tag,
         )
         outcome = replace(
@@ -239,7 +243,7 @@ def run_benchmark(
             template_version=task.prompt.template_version,
             toolchain_version=toolchain_version,
             seed=cfg.master_seed,
-            temperature=task.temperature_tag,
+            temperature=task.key.temperature,
         )
         with write_lock:
             assessor.write_outcomes([outcome], outcomes_path)
@@ -251,7 +255,8 @@ def run_benchmark(
         for task in tasks:
             run_task(task)
 
-    records = assessor.read_outcomes(outcomes_path)
+    # a run whose every call failed has written no outcomes file
+    records = assessor.read_outcomes(outcomes_path) if outcomes_path.exists() else []
     metrics_paths = write_metric_reports(records, out_dir)
     stats_path = write_stats_report(records, out_dir)
     telemetry = telemetry_summary(records)
@@ -265,30 +270,46 @@ def run_benchmark(
     )
 
 
-def _completed_keys(outcomes_path: Path) -> set[tuple[str, str, str, int]]:
+def _completed_keys(outcomes_path: Path) -> dict[tuple[RunKey, str, str, int], str]:
+    """The stored prompt hash per done (RunKey, instance, variant, attempt)."""
     if not outcomes_path.exists():
-        return set()
-    done = set()
-    for rec in assessor.read_outcomes(outcomes_path):
-        done.add(
-            (
-                rec["backend_name"],
-                rec["instance_id"],
-                rec.get("variant_tag", ""),
-                rec["attempt_index"],
-            )
-        )
-    return done
+        return {}
+    return {
+        (key, rec["instance_id"], rec.get("variant_tag", ""), rec["attempt_index"]):
+            rec["prompt_hash"]
+        for key, rows in _runs(assessor.read_outcomes(outcomes_path)).items()
+        for rec in rows
+    }
 
 
-def _by_model(records: list[dict]) -> dict[str, list[dict]]:
-    """The one grouping every report reads: rows per backend name (the
-    temperature folded in as `name@t=T`), in name order, each group in
-    file order."""
-    groups: dict[str, list[dict]] = {}
+def _runs(records: list[dict]) -> dict[RunKey, list[dict]]:
+    """Rows per RunKey, derived once per distinct raw fields, not per row."""
+    by_fields: dict[tuple, list[dict]] = {}
     for r in records:
-        groups.setdefault(r["backend_name"], []).append(r)
-    return {name: groups[name] for name in sorted(groups)}
+        fields = (r["backend_name"], r.get("temperature", ""), r.get("template_version", ""),
+                  r.get("variant_tag", ""))
+        by_fields.setdefault(fields, []).append(r)
+    groups: dict[RunKey, list[dict]] = {}
+    for (name, temperature, template, tag), rows in by_fields.items():
+        family = tag.rsplit("-", 1)[0] if tag else ""
+        groups.setdefault(RunKey(name, temperature, template, family), []).extend(rows)
+    return groups
+
+
+def _by_run(records: list[dict]) -> dict[str, list[dict]]:
+    """The one grouping every report reads: rows per RunKey in name order,
+    each sorted by (instance, attempt), so no report depends on row order.
+    A name is the backend name plus `#<value>` for each key part that differs
+    among the configurations sharing it, empty values skipped (`mock#mt-7`)."""
+    groups = _runs(records)
+    named = {}
+    for key, rows in groups.items():
+        peers = [k for k in groups if k.backend_name == key.backend_name]
+        suffix = "".join(f"#{value}" for i, value in enumerate(key)
+                         if value and len({peer[i] for peer in peers}) > 1)
+        rows.sort(key=itemgetter("instance_id", "attempt_index"))
+        named[key.backend_name + suffix] = rows
+    return dict(sorted(named.items()))
 
 
 def _first_attempts(rows: list[dict]) -> list[dict]:
@@ -301,7 +322,7 @@ def _conclusive(rows: list[dict]) -> list[dict]:
 
 def write_metric_reports(records: list[dict], out_dir: Path) -> list[Path]:
     paths = []
-    for name, rows in _by_model(records).items():
+    for name, rows in _by_run(records).items():
         try:
             report = analytics.metric_report(analytics.matrix_from_outcomes(rows, name))
         except analytics.AnalyticsError as err:  # e.g. every row inconclusive
@@ -320,7 +341,7 @@ def write_stats_report(records: list[dict], out_dir: Path) -> Path | None:
     """Wilson CIs per model plus pairwise exact McNemar with Holm, and
     Cochran's Q, over first-attempt conclusive outcomes."""
     per_model = {}
-    for name, rows in _by_model(records).items():
+    for name, rows in _by_run(records).items():
         first = _conclusive(_first_attempts(rows))
         outcomes = {r["instance_id"]: bool(r["correct"]) for r in first}
         if outcomes:
@@ -384,7 +405,7 @@ def write_stats_report(records: list[dict], out_dir: Path) -> Path | None:
 
 def telemetry_summary(records: list[dict]) -> dict:
     summary: dict = {}
-    for name, rows in _by_model(records).items():
+    for name, rows in _by_run(records).items():
         latencies = [r["latency_s"] for r in rows]
         summary[name] = {
             "calls": len(rows),
@@ -407,8 +428,8 @@ def summarize(outcomes_path: str | Path, out_dir: str | Path) -> list[Path]:
     records = assessor.read_outcomes(outcomes_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    accuracy, heatmap, modes = [], [], []
-    for name, rows in _by_model(records).items():
+    accuracy, heatmap, modes, unknowns = [], [], [], []
+    for name, rows in _by_run(records).items():
         first = _first_attempts(rows)
         usable = _conclusive(first)
         bc = [r for r in usable if r["ground_label"] == "BC"]
@@ -423,6 +444,12 @@ def summarize(outcomes_path: str | Path, out_dir: str | Path) -> list[Path]:
             heatmap.append([name, rtype, label, _rate(grp), len(grp)])
         counts = Counter(r["answer_label"] for r in rows)
         modes += [[name, label, counts[label]] for label in assessor.ANSWER_LABELS if counts[label]]
+        unknowns += [
+            [name, r["instance_id"], r["attempt_index"], r["ground_label"],
+             r.get("explanation", ""), ""]
+            for r in rows
+            if r["answer_label"] == assessor.SAID_UNKNOWN
+        ]
     telemetry = [
         [
             name,
@@ -437,12 +464,6 @@ def summarize(outcomes_path: str | Path, out_dir: str | Path) -> list[Path]:
             f"{row['cost_total']:.4f}",
         ]
         for name, row in telemetry_summary(records).items()
-    ]
-    unknowns = [
-        [r["backend_name"], r["instance_id"], r["attempt_index"], r["ground_label"],
-         r.get("explanation", ""), ""]
-        for r in records
-        if r["answer_label"] == assessor.SAID_UNKNOWN
     ]
     paths = [
         _write_csv(out_dir / "accuracy_by_model.csv",

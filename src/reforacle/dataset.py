@@ -11,7 +11,6 @@ On-disk layout, one directory per instance:
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,23 +125,6 @@ class BugCorpus:
             if inst.id == instance_id:
                 return inst
         raise KeyError(instance_id)
-
-    def serialize(self) -> str:
-        """Deterministic JSON rendering of the corpus."""
-        doc = []
-        for inst in self.instances:
-            doc.append(
-                {
-                    "id": inst.id,
-                    "tool": inst.tool,
-                    "refactoring": inst.refactoring_type,
-                    "label": inst.label,
-                    "original": [list(f) for f in inst.original.files],
-                    "resulting": [list(f) for f in inst.resulting.files],
-                    "exposing_test": inst.exposing_test,
-                }
-            )
-        return json.dumps(doc, indent=1, sort_keys=True)
 
 
 @dataclass

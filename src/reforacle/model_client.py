@@ -254,7 +254,9 @@ class HttpChatBackend:
 
 
 class ModelClient:
-    """One configured backend plus optional replay/record stores."""
+    """One configured backend plus optional replay/record stores. Requests
+    are keyed and stored under `name` (default `cfg.name`; a sweep passes
+    `name@t=T`); the backend is always sent `cfg`."""
 
     def __init__(
         self,
@@ -263,8 +265,10 @@ class ModelClient:
         replay_store: TranscriptStore | None = None,
         record_store: TranscriptStore | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        name: str | None = None,
     ) -> None:
         self.cfg = cfg
+        self.name = name or cfg.name
         self.backend = backend if backend is not None else _default_backend(cfg)
         self.replay_store = replay_store
         self.record_store = record_store
@@ -272,7 +276,7 @@ class ModelClient:
 
     def query(self, prompt: RenderedPrompt, attempt_index: int) -> RawModelResponse:
         """Answer a prompt, replaying when recorded, retrying transport errors."""
-        key = RequestKey.for_prompt(self.cfg.name, prompt, attempt_index)
+        key = RequestKey.for_prompt(self.name, prompt, attempt_index)
         if self.replay_store is not None:
             stored = self.replay_store.get(key)
             if stored is not None:
@@ -290,7 +294,7 @@ class ModelClient:
                     text=reply.text,
                     latency_s=latency,
                     attempt_index=attempt_index,
-                    backend_name=self.cfg.name,
+                    backend_name=self.name,
                     created_at=_now(),
                     tokens_in=reply.tokens_in,
                     tokens_out=reply.tokens_out,

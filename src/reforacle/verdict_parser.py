@@ -31,7 +31,6 @@ _VERDICT_STRINGS = {
     "NO - BEHAVIOR CHANGE": NO_BEHAVIOR_CHANGE,
     "UNKNOWN": UNKNOWN,
 }
-_CANONICAL = {v: k for k, v in _VERDICT_STRINGS.items()}
 
 # Failure reasons
 NOT_JSON = "NotJson"
@@ -53,19 +52,6 @@ class ModelVerdict:
     junit_test: str | None = None
     noise_stripped: bool = False
     raw: RawModelResponse | None = None
-
-    @property
-    def missing_required_test(self) -> bool:
-        """Schema violation: NO - BEHAVIOR CHANGE without a test."""
-        return self.category == NO_BEHAVIOR_CHANGE and self.junit_test is None
-
-    def to_canonical_json(self) -> str:
-        doc = {
-            "verdict": _CANONICAL[self.category],
-            "explanation": self.explanation,
-            "junit_test": self.junit_test,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ metrics`, `stats` and `summarize` write for it, and
 the backend with no conclusive row, so `expected/paired/`, the `stats`
 output for the same rows without that backend, is the same file as
 `expected/outcomes/stats/`.
+`mixed.jsonl` holds one backend's rows from three run configurations (a
+base run, a metamorphic run with seed 7 and a diff-only run) next to a
+backend with one configuration; `expected/mixed/` pins how the reports
+name and separate them.
 Rerun this only when a change to the report output is intended;
 tests/test_reports_golden.py compares against these files byte for byte.
 """
@@ -24,7 +28,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from reforacle import assessor
+from reforacle import assessor, metamorph
 from reforacle.cli_report import main, telemetry_summary
 
 HERE = Path(__file__).resolve().parent
@@ -108,6 +112,29 @@ def outcome_rows() -> list[dict]:
     return rows
 
 
+def mixed_rows() -> list[dict]:
+    rng = random.Random(SEED + 1)
+    insts = instances(rng)[:12]
+    configs = (  # name, template version, variant family
+        ("omega", "full_source_v1", ""),
+        ("omega", "full_source_v1", "mt-7"),
+        ("omega", "diff_only_v1", ""),
+        ("sigma", "full_source_v1", ""),
+    )
+    rows = []
+    for name, template, family in configs:
+        for i, inst in enumerate(insts):
+            for attempt in range(1, 3):
+                doc = row(rng, name, "provider-default", inst, attempt, False)
+                doc["template_version"] = template
+                if family:
+                    op = metamorph.OPERATORS[i % len(metamorph.OPERATORS)]
+                    doc.update(variant_tag=f"{family}-{op}", seed=7)
+                rows.append(doc)
+    rng.shuffle(rows)
+    return rows
+
+
 def paired_rows(lines: list[str]) -> list[str]:
     """The outcome lines of every backend that has a conclusive row."""
     return [line for line in lines if json.loads(line)["backend_name"] != INCONCLUSIVE_BACKEND]
@@ -119,11 +146,13 @@ def write_golden(outcomes: Path, out: Path, commands=("metrics", "stats", "summa
         assert main([command, "--outcomes", str(outcomes), "--out", str(out / command)]) == 0
 
 
+def write_rows(path: Path, rows: list[dict]) -> Path:
+    path.write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in rows), "utf-8")
+    return path
+
+
 if __name__ == "__main__":
-    outcomes = HERE / "outcomes.jsonl"
-    outcomes.write_text(
-        "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in outcome_rows()), "utf-8"
-    )
+    outcomes = write_rows(HERE / "outcomes.jsonl", outcome_rows())
     expected = HERE / "expected"
     shutil.rmtree(expected, ignore_errors=True)
     write_golden(outcomes, expected / "outcomes")
@@ -135,3 +164,4 @@ if __name__ == "__main__":
         lines = outcomes.read_text("utf-8").splitlines(True)
         paired.write_text("".join(paired_rows(lines)), "utf-8")
         write_golden(paired, expected / "paired", commands=("stats",))
+    write_golden(write_rows(HERE / "mixed.jsonl", mixed_rows()), expected / "mixed")

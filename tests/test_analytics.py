@@ -4,6 +4,7 @@ import pytest
 
 from reforacle import assessor
 from reforacle.analytics import (
+    AnalyticsError,
     Cell,
     EmptyMatrix,
     KOutOfRange,
@@ -325,6 +326,11 @@ class TestMatrixFromOutcomes:
     def test_missing_attempt_raises(self):
         records = [self.outcome("a", 1, True), self.outcome("a", 3, True)]
         with pytest.raises(Exception):
+            matrix_from_outcomes(records, "m")
+
+    def test_duplicate_attempt_raises(self):
+        records = [self.outcome("a", 1, True), self.outcome("a", 1, False)]
+        with pytest.raises(AnalyticsError, match="attempt 1 twice"):
             matrix_from_outcomes(records, "m")
 
     def test_metric_report_serializes(self, tmp_path):

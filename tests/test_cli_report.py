@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import java_fixtures
 from reforacle import assessor, cli_report
 from reforacle.cli_report import ConfigError, RunConfig, main, run_benchmark, summarize
 from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain
-from reforacle.model_client import BackendConfig, MockBackend
+from reforacle.model_client import BackendConfig, MockBackend, TranscriptStore
 
 CE_ANSWER = '{"verdict": "NO - COMPILATION ERROR", "explanation": "does not compile", "junit_test": null}'
 YES_ANSWER = '{"verdict": "YES", "explanation": "fine", "junit_test": null}'
@@ -323,6 +324,88 @@ class TestRunBenchmark:
             )
 
 
+class CountingBackend(MockBackend):
+    """The CE-always mock, remembering the model name each call was sent."""
+
+    def __init__(self):
+        super().__init__(CE_ANSWER)
+        self.models = []
+
+    def complete(self, cfg, prompt_text):
+        self.models.append(cfg.name)
+        return super().complete(cfg, prompt_text)
+
+
+class TestRunKey:
+    def run(self, corpus_root, out, backend=None, **kw):
+        backend = backend or CountingBackend()
+        artifacts = run_benchmark(
+            base_config(corpus_root, out, **kw),
+            backends_impl={"mock": backend},
+            toolchain=scripted_toolchain(corpus_root),
+        )
+        return artifacts, backend
+
+    def test_base_and_metamorphic_rows_are_two_configurations(self, mini_corpus_root, tmp_path):
+        out = tmp_path / "out"
+        self.run(mini_corpus_root, out)
+        artifacts, _ = self.run(mini_corpus_root, out, mode=cli_report.METAMORPHIC_MODE,
+                                master_seed=7)
+        assert len(assessor.read_outcomes(artifacts.outcomes_path)) == 20
+        assert sorted(p.name for p in artifacts.metrics_paths) == [
+            "metrics-mock#mt-7.csv", "metrics-mock#mt-7.json", "metrics-mock.csv",
+            "metrics-mock.json"]
+        models = json.loads(artifacts.stats_path.read_text())["models"]
+        assert {name: m["n"] for name, m in models.items()} == {"mock": 10, "mock#mt-7": 10}
+
+    def test_another_mode_in_the_same_directory_queries_again(self, mini_corpus_root, tmp_path):
+        out = tmp_path / "out"
+        self.run(mini_corpus_root, out)
+        artifacts, backend = self.run(mini_corpus_root, out, mode=cli_report.DIFF_ONLY_MODE)
+        assert backend.calls == 9  # pr-identity has no diff
+        versions = Counter(r["template_version"]
+                           for r in assessor.read_outcomes(artifacts.outcomes_path))
+        assert versions == {"full_source_v1": 10, "diff_only_v1": 9}
+        _, again = self.run(mini_corpus_root, out, mode=cli_report.DIFF_ONLY_MODE)
+        assert again.calls == 0
+
+    def test_edited_template_under_the_same_name_is_a_config_error(
+        self, mini_corpus_root, tmp_path
+    ):
+        template = tmp_path / "pinned.txt"
+        template.write_text("Return ONLY valid JSON\nFIRST:\n{code1}\nSECOND:\n{code2}\n")
+        out = tmp_path / "out"
+        self.run(mini_corpus_root, out, template_path=str(template))
+        template.write_text("Return ONLY valid JSON.\nFIRST:\n{code1}\nSECOND:\n{code2}\n")
+        with pytest.raises(ConfigError, match="pinned.txt"):
+            self.run(mini_corpus_root, out, template_path=str(template))
+
+    def test_sweep_sends_the_configured_model_name(self, mini_corpus_root, tmp_path):
+        store = tmp_path / "store.jsonl"
+        artifacts, backend = self.run(mini_corpus_root, tmp_path / "out", temperatures=[0.2],
+                                      record_path=str(store))
+        assert set(backend.models) == {"mock"} and backend.calls == 10
+        rows = assessor.read_outcomes(artifacts.outcomes_path)
+        assert {(r["backend_name"], r["temperature"]) for r in rows} == {("mock@t=0.2", "0.2")}
+        keys = TranscriptStore(store).keys()
+        assert len(keys) == 10 and {k.backend_name for k in keys} == {"mock@t=0.2"}
+
+    def test_a_run_whose_every_call_fails_exits_0_without_metrics(
+        self, mini_corpus_root, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("REFORACLE_TEST_NO_SUCH_KEY", raising=False)
+        backends_file = tmp_path / "backends.json"
+        backends_file.write_text(json.dumps([{
+            "name": "remote", "endpoint": "https://models.invalid/v1/chat/completions",
+            "auth_env": "REFORACLE_TEST_NO_SUCH_KEY"}]))
+        out = tmp_path / "out"
+        code = main(["run", "--corpus", str(mini_corpus_root), "--backend", "remote",
+                     "--backends-file", str(backends_file), "--out", str(out)])
+        assert code == 0
+        assert "warning: 10 calls failed; rerun to resume" in capsys.readouterr().out
+        assert not list(out.glob("metrics-*")) and not (out / "stats.json").exists()
+
+
 class TestSummarize:
     def test_summary_tables(self, mini_corpus_root, tmp_path):
         cfg = base_config(mini_corpus_root, tmp_path / "out")
@@ -374,12 +457,28 @@ def row(backend, instance, attempt=1, correct=True, inconclusive=False, latency=
 
 
 class TestGroupedView:
-    def test_by_model_groups_in_name_order_and_file_order(self):
-        records = [row("b", "i1"), row("a@t=0.7", "i1"), row("b", "i2"), row("a@t=0.2", "i3")]
-        groups = cli_report._by_model(records)
+    def test_by_run_groups_in_name_order_sorted_by_instance_and_attempt(self):
+        records = [row("b", "i2"), row("a@t=0.7", "i1"), row("b", "i1", attempt=2),
+                   row("a@t=0.2", "i3"), row("b", "i1")]
+        groups = cli_report._by_run(records)
         assert list(groups) == ["a@t=0.2", "a@t=0.7", "b"]
-        assert [r["instance_id"] for r in groups["b"]] == ["i1", "i2"]
+        assert [(r["instance_id"], r["attempt_index"]) for r in groups["b"]] == [
+            ("i1", 1), ("i1", 2), ("i2", 1)]
         assert sum(len(rows) for rows in groups.values()) == len(records)
+
+    def test_by_run_names_configurations_that_share_a_backend_name(self):
+        base = dict(temperature="0.2", template_version="full_source_v1")
+        records = [
+            {**row("m", "i1"), **base},
+            {**row("m", "i1"), **base, "variant_tag": "mt-7-AF"},
+            {**row("m", "i2"), **base, "variant_tag": "mt-7-CO"},
+            {**row("m", "i1"), **base, "template_version": "diff_only_v1"},
+            {**row("n", "i1"), **base, "variant_tag": "mt-7-AF"},
+        ]
+        groups = cli_report._by_run(records)
+        assert list(groups) == ["m#diff_only_v1", "m#full_source_v1",
+                                "m#full_source_v1#mt-7", "n"]
+        assert [r["instance_id"] for r in groups["m#full_source_v1#mt-7"]] == ["i1", "i2"]
 
     def test_selectors_keep_first_attempt_conclusive_rows(self):
         rows = [

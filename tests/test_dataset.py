@@ -117,8 +117,8 @@ class TestLoadCorpus:
             load_corpus(tmp_path)
 
     def test_deterministic_serialization(self, corpus_root):
-        a = load_corpus(corpus_root).serialize()
-        b = load_corpus(corpus_root).serialize()
+        a = load_corpus(corpus_root).instances
+        b = load_corpus(corpus_root).instances
         assert a == b
 
 

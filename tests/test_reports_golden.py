@@ -1,11 +1,13 @@
-"""Report outputs for a fixed outcomes file, byte for byte.
+"""Report outputs for fixed outcomes files, byte for byte.
 
-The input and the expected files are in tests/data/reports/ (see
+The inputs and the expected files are in tests/data/reports/ (see
 make_golden.py there). A difference means the metrics, stats or summary
 tables changed: regenerate the golden files only if that was intended.
+The same rows in another order must give the same bytes.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -16,30 +18,43 @@ from reforacle.cli_report import main, telemetry_summary
 GOLDEN = Path(__file__).resolve().parent / "data" / "reports"
 OUTCOMES = GOLDEN / "outcomes.jsonl"
 INCONCLUSIVE_BACKEND = "delta"  # every row of it is inconclusive
+SHUFFLE_SEED = 7
 
 
 def _files(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _paired_outcomes(path: Path) -> Path:
-    """The golden rows without the backend that has no conclusive row."""
+def _outcomes(source: str, tmp_path: Path) -> Path:
+    """The input file of `source`: a golden file, or the golden rows
+    without the backend that has no conclusive row (`paired`) or in a
+    second seeded order (`shuffled`)."""
+    if source in ("outcomes", "mixed"):
+        return GOLDEN / f"{source}.jsonl"
     lines = OUTCOMES.read_text("utf-8").splitlines(True)
-    kept = [line for line in lines if json.loads(line)["backend_name"] != INCONCLUSIVE_BACKEND]
-    assert len(kept) < len(lines)
+    if source == "paired":
+        kept = [line for line in lines if json.loads(line)["backend_name"] != INCONCLUSIVE_BACKEND]
+        assert len(kept) < len(lines)
+    else:
+        kept = list(lines)
+        random.Random(SHUFFLE_SEED).shuffle(kept)
+        assert kept != lines
+    path = tmp_path / f"{source}.jsonl"
     path.write_text("".join(kept), "utf-8")
     return path
 
 
 @pytest.mark.parametrize(
     "source, command",
-    [("outcomes", "metrics"), ("outcomes", "stats"), ("outcomes", "summarize"), ("paired", "stats")],
+    [("outcomes", "metrics"), ("outcomes", "stats"), ("outcomes", "summarize"), ("paired", "stats"),
+     ("shuffled", "metrics"), ("shuffled", "stats"), ("shuffled", "summarize"),
+     ("mixed", "metrics"), ("mixed", "stats"), ("mixed", "summarize")],
 )
 def test_report_matches_golden(source, command, tmp_path):
-    outcomes = OUTCOMES if source == "outcomes" else _paired_outcomes(tmp_path / "paired.jsonl")
+    outcomes = _outcomes(source, tmp_path)
     out = tmp_path / "out"
     assert main([command, "--outcomes", str(outcomes), "--out", str(out)]) == 0
-    expected = _files(GOLDEN / "expected" / source / command)
+    expected = _files(GOLDEN / "expected" / source.replace("shuffled", "outcomes") / command)
     assert expected, "golden files missing; run tests/data/reports/make_golden.py"
     actual = _files(out)
     assert sorted(actual) == sorted(expected)
@@ -47,7 +62,8 @@ def test_report_matches_golden(source, command, tmp_path):
         assert actual[name] == content, name
 
 
-def test_telemetry_matches_golden():
-    records = assessor.read_outcomes(OUTCOMES)
+@pytest.mark.parametrize("source", ["outcomes", "shuffled"])
+def test_telemetry_matches_golden(source, tmp_path):
+    records = assessor.read_outcomes(_outcomes(source, tmp_path))
     expected = (GOLDEN / "expected" / "telemetry.json").read_text("utf-8")
     assert json.dumps(telemetry_summary(records), indent=1) == expected
