@@ -214,7 +214,9 @@ def _judge(
     base["explanation"] = verdict.explanation
     evidence, reflective, inconclusive = None, False, False
     if verdict.category == verdict_parser.NO_BEHAVIOR_CHANGE:
-        label, evidence, reflective, inconclusive = _validate_bc_claim(inst, verdict, toolchain)
+        label, evidence, reflective, inconclusive = _validate_bc_claim(
+            inst, _checked_test(verdict), toolchain
+        )
     else:
         label = _CLAIM_LABELS[verdict.category]
     return AssessmentOutcome(
@@ -227,16 +229,30 @@ def _judge(
     )
 
 
-def _validate_bc_claim(
-    inst: BugInstance, verdict: ModelVerdict, toolchain: Toolchain
-) -> tuple[str, DiscriminationResult | None, bool, bool]:
-    """(answer_label, evidence, reflective, inconclusive) for a BC claim."""
+def needs_toolchain(verdict: ModelVerdict | ParseFailure) -> bool:
+    """True exactly when scoring `verdict` runs the toolchain: a
+    behavior-change claim whose test is one public class."""
+    return _checked_test(verdict) is not None
+
+
+def _checked_test(verdict: ModelVerdict | ParseFailure) -> str | None:
+    """The test a behavior-change claim is checked with; None for any
+    other verdict and for a claim whose test is missing or malformed."""
+    if isinstance(verdict, ParseFailure) or verdict.category != verdict_parser.NO_BEHAVIOR_CHANGE:
+        return None
     try:
-        test_source = verdict_parser.extract_test_source(verdict)
+        return verdict_parser.extract_test_source(verdict)
     except verdict_parser.MalformedTest:
-        return SAID_BC_TEST_NOT_COMPILING, None, False, False
+        return None
+
+
+def _validate_bc_claim(
+    inst: BugInstance, test_source: str | None, toolchain: Toolchain
+) -> tuple[str, DiscriminationResult | None, bool, bool]:
+    """(answer_label, evidence, reflective, inconclusive) for a BC claim
+    checked with `test_source` (None: no usable test)."""
     if test_source is None:
-        # schema violation (missing junit_test) counts as absent evidence
+        # a missing or malformed junit_test counts as absent evidence
         return SAID_BC_TEST_NOT_COMPILING, None, False, False
     reflective = java_executor.uses_reflection(test_source)
     try:

@@ -35,7 +35,7 @@ from .model_client import (
     TranscriptStore,
     prompt_hash,
 )
-from .verdict_parser import parse_response
+from .verdict_parser import ModelVerdict, ParseFailure, parse_response
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +77,7 @@ class RunConfig:
 
 @dataclass
 class RunArtifacts:
-    outcomes_path: Path
+    outcomes_path: Path | None  # None: no outcome was written
     metrics_paths: list[Path]
     stats_path: Path | None
     telemetry: dict
@@ -162,7 +162,6 @@ def run_benchmark(
 
     replay_store = TranscriptStore(cfg.replay_path) if cfg.replay_path else None
     record_store = TranscriptStore(cfg.record_path) if cfg.record_path else None
-    toolchain_version = toolchain.version()
 
     variants_by_id: dict[str, metamorph.MetamorphicVariant] = {}
     if cfg.mode == METAMORPHIC_MODE:
@@ -210,21 +209,13 @@ def run_benchmark(
                         "template or use a new --out"
                     )
 
+    # a resume with nothing left to do starts no JVM for the version probe
+    toolchain_version = toolchain.version() if tasks else ""
+    mode = prompting.DIFF_ONLY if cfg.mode == DIFF_ONLY_MODE else prompting.FULL_SOURCE
     write_lock = threading.Lock()
     call_errors = 0
 
-    def run_task(task: _Task) -> None:
-        nonlocal call_errors
-        client = clients[task.key.backend_name]
-        try:
-            response = client.query(task.prompt, task.attempt)
-        except ModelClientError as err:
-            with write_lock:
-                call_errors += 1
-            logger.error("call failed (%s attempt %d): %s", task.instance.id, task.attempt, err)
-            return
-        mode = prompting.DIFF_ONLY if cfg.mode == DIFF_ONLY_MODE else prompting.FULL_SOURCE
-        verdict = parse_response(response, mode)
+    def score(task: _Task, verdict: ModelVerdict | ParseFailure) -> None:
         if task.instance.label == "PRESERVING":
             assess = assessor.assess_preserving
         else:
@@ -248,15 +239,45 @@ def run_benchmark(
         with write_lock:
             assessor.write_outcomes([outcome], outcomes_path)
 
-    if cfg.jobs > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            list(pool.map(run_task, tasks))
-    else:
+    def run_task(task: _Task) -> None:
+        nonlocal call_errors
+        try:
+            response = clients[task.key.backend_name].query(task.prompt, task.attempt)
+        except ModelClientError as err:
+            with write_lock:
+                call_errors += 1
+            logger.error("call failed (%s: %s attempt %d): %s", task.key.backend_name,
+                         task.instance.id, task.attempt, err)
+            return
+        score(task, parse_response(response, mode))
+
+    if cfg.jobs <= 1:
         for task in tasks:
             run_task(task)
+    else:
+        # Threads only overlap waiting: an attempt that neither calls a
+        # model nor checks a claim is finished on this thread, and the pool
+        # gets the rest, so it never holds more than --jobs checks.
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            pending = []
+            for task in tasks:
+                client = clients[task.key.backend_name]
+                if client.recorded(task.prompt, task.attempt) is None:
+                    pending.append(pool.submit(run_task, task))
+                    continue
+                verdict = parse_response(client.query(task.prompt, task.attempt), mode)
+                if assessor.needs_toolchain(verdict):
+                    pending.append(pool.submit(score, task, verdict))
+                else:
+                    score(task, verdict)
+            for future in pending:
+                future.result()
 
-    # a run whose every call failed has written no outcomes file
+    # a run whose every call failed has written no outcomes
     records = assessor.read_outcomes(outcomes_path) if outcomes_path.exists() else []
+    if not records:
+        return RunArtifacts(outcomes_path=None, metrics_paths=[], stats_path=None,
+                            telemetry={}, call_errors=call_errors)
     metrics_paths = write_metric_reports(records, out_dir)
     stats_path = write_stats_report(records, out_dir)
     telemetry = telemetry_summary(records)
@@ -664,7 +685,10 @@ def _dispatch(args) -> int:
         )
         with contextlib.closing(_toolchain_from_args(args)) as toolchain:
             artifacts = run_benchmark(cfg, toolchain=toolchain)
-        print(f"outcomes: {artifacts.outcomes_path}")
+        if artifacts.outcomes_path is None:
+            print("no outcomes were written")
+        else:
+            print(f"outcomes: {artifacts.outcomes_path}")
         for path in artifacts.metrics_paths:
             print(f"metrics: {path}")
         if artifacts.stats_path:

@@ -274,13 +274,19 @@ class ModelClient:
         self.record_store = record_store
         self._sleep = sleep
 
+    def recorded(self, prompt: RenderedPrompt, attempt_index: int) -> RawModelResponse | None:
+        """The replay store's answer to this request, or None when there is
+        none (and `query` would call the backend)."""
+        if self.replay_store is None:
+            return None
+        return self.replay_store.get(RequestKey.for_prompt(self.name, prompt, attempt_index))
+
     def query(self, prompt: RenderedPrompt, attempt_index: int) -> RawModelResponse:
         """Answer a prompt, replaying when recorded, retrying transport errors."""
+        stored = self.recorded(prompt, attempt_index)
+        if stored is not None:
+            return stored
         key = RequestKey.for_prompt(self.name, prompt, attempt_index)
-        if self.replay_store is not None:
-            stored = self.replay_store.get(key)
-            if stored is not None:
-                return stored
         if self.backend is None:
             raise ReplayMiss(f"no recorded response and no live backend for {key}", key)
 

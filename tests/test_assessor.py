@@ -280,6 +280,43 @@ class TestInvariants:
                 assert outcome.answer_label in assessor.ANSWER_LABELS
 
 
+class CountingToolchain(MockToolchain):
+    def __init__(self) -> None:
+        super().__init__()
+        self.checks = 0
+
+    def check_discriminating(self, test_source, original, resulting):
+        self.checks += 1
+        return super().check_discriminating(test_source, original, resulting)
+
+
+class TestNeedsToolchain:
+    @pytest.mark.parametrize(
+        "verdict, needed",
+        [
+            (verdict_of("YES"), False),
+            (verdict_of("NO - COMPILATION ERROR"), False),
+            (verdict_of("UNKNOWN", mode=DIFF_ONLY), False),
+            (parse_response(raw("junk"), FULL_SOURCE), False),
+            (verdict_of("NO - BEHAVIOR CHANGE"), False),
+            (verdict_of("NO - BEHAVIOR CHANGE", junit_test="public class A {}\npublic class B {}"),
+             False),
+            (verdict_of("NO - BEHAVIOR CHANGE", junit_test="```\n```"), False),
+            (verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST), True),
+            (verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.REFLECTIVE_TEST), True),
+        ],
+        ids=["yes", "ce", "unknown", "parse-failure", "no-test", "two-classes", "empty-test",
+             "test", "reflective-test"],
+    )
+    def test_true_exactly_when_scoring_checks_the_claim(self, verdict, needed):
+        assert assessor.needs_toolchain(verdict) is needed
+        for inst in (BC_INSTANCE, CE_INSTANCE, PRESERVING_INSTANCE):
+            judge = assess_preserving if inst.label == "PRESERVING" else assess
+            toolchain = CountingToolchain()
+            judge(inst, verdict, toolchain)
+            assert toolchain.checks == int(needed)
+
+
 class TestOutcomePersistence:
     def test_round_trip(self, tmp_path):
         outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())

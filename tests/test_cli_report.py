@@ -1,6 +1,9 @@
 import argparse
+import itertools
 import json
 import os
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -402,8 +405,165 @@ class TestRunKey:
         code = main(["run", "--corpus", str(mini_corpus_root), "--backend", "remote",
                      "--backends-file", str(backends_file), "--out", str(out)])
         assert code == 0
-        assert "warning: 10 calls failed; rerun to resume" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "warning: 10 calls failed; rerun to resume" in printed
+        assert "no outcomes were written" in printed and "outcomes:" not in printed
+        assert not (out / "outcomes.jsonl").exists()
         assert not list(out.glob("metrics-*")) and not (out / "stats.json").exists()
+        assert not (out / "telemetry.json").exists()
+
+    def test_a_failed_call_names_its_configuration(self, mini_corpus_root, tmp_path, caplog):
+        from reforacle.model_client import ProviderRefusal
+
+        class Refusing:
+            def complete(self, cfg, prompt_text):
+                raise ProviderRefusal("HTTP 400: refused")
+
+        cfg = base_config(mini_corpus_root, tmp_path / "out", temperatures=[0.2],
+                          backends=[BackendConfig(name="alpha"), BackendConfig(name="beta")])
+        with caplog.at_level("ERROR", logger="reforacle.cli_report"):
+            artifacts = run_benchmark(cfg, backends_impl={"alpha": Refusing(), "beta": ce_backend()},
+                                      toolchain=scripted_toolchain(mini_corpus_root))
+        assert artifacts.call_errors == 10
+        failed = sorted(r.getMessage() for r in caplog.records if "call failed" in r.getMessage())
+        ids = sorted(r["instance_id"] for r in assessor.read_outcomes(artifacts.outcomes_path))
+        assert failed == [f"call failed (alpha@t=0.2: {i} attempt 1): HTTP 400: refused"
+                          for i in ids]
+
+    def test_a_complete_resume_probes_no_toolchain_version(self, mini_corpus_root, tmp_path):
+        class Unversioned(MockToolchain):
+            def version(self):
+                raise AssertionError("version probed with nothing to run")
+
+        out = tmp_path / "out"
+        run_benchmark(base_config(mini_corpus_root, out), backends_impl={"mock": ce_backend()},
+                      toolchain=scripted_toolchain(mini_corpus_root))
+        reports = sorted(p.name for p in out.iterdir() if p.name != "outcomes.jsonl")
+        for name in reports:
+            (out / name).unlink()
+        artifacts = run_benchmark(base_config(mini_corpus_root, out),
+                                  backends_impl={"mock": ce_backend()}, toolchain=Unversioned())
+        assert artifacts.call_errors == 0 and artifacts.stats_path is not None
+        assert sorted(p.name for p in out.iterdir() if p.name != "outcomes.jsonl") == reports
+        assert "telemetry.json" in reports
+
+
+BC_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "runnable test",
+                        "junit_test": java_fixtures.VACUOUS_TEST})
+TWO_CLASS_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "two classes",
+                               "junit_test": "public class A {}\npublic class B {}\n"})
+PROSE_ANSWER = "The refactoring looks fine to me."
+MIXED_ANSWERS = (YES_ANSWER, CE_ANSWER, PROSE_ANSWER, TWO_CLASS_ANSWER, BC_ANSWER)
+
+
+def cycling_backend() -> MockBackend:
+    """Answers each call with the next of MIXED_ANSWERS."""
+    answers = itertools.cycle(MIXED_ANSWERS)
+    return MockBackend(lambda prompt_text: next(answers))
+
+
+class ThreadRecordingToolchain(MockToolchain):
+    def __init__(self) -> None:
+        super().__init__()
+        self.check_threads = []
+
+    def check_discriminating(self, test_source, original, resulting):
+        self.check_threads.append(threading.current_thread())
+        return super().check_discriminating(test_source, original, resulting)
+
+
+class TestParallelRun:
+    """At --jobs > 1 only model calls and claim checks go to the pool."""
+
+    BACKENDS = [BackendConfig(name="alpha"), BackendConfig(name="beta")]
+
+    def record(self, corpus_root, tmp_path, **kw) -> Path:
+        store = tmp_path / "store.jsonl"
+        cfg = base_config(corpus_root, tmp_path / "record", record_path=str(store), **kw)
+        run_benchmark(cfg, backends_impl={b.name: cycling_backend() for b in cfg.backends},
+                      toolchain=MockToolchain())
+        return store
+
+    def test_replayed_answers_are_scored_on_the_calling_thread(
+        self, mini_corpus_root, tmp_path, monkeypatch
+    ):
+        store = self.record(mini_corpus_root, tmp_path, attempts=2)
+        written = []
+        write = assessor.write_outcomes
+
+        def recording_write(outcomes, path):
+            written.extend((threading.current_thread(), o.answer_label) for o in outcomes)
+            write(outcomes, path)
+
+        monkeypatch.setattr(assessor, "write_outcomes", recording_write)
+        toolchain = ThreadRecordingToolchain()
+        run_benchmark(
+            base_config(mini_corpus_root, tmp_path / "out", attempts=2, jobs=2,
+                        replay_path=str(store)),
+            backends_impl={},
+            toolchain=toolchain,
+        )
+        caller = threading.current_thread()
+        assert len(written) == 20
+        assert Counter(label for thread, label in written if thread is caller) == {
+            assessor.SAID_YES: 4, assessor.SAID_CE: 4, assessor.PARSE_ERROR: 4,
+            assessor.SAID_BC_TEST_NOT_COMPILING: 4}
+        assert Counter(label for thread, label in written if thread is not caller) == {
+            assessor.SAID_BC_TEST_NOT_DISCRIMINATING: 4}
+        assert len(toolchain.check_threads) == 4 and caller not in toolchain.check_threads
+
+    def test_jobs_1_and_jobs_2_write_the_same_rows(self, mini_corpus_root, tmp_path):
+        store = self.record(mini_corpus_root, tmp_path, attempts=3)
+        rows = []
+        for jobs in (1, 2):
+            artifacts = run_benchmark(
+                base_config(mini_corpus_root, tmp_path / f"jobs{jobs}", attempts=3, jobs=jobs,
+                            replay_path=str(store)),
+                backends_impl={},
+                toolchain=scripted_toolchain(mini_corpus_root),
+            )
+            rows.append(sorted(artifacts.outcomes_path.read_text().splitlines()))
+        assert len(rows[0]) == 30
+        assert rows[0] == rows[1]
+
+    def test_live_calls_still_overlap(self, mini_corpus_root, tmp_path):
+        class PairedBackend(MockBackend):
+            """Answers only once a second call is in flight."""
+
+            def __init__(self):
+                super().__init__(CE_ANSWER)
+                self.barrier = threading.Barrier(2, timeout=10)
+
+            def complete(self, cfg, prompt_text):
+                self.barrier.wait()  # a lone call breaks it and fails the run
+                return super().complete(cfg, prompt_text)
+
+        artifacts = run_benchmark(
+            base_config(mini_corpus_root, tmp_path / "out", jobs=2),
+            backends_impl={"mock": PairedBackend()},
+            toolchain=scripted_toolchain(mini_corpus_root),
+        )
+        assert len(assessor.read_outcomes(artifacts.outcomes_path)) == 10
+
+    def test_rows_stay_whole_under_rapid_thread_switches(self, mini_corpus_root, tmp_path):
+        store = self.record(mini_corpus_root, tmp_path, backends=self.BACKENDS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:  # attempt 1 replays; attempts 2 and 3 call the live backends
+            artifacts = run_benchmark(
+                base_config(mini_corpus_root, tmp_path / "out", backends=self.BACKENDS,
+                            attempts=3, jobs=4, replay_path=str(store)),
+                backends_impl={b.name: cycling_backend() for b in self.BACKENDS},
+                toolchain=scripted_toolchain(mini_corpus_root),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert artifacts.call_errors == 0
+        rows = [json.loads(line) for line in artifacts.outcomes_path.read_text().splitlines()]
+        ids = {r["instance_id"] for r in rows}
+        assert len(ids) == 10
+        assert Counter((r["backend_name"], r["instance_id"], r["attempt_index"]) for r in rows) == {
+            (b.name, i, a): 1 for b in self.BACKENDS for i in ids for a in (1, 2, 3)}
 
 
 class TestSummarize:

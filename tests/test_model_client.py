@@ -255,6 +255,20 @@ class TestTranscriptStore:
         second = replay.query(prompt(), attempt_index=1)
         assert second == first
 
+    def test_recorded_is_the_lookup_query_replays_from(self):
+        store = TranscriptStore()
+        backend = MockBackend(FIXED_VERDICT)
+        client = ModelClient(cfg(name="m"), backend=backend, replay_store=store)
+        assert client.recorded(prompt(), attempt_index=1) is None
+        store.put(RequestKey.for_prompt("m", prompt(), 1), manual_response("stored", "m"))
+        assert client.recorded(prompt(), attempt_index=1).text == "stored"
+        assert client.recorded(prompt(), attempt_index=2) is None
+        assert client.query(prompt(), attempt_index=1).text == "stored"
+        assert backend.calls == 0
+        assert client.query(prompt(), attempt_index=2).text == FIXED_VERDICT
+        assert backend.calls == 1
+        assert ModelClient(cfg(), backend=backend).recorded(prompt(), 1) is None
+
     def test_manual_import(self):
         store = TranscriptStore()
         key = self.key()
