@@ -148,6 +148,9 @@ def _base(inst: BugInstance, verdict, attempt_index: int, backend_name: str,
     }
 
 
+_SCAN = object()  # test_source default: _judge takes checked_test(verdict) itself
+
+
 def assess(
     inst: BugInstance,
     verdict: ModelVerdict | ParseFailure,
@@ -156,14 +159,18 @@ def assess(
     attempt_index: int = 1,
     backend_name: str = "",
     variant_tag: str = "",
+    test_source: str | None | object = _SCAN,
 ) -> AssessmentOutcome:
     """Judge one attempt on a bug instance (ground truth BC or CE).
 
     A YES is always incorrect here: every instance is a confirmed bug.
+    A caller that has already taken `checked_test(verdict)` passes it as
+    `test_source`, so the test is not scanned again.
     """
     if inst.label not in ("BC", "CE"):
         raise ValueError(f"assess() expects a bug instance, got label {inst.label}")
-    return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag)
+    return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
+                  test_source)
 
 
 def assess_preserving(
@@ -174,15 +181,18 @@ def assess_preserving(
     attempt_index: int = 1,
     backend_name: str = "",
     variant_tag: str = "",
+    test_source: str | None | object = _SCAN,
 ) -> AssessmentOutcome:
     """Judge one attempt on a behavior-preserving instance.
 
     Correct iff the model answers YES. NO verdicts are recorded with
-    their claimed category for false-positive analysis.
+    their claimed category for false-positive analysis. `test_source`
+    is as for assess().
     """
     if inst.label != "PRESERVING":
         raise ValueError(f"assess_preserving() expects PRESERVING, got {inst.label}")
-    return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag)
+    return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
+                  test_source)
 
 
 _CLAIM_LABELS = {
@@ -199,6 +209,7 @@ def _judge(
     attempt_index: int,
     backend_name: str,
     variant_tag: str,
+    test_source: str | None | object,
 ) -> AssessmentOutcome:
     """Score one attempt against any ground truth.
 
@@ -214,8 +225,10 @@ def _judge(
     base["explanation"] = verdict.explanation
     evidence, reflective, inconclusive = None, False, False
     if verdict.category == verdict_parser.NO_BEHAVIOR_CHANGE:
+        if test_source is _SCAN:
+            test_source = checked_test(verdict)
         label, evidence, reflective, inconclusive = _validate_bc_claim(
-            inst, _checked_test(verdict), toolchain
+            inst, test_source, toolchain
         )
     else:
         label = _CLAIM_LABELS[verdict.category]
@@ -229,15 +242,11 @@ def _judge(
     )
 
 
-def needs_toolchain(verdict: ModelVerdict | ParseFailure) -> bool:
-    """True exactly when scoring `verdict` runs the toolchain: a
-    behavior-change claim whose test is one public class."""
-    return _checked_test(verdict) is not None
-
-
-def _checked_test(verdict: ModelVerdict | ParseFailure) -> str | None:
-    """The test a behavior-change claim is checked with; None for any
-    other verdict and for a claim whose test is missing or malformed."""
+def checked_test(verdict: ModelVerdict | ParseFailure) -> str | None:
+    """The test a behavior-change claim is checked with, so scoring
+    `verdict` runs the toolchain exactly when this is not None. None for
+    any other verdict and for a claim whose test is missing or malformed
+    (not exactly one public class)."""
     if isinstance(verdict, ParseFailure) or verdict.category != verdict_parser.NO_BEHAVIOR_CHANGE:
         return None
     try:
@@ -274,9 +283,14 @@ def _validate_bc_claim(
     return SAID_BC_TEST_NOT_DISCRIMINATING, evidence, False, False
 
 
-def write_outcomes(outcomes, path: str | Path) -> None:
-    """Append outcomes to a JSON-lines results file."""
-    jsonl.append(path, [outcome.to_json_line() for outcome in outcomes])
+def write_outcomes(outcomes, out: str | Path | jsonl.Appender) -> None:
+    """Append outcomes to a JSON-lines results file, given by its path or
+    as an Appender the caller holds open."""
+    lines = [outcome.to_json_line() for outcome in outcomes]
+    if isinstance(out, jsonl.Appender):
+        out.write(lines)
+    else:
+        jsonl.append(out, lines)
 
 
 def read_outcomes(path: str | Path) -> list[dict]:

@@ -20,20 +20,19 @@ import statistics as pystats
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from . import analytics, assessor, diffs, java_executor, metamorph, prompting, stats
+from . import analytics, assessor, diffs, java_executor, jsonl, metamorph, prompting, stats
 from .dataset import BugInstance, load_corpus
 from .model_client import (
     BackendConfig,
     ModelClient,
     ModelClientError,
     TranscriptStore,
-    prompt_hash,
 )
 from .verdict_parser import ModelVerdict, ParseFailure, parse_response
 
@@ -143,6 +142,26 @@ def _render(cfg: RunConfig, inst: BugInstance, variant_tag: str,
     )
 
 
+class _VersionProbe(ThreadPoolExecutor):
+    """toolchain.version() on a thread of its own, started at most once, as
+    soon as the run is known to have work, so its JVM starts during set-up.
+    result() waits for it and raises what it raised; leaving the `with`
+    block waits for it too, so no probe process outlives the run."""
+
+    def __init__(self, toolchain: java_executor.Toolchain) -> None:
+        super().__init__(max_workers=1)
+        self._toolchain = toolchain
+        self._version: Future | None = None
+
+    def start(self) -> None:
+        if self._version is None:
+            self._version = self.submit(self._toolchain.version)
+
+    def result(self) -> str:
+        self.start()
+        return self._version.result()
+
+
 def run_benchmark(
     cfg: RunConfig,
     backends_impl: dict[str, object] | None = None,
@@ -155,10 +174,38 @@ def run_benchmark(
     run; configuration errors raise before any work starts. The caller
     owns the toolchain and closes it.
     """
-    corpus = load_corpus(cfg.corpus_root)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outcomes_path = out_dir / "outcomes.jsonl"
+    with _VersionProbe(toolchain) as probe:
+        if not outcomes_path.exists():  # a fresh --out: every attempt is left to do
+            probe.start()
+        call_errors = _run_tasks(cfg, backends_impl, toolchain, probe, outcomes_path)
+
+    # a run whose every call failed has written no outcomes
+    records = assessor.read_outcomes(outcomes_path) if outcomes_path.exists() else []
+    if not records:
+        return RunArtifacts(outcomes_path=None, metrics_paths=[], stats_path=None,
+                            telemetry={}, call_errors=call_errors)
+    metrics_paths = write_metric_reports(records, out_dir)
+    stats_path = write_stats_report(records, out_dir)
+    telemetry = telemetry_summary(records)
+    (out_dir / "telemetry.json").write_text(json.dumps(telemetry, indent=1), "utf-8")
+    return RunArtifacts(
+        outcomes_path=outcomes_path,
+        metrics_paths=metrics_paths,
+        stats_path=stats_path,
+        telemetry=telemetry,
+        call_errors=call_errors,
+    )
+
+
+def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
+               toolchain: java_executor.Toolchain, probe: _VersionProbe,
+               outcomes_path: Path) -> int:
+    """Schedule every attempt not yet in `outcomes_path`, run them and
+    append one row each; the number of failed model calls."""
+    corpus = load_corpus(cfg.corpus_root)
+    outcomes_path.parent.mkdir(parents=True, exist_ok=True)
 
     replay_store = TranscriptStore(cfg.replay_path) if cfg.replay_path else None
     record_store = TranscriptStore(cfg.record_path) if cfg.record_path else None
@@ -197,10 +244,11 @@ def run_benchmark(
                 logger.warning("skipping %s in diff mode: %s", inst.id, err)
                 continue
             run_key = RunKey(run_name, str(backend_cfg.temperature), prompt.template_version, family)
-            fresh_hash = prompt_hash(prompt.text)
+            fresh_hash = prompt.hash
             for attempt in range(1, cfg.attempts + 1):
                 stored_hash = done_keys.get((run_key, inst.id, variant_tag, attempt))
                 if stored_hash is None:
+                    probe.start()
                     tasks.append(_Task(key=run_key, instance=inst, attempt=attempt, prompt=prompt))
                 elif stored_hash != fresh_hash:
                     raise ConfigError(
@@ -209,13 +257,11 @@ def run_benchmark(
                         "template or use a new --out"
                     )
 
-    # a resume with nothing left to do starts no JVM for the version probe
-    toolchain_version = toolchain.version() if tasks else ""
     mode = prompting.DIFF_ONLY if cfg.mode == DIFF_ONLY_MODE else prompting.FULL_SOURCE
     write_lock = threading.Lock()
     call_errors = 0
 
-    def score(task: _Task, verdict: ModelVerdict | ParseFailure) -> None:
+    def score(task: _Task, verdict: ModelVerdict | ParseFailure, test: str | None) -> None:
         if task.instance.label == "PRESERVING":
             assess = assessor.assess_preserving
         else:
@@ -227,17 +273,18 @@ def run_benchmark(
             attempt_index=task.attempt,
             backend_name=task.key.backend_name,
             variant_tag=task.prompt.variant_tag,
+            test_source=test,
         )
         outcome = replace(
             outcome,
-            prompt_hash=prompt_hash(task.prompt.text),
+            prompt_hash=task.prompt.hash,
             template_version=task.prompt.template_version,
-            toolchain_version=toolchain_version,
+            toolchain_version=probe.result(),
             seed=cfg.master_seed,
             temperature=task.key.temperature,
         )
         with write_lock:
-            assessor.write_outcomes([outcome], outcomes_path)
+            assessor.write_outcomes([outcome], outcomes)
 
     def run_task(task: _Task) -> None:
         nonlocal call_errors
@@ -249,16 +296,19 @@ def run_benchmark(
             logger.error("call failed (%s: %s attempt %d): %s", task.key.backend_name,
                          task.instance.id, task.attempt, err)
             return
-        score(task, parse_response(response, mode))
+        verdict = parse_response(response, mode)
+        score(task, verdict, assessor.checked_test(verdict))
 
-    if cfg.jobs <= 1:
-        for task in tasks:
-            run_task(task)
-    else:
+    with jsonl.Appender(outcomes_path) as outcomes:
+        if cfg.jobs <= 1:
+            for task in tasks:
+                run_task(task)
+            return call_errors
         # Threads only overlap waiting: an attempt that neither calls a
         # model nor checks a claim is finished on this thread, and the pool
         # gets the rest, so it never holds more than --jobs checks.
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        pool = ThreadPoolExecutor(max_workers=cfg.jobs)
+        try:
             pending = []
             for task in tasks:
                 client = clients[task.key.backend_name]
@@ -266,29 +316,16 @@ def run_benchmark(
                     pending.append(pool.submit(run_task, task))
                     continue
                 verdict = parse_response(client.query(task.prompt, task.attempt), mode)
-                if assessor.needs_toolchain(verdict):
-                    pending.append(pool.submit(score, task, verdict))
+                test = assessor.checked_test(verdict)
+                if test is None:
+                    score(task, verdict, test)
                 else:
-                    score(task, verdict)
+                    pending.append(pool.submit(score, task, verdict, test))
             for future in pending:
                 future.result()
-
-    # a run whose every call failed has written no outcomes
-    records = assessor.read_outcomes(outcomes_path) if outcomes_path.exists() else []
-    if not records:
-        return RunArtifacts(outcomes_path=None, metrics_paths=[], stats_path=None,
-                            telemetry={}, call_errors=call_errors)
-    metrics_paths = write_metric_reports(records, out_dir)
-    stats_path = write_stats_report(records, out_dir)
-    telemetry = telemetry_summary(records)
-    (out_dir / "telemetry.json").write_text(json.dumps(telemetry, indent=1), "utf-8")
-    return RunArtifacts(
-        outcomes_path=outcomes_path,
-        metrics_paths=metrics_paths,
-        stats_path=stats_path,
-        telemetry=telemetry,
-        call_errors=call_errors,
-    )
+        finally:  # on an error, drop the attempts no thread has started
+            pool.shutdown(cancel_futures=True)
+    return call_errors
 
 
 def _completed_keys(outcomes_path: Path) -> dict[tuple[RunKey, str, str, int], str]:
@@ -621,7 +658,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (ConfigError, OSError, ValueError) as err:
+    except (ConfigError, OSError, ValueError, java_executor.ToolchainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

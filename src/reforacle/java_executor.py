@@ -261,12 +261,15 @@ class RealToolchain(Toolchain):
 
     def version(self) -> str:
         if self._version is None:
-            proc = subprocess.run(
-                [self.config.javac_path, "-version"],
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
+            try:
+                proc = subprocess.run(
+                    [self.config.javac_path, "-version"],
+                    capture_output=True,
+                    text=True,
+                    timeout=60,
+                )
+            except (OSError, subprocess.TimeoutExpired) as err:
+                raise ToolchainUnavailable(f"{self.config.javac_path} -version: {err}") from err
             self._version = (proc.stdout + proc.stderr).strip()
         return self._version
 

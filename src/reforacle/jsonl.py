@@ -37,15 +37,54 @@ def records(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield n, doc
 
 
+class Appender:
+    """Appends JSON lines to one file, held open from the first write to
+    close(). The first write opens the file and cuts off a torn last line;
+    every write is then one write() on an unbuffered handle, so a process
+    killed mid-append leaves at most one torn last line. Not thread-safe:
+    callers serialise their writes."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self._fh = None
+
+    def write(self, lines: Iterable[str]) -> None:
+        data = memoryview("".join(line + "\n" for line in lines).encode("utf-8"))
+        if self._fh is None:
+            self._fh = _open_mended(self.path)
+        while data:  # a regular file takes it all in one write() unless full
+            data = data[self._fh.write(data):]
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def __enter__(self) -> "Appender":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def append(path: str | Path, lines: Iterable[str]) -> None:
     """Append each JSON line, once a torn last line is cut off."""
-    with Path(path).open("a+b") as fh:
+    with Appender(path) as out:
+        out.write(lines)
+
+
+def _open_mended(path: str | Path):
+    fh = open(path, "a+b", buffering=0)
+    try:
         end = fh.seek(0, os.SEEK_END)
         if end:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":
                 _mend_last_line(fh, path)
-        fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
+    except BaseException:
+        fh.close()
+        raise
+    return fh
 
 
 def _mend_last_line(fh, path: str | Path) -> None:

@@ -8,7 +8,6 @@ evaluation can be re-run with no network access and no nondeterminism.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -101,12 +100,8 @@ class RequestKey:
             instance_id=prompt.instance_id,
             variant_tag=prompt.variant_tag,
             attempt_index=attempt_index,
-            prompt_hash=prompt_hash(prompt.text),
+            prompt_hash=prompt.hash,
         )
-
-
-def prompt_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

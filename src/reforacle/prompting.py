@@ -10,7 +10,9 @@ template byte-for-byte.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -76,6 +78,12 @@ class RenderedPrompt:
     template_version: str
     instance_id: str = ""
     variant_tag: str = ""
+
+    @cached_property
+    def hash(self) -> str:
+        """sha256 of the text, taken once per rendered prompt; requests,
+        the resume check and outcome rows are keyed by it."""
+        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
 def builtin_template(kind: str) -> PromptTemplate:

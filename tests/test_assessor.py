@@ -4,7 +4,7 @@ import pytest
 
 import java_fixtures
 from conftest import SAMPLE_BC_OUTPUT
-from reforacle import assessor, java_executor
+from reforacle import assessor, java_executor, jsonl
 from reforacle.assessor import (
     PARSE_ERROR,
     SAID_BC_TEST_NOT_COMPILING,
@@ -309,12 +309,25 @@ class TestNeedsToolchain:
              "test", "reflective-test"],
     )
     def test_true_exactly_when_scoring_checks_the_claim(self, verdict, needed):
-        assert assessor.needs_toolchain(verdict) is needed
+        test = assessor.checked_test(verdict)
+        assert (test is not None) is needed
         for inst in (BC_INSTANCE, CE_INSTANCE, PRESERVING_INSTANCE):
             judge = assess_preserving if inst.label == "PRESERVING" else assess
-            toolchain = CountingToolchain()
-            judge(inst, verdict, toolchain)
-            assert toolchain.checks == int(needed)
+            for given in ({}, {"test_source": test}):  # scanned by the judge, or handed in
+                toolchain = CountingToolchain()
+                judge(inst, verdict, toolchain, **given)
+                assert toolchain.checks == int(needed)
+
+    def test_a_handed_in_test_is_not_scanned_again(self, monkeypatch):
+        verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST)
+        test = assessor.checked_test(verdict)
+        scanned = assess(BC_INSTANCE, verdict, CountingToolchain())
+
+        def no_scan(verdict):
+            raise AssertionError("the checked test was scanned again")
+
+        monkeypatch.setattr(assessor.verdict_parser, "extract_test_source", no_scan)
+        assert assess(BC_INSTANCE, verdict, CountingToolchain(), test_source=test) == scanned
 
 
 class TestOutcomePersistence:
@@ -347,6 +360,25 @@ class TestOutcomePersistence:
         write_outcomes([outcome], path)
         assert path.read_text() == whole + outcome.to_json_line() + "\n"
         assert len(read_outcomes(path)) == 3
+
+    def test_an_appender_cuts_a_torn_line_at_its_first_write(self, tmp_path):
+        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        line = outcome.to_json_line() + "\n"
+        path = tmp_path / "outcomes.jsonl"
+        write_outcomes([outcome], path)
+        with path.open("a") as fh:
+            fh.write(line[:40])  # killed mid-write
+        with jsonl.Appender(path) as out:
+            assert path.read_text() == line + line[:40]  # opened only by the first write
+            write_outcomes([outcome], out)
+            assert path.read_text() == line * 2  # unbuffered: each row is on disk at once
+            write_outcomes([outcome], out)
+            assert path.read_text() == line * 3
+
+    def test_an_appender_that_writes_nothing_creates_no_file(self, tmp_path):
+        with jsonl.Appender(tmp_path / "outcomes.jsonl"):
+            pass
+        assert not (tmp_path / "outcomes.jsonl").exists()
 
     def test_whole_last_line_without_newline_is_kept(self, tmp_path):
         outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())

@@ -1,18 +1,20 @@
 import argparse
+import hashlib
 import itertools
 import json
 import os
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import java_fixtures
-from reforacle import assessor, cli_report
+from reforacle import assessor, cli_report, jsonl, verdict_parser
 from reforacle.cli_report import ConfigError, RunConfig, main, run_benchmark, summarize
-from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain
+from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain, ToolchainUnavailable
 from reforacle.model_client import BackendConfig, MockBackend, TranscriptStore
 
 CE_ANSWER = '{"verdict": "NO - COMPILATION ERROR", "explanation": "does not compile", "junit_test": null}'
@@ -432,7 +434,10 @@ class TestRunKey:
 
     def test_a_complete_resume_probes_no_toolchain_version(self, mini_corpus_root, tmp_path):
         class Unversioned(MockToolchain):
+            probes = 0
+
             def version(self):
+                Unversioned.probes += 1  # raised on the probe's thread, it would go unseen
                 raise AssertionError("version probed with nothing to run")
 
         out = tmp_path / "out"
@@ -444,6 +449,7 @@ class TestRunKey:
         artifacts = run_benchmark(base_config(mini_corpus_root, out),
                                   backends_impl={"mock": ce_backend()}, toolchain=Unversioned())
         assert artifacts.call_errors == 0 and artifacts.stats_path is not None
+        assert Unversioned.probes == 0
         assert sorted(p.name for p in out.iterdir() if p.name != "outcomes.jsonl") == reports
         assert "telemetry.json" in reports
 
@@ -564,6 +570,158 @@ class TestParallelRun:
         assert len(ids) == 10
         assert Counter((r["backend_name"], r["instance_id"], r["attempt_index"]) for r in rows) == {
             (b.name, i, a): 1 for b in self.BACKENDS for i in ids for a in (1, 2, 3)}
+
+
+class CountingFile:
+    """An open file that records each write() call's bytes."""
+
+    def __init__(self, fh, writes: list) -> None:
+        self._fh, self._writes = fh, writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestOncePerAttempt:
+    """A replayed attempt hashes its prompt, scans its test and writes its
+    row once, whichever thread scores it."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_per_attempt_step_runs_once(self, jobs, mini_corpus_root, tmp_path, monkeypatch):
+        store = tmp_path / "store.jsonl"
+        run_benchmark(base_config(mini_corpus_root, tmp_path / "record", attempts=2,
+                                  record_path=str(store)),
+                      backends_impl={"mock": cycling_backend()}, toolchain=MockToolchain())
+
+        rendered, hashed, extracted, opened, writes = [], [], [], [], []
+        render, sha256 = cli_report._render, hashlib.sha256
+        extract = verdict_parser.extract_test_source
+
+        def recording_render(*args, **kwargs):
+            rendered.append(render(*args, **kwargs))
+            return rendered[-1]
+
+        def recording_sha256(data=b"", **kwargs):
+            hashed.append(bytes(data))
+            return sha256(data, **kwargs)
+
+        def recording_extract(verdict):
+            extracted.append(verdict)
+            return extract(verdict)
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(Path(path))
+            return CountingFile(open(path, *args, **kwargs), writes)
+
+        monkeypatch.setattr(cli_report, "_render", recording_render)
+        monkeypatch.setattr(hashlib, "sha256", recording_sha256)
+        monkeypatch.setattr(verdict_parser, "extract_test_source", recording_extract)
+        monkeypatch.setattr(jsonl, "open", recording_open, raising=False)
+        artifacts = run_benchmark(
+            base_config(mini_corpus_root, tmp_path / "out", attempts=2, jobs=jobs,
+                        replay_path=str(store)),
+            backends_impl={}, toolchain=MockToolchain())
+
+        texts = Counter(prompt.text.encode("utf-8") for prompt in rendered)
+        assert len(rendered) == 10
+        assert Counter(data for data in hashed if data in texts) == texts
+        rows = artifacts.outcomes_path.read_bytes().splitlines(keepends=True)
+        claims = [r for r in map(json.loads, rows) if r["answer_label"].startswith("SAID_BC_")]
+        assert len(rows) == 20 and len(claims) == 8
+        assert len(extracted) == len(claims)
+        assert opened == [artifacts.outcomes_path]
+        assert writes == rows
+
+
+class FailingProbe(MockToolchain):
+    def version(self):
+        raise ToolchainUnavailable("javac -version: no such interpreter")
+
+
+class SlowProbe(MockToolchain):
+    """A version probe that takes a while and records the thread it ran on."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.probes = []
+
+    def version(self):
+        time.sleep(0.2)
+        self.probes.append(threading.current_thread())
+        return super().version()
+
+
+class TestVersionProbe:
+    """The toolchain's version probe overlaps set-up and never outlives the run."""
+
+    def test_a_fresh_out_probes_while_the_corpus_loads(self, mini_corpus_root, tmp_path,
+                                                        monkeypatch):
+        probing = threading.Event()
+
+        class SignallingProbe(MockToolchain):
+            def version(self):
+                probing.set()
+                return super().version()
+
+        load = cli_report.load_corpus
+
+        def load_after_the_probe_started(root):
+            assert probing.wait(10), "the corpus loaded before the version probe started"
+            return load(root)
+
+        monkeypatch.setattr(cli_report, "load_corpus", load_after_the_probe_started)
+        artifacts = run_benchmark(base_config(mini_corpus_root, tmp_path / "out"),
+                                  backends_impl={"mock": ce_backend()}, toolchain=SignallingProbe())
+        rows = assessor.read_outcomes(artifacts.outcomes_path)
+        assert {r["toolchain_version"] for r in rows} == {"mock-toolchain"}
+
+    def test_a_config_error_mid_scheduling_waits_for_the_probe(self, mini_corpus_root, tmp_path):
+        out = tmp_path / "out"
+        run_benchmark(base_config(mini_corpus_root, out), backends_impl={"mock": ce_backend()},
+                      toolchain=MockToolchain())
+        path = out / "outcomes.jsonl"
+        lines = path.read_text().splitlines()
+        last = {**json.loads(lines[-1]), "prompt_hash": "0" * 64}
+        # the first attempt is scheduled again, which starts the probe, and
+        # the last one was run with another prompt
+        path.write_text("\n".join(lines[1:-1] + [json.dumps(last)]) + "\n")
+        toolchain = SlowProbe()
+        with pytest.raises(ConfigError, match="another full_source_v1 prompt"):
+            run_benchmark(base_config(mini_corpus_root, out), backends_impl={"mock": ce_backend()},
+                          toolchain=toolchain)
+        assert len(toolchain.probes) == 1
+        assert toolchain.probes[0] is not threading.current_thread()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failing_probe_exits_2_and_writes_no_outcomes(
+        self, jobs, mini_corpus_root, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: FailingProbe())
+        out = tmp_path / "out"
+        argv = ["run", "--corpus", str(mini_corpus_root), "--backend", "mock", "--jobs", jobs,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == "error: javac -version: no such interpreter"
+        assert not (out / "outcomes.jsonl").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_compiler_that_cannot_start_exits_2_and_writes_no_outcomes(
+        self, jobs, mini_corpus_root, tmp_path, capsys
+    ):
+        javac = tmp_path / "javac"
+        javac.write_text(f"#!{tmp_path / 'no-such-interpreter'}\n")
+        javac.chmod(0o755)
+        out = tmp_path / "out"
+        argv = ["run", "--corpus", str(mini_corpus_root), "--backend", "mock", "--jobs", jobs,
+                "--out", str(out), "--compiler", str(javac), "--java", sys.executable]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {javac} -version: ") and "Traceback" not in err
+        assert not (out / "outcomes.jsonl").exists()
 
 
 class TestSummarize:

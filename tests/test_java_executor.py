@@ -1,5 +1,6 @@
 import fnmatch
 import importlib.resources
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -545,6 +546,25 @@ class TestRealCheck:
         (kept,) = (tmp_path / "ws").iterdir()
         assert str(kept) in str(err.value)
         assert "javac exceeded 0.5 s" in (kept / "invocations.log").read_text()
+
+
+class TestVersionProbe:
+    @pytest.mark.parametrize(
+        "error", [FileNotFoundError(2, "No such file"), subprocess.TimeoutExpired(["javac"], 60)],
+        ids=["oserror", "timeout"])
+    def test_a_failed_probe_is_toolchain_unavailable(self, error, tmp_path, monkeypatch):
+        javac = tmp_path / "javac"
+        javac.write_text("#!/bin/sh\nexit 0\n")
+        javac.chmod(0o755)
+        config = java_executor.ToolchainConfig(javac_path=str(javac), java_path=sys.executable)
+        toolchain = java_executor.RealToolchain(config)
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(java_executor.subprocess, "run", fail)
+        with pytest.raises(ToolchainUnavailable, match="-version"):
+            toolchain.version()
 
 
 class TestRunTestWithoutJUnit:

@@ -2,12 +2,23 @@
 rather than in the benchmark."""
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import java_fixtures
+from reforacle.cli_report import RunConfig, run_benchmark
+from reforacle.java_executor import MockToolchain
+from reforacle.model_client import BackendConfig, MockBackend
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+YES_ANSWER = json.dumps({"verdict": "YES", "explanation": "fine", "junit_test": None})
+CLAIM_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "runnable test",
+                           "junit_test": java_fixtures.VACUOUS_TEST})
 
 
 @pytest.fixture
@@ -29,3 +40,41 @@ def test_every_traced_layer_resolves(tracer):
     ]
     for module, name in names:
         assert callable(tracer.layer(module, name)), f"{module}.{name}"
+
+
+def test_a_traced_replay_records_every_per_attempt_span(mini_corpus_root, tmp_path):
+    """perfbench/tracer.py over a replay at --jobs 2 with one checked claim:
+    the spans `run.py --trace 1` requires of every workload fire, the
+    per-attempt ones once per row or claim."""
+    pytest.importorskip("tomllib")
+    backend = BackendConfig(name="model", endpoint="local")
+    answers = iter([CLAIM_ANSWER])
+    store = tmp_path / "store.jsonl"
+    run_benchmark(
+        RunConfig(corpus_root=str(mini_corpus_root), backends=[backend],
+                  record_path=str(store), out_dir=str(tmp_path / "record")),
+        backends_impl={"model": MockBackend(lambda prompt: next(answers, YES_ANSWER))},
+        toolchain=MockToolchain(),
+    )
+    backends_file = tmp_path / "backends.json"
+    backends_file.write_text(json.dumps([{"name": "model", "endpoint": "local"}]))
+    spans_path, out, tmp = tmp_path / "spans.jsonl", tmp_path / "out", tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", TMPDIR=str(tmp))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracer.py"), str(spans_path), "run",
+         "--corpus", str(mini_corpus_root), "--backend", "model",
+         "--backends-file", str(backends_file), "--replay", str(store),
+         "--jobs", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    spans = [json.loads(line)["name"] for line in spans_path.read_text().splitlines()]
+    rows = [json.loads(line) for line in (out / "outcomes.jsonl").read_text().splitlines()]
+    claims = [r for r in rows if r["answer_label"].startswith("SAID_BC_")]
+    assert len(rows) == 10 and len(claims) == 1
+    assert spans.count("assessor.write") == len(rows)
+    assert spans.count("model_client.query") == len(rows)
+    assert spans.count("verdict_parser.extract") == len(claims)
+    assert spans.count("java_executor.version") == 1
+    assert not [p for p in tmp.iterdir() if p.name.startswith("reforacle-")]
