@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import java_executor, jsonl, verdict_parser
@@ -84,32 +84,8 @@ class AssessmentOutcome:
                 raise ValueError("SAID_BC_VALID requires discriminating evidence")
 
     def to_json_line(self) -> str:
-        doc = {
-            "schema": OUTCOME_SCHEMA,
-            "instance_id": self.instance_id,
-            "attempt_index": self.attempt_index,
-            "backend_name": self.backend_name,
-            "variant_tag": self.variant_tag,
-            "correct": self.correct,
-            "answer_label": self.answer_label,
-            "ground_label": self.ground_label,
-            "reflective_test": self.reflective_test,
-            "inconclusive": self.inconclusive,
-            "parse_reason": self.parse_reason,
-            "explanation": self.explanation,
-            "latency_s": self.latency_s,
-            "tokens_in": self.tokens_in,
-            "tokens_out": self.tokens_out,
-            "tokens_reasoning": self.tokens_reasoning,
-            "cost_estimate": self.cost_estimate,
-            "prompt_hash": self.prompt_hash,
-            "template_version": self.template_version,
-            "toolchain_version": self.toolchain_version,
-            "seed": self.seed,
-            "temperature": self.temperature,
-            "refactoring_type": self.refactoring_type,
-            "tool": self.tool,
-        }
+        doc = {name: getattr(self, name) for name in _ROW_FIELDS}
+        doc["schema"] = OUTCOME_SCHEMA
         if self.evidence is not None:
             doc["evidence"] = {
                 "discriminates": self.evidence.discriminates,
@@ -118,6 +94,11 @@ class AssessmentOutcome:
                 "on_resulting": self.evidence.on_resulting.outcome,
             }
         return json.dumps(doc, sort_keys=True)
+
+
+# Every field but `evidence` goes into the outcome row as is; the evidence
+# is flattened into its own block.
+_ROW_FIELDS = tuple(f.name for f in fields(AssessmentOutcome) if f.name != "evidence")
 
 
 def _telemetry(verdict: ModelVerdict | ParseFailure) -> dict:

@@ -233,9 +233,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
             variant_tag = ""
             override = None
             if cfg.mode == METAMORPHIC_MODE:
-                variant = variants_by_id.get(inst.id)
-                if variant is None:
-                    continue
+                variant = variants_by_id[inst.id]  # one per instance: CO always applies
                 override = variant.transformed_original
                 variant_tag = f"{family}-{variant.operator}"
             try:
@@ -756,7 +754,10 @@ def _dispatch(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = write_stats_report(records, out_dir)
-        print(f"stats: {path}")
+        if path is None:
+            print("no stats: no configuration has a conclusive first attempt")
+        else:
+            print(f"stats: {path}")
         return 0
 
     if args.command == "summarize":

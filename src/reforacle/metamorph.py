@@ -9,16 +9,21 @@ and no injected name can capture or shadow an existing one. All
 randomness flows from the seed through a counter-based generator, so a
 variant is a pure function of (sources, operator, seed).
 
-A body whose braces open and close on one line offers no line-based
-insertion point; the operator is then simply inapplicable there.
+Each operator is one entry of `_TABLE`: its candidate places, found in
+the structural index, decide both whether it applies (a non-empty list)
+and where it acts (the first draw picks one). A body whose braces open
+and close on one line offers no line-based insertion point; the operator
+is then simply inapplicable there.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import javalex
 from .dataset import BugCorpus, SourceSet
@@ -82,10 +87,8 @@ class MetamorphicVariant:
 
 @dataclass
 class FileStructure:
-    path: str
     scan: FileScan
-    member_points: list[tuple[int, object]]  # (0-based insert index, type context)
-    body_points: list[tuple[int, object]]    # (0-based insert index, method context)
+    slots: dict[str, list[tuple[int, str]]]  # body kind -> (1-based line, indent) just inside
     comment_points: list[int]                # 0-based insert indices
     import_point: int
 
@@ -104,18 +107,16 @@ def index_structure(src: SourceSet) -> StructuralIndex:
         scan = javalex.scan_file(content, path)
         identifiers |= scan.identifiers
         files[path] = FileStructure(
-            path=path,
             scan=scan,
-            member_points=_insertion_points(scan, TYPE_BODY),
-            body_points=_insertion_points(scan, METHOD_BODY),
+            slots={kind: _body_slots(scan, kind) for kind in (TYPE_BODY, METHOD_BODY)},
             comment_points=_comment_points(scan),
             import_point=(scan.package_line + 1) if scan.package_line is not None else 0,
         )
     return StructuralIndex(files=files, identifiers=identifiers)
 
 
-def _insertion_points(scan: FileScan, kind: str) -> list[tuple[int, object]]:
-    points = []
+def _body_slots(scan: FileScan, kind: str) -> list[tuple[int, str]]:
+    slots = []
     for ctx in scan.contexts:
         if ctx.kind != kind:
             continue
@@ -131,16 +132,12 @@ def _insertion_points(scan: FileScan, kind: str) -> list[tuple[int, object]]:
             continue
         if scan.context_at_line_end[ctx.open_line] is not ctx:
             continue  # another brace opened later on the same line
-        points.append((ctx.open_line + 1, ctx))
-    return points
+        slots.append((ctx.open_line + 2, _indent_of(scan.lines[ctx.open_line]) + "  "))
+    return slots
 
 
 def _comment_points(scan: FileScan) -> list[int]:
-    points = [0]
-    for i, safe in enumerate(scan.line_end_in_code):
-        if safe:
-            points.append(i + 1)
-    return sorted(set(points))
+    return [0] + [i + 1 for i, safe in enumerate(scan.line_end_in_code) if safe]
 
 
 def fresh_identifier(index: StructuralIndex, prefix: str, rng: CounterRng) -> str:
@@ -156,59 +153,40 @@ def fresh_identifier(index: StructuralIndex, prefix: str, rng: CounterRng) -> st
             return name
 
 
+def operator_applicable(index: StructuralIndex, op: str) -> bool:
+    return bool(_TABLE[op].candidates(index))
+
+
 def apply_operator(
     src: SourceSet, op: str, seed: int, instance_id: str = ""
 ) -> MetamorphicVariant:
     """Apply one operator; pure in (src, op, seed)."""
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
-    rng = CounterRng(derive_key(seed, op))
     index = index_structure(src)
-    element = _OPERATOR_FUNCS[op](index, rng)
-    transformed = _splice(src, element)
-    return MetamorphicVariant(
-        base_instance_id=instance_id,
-        operator=op,
-        seed=seed,
-        transformed_original=transformed,
-        manifest=(element,),
-    )
-
-
-def operator_applicable(index: StructuralIndex, op: str) -> bool:
-    if op in (AF, IC):
-        return any(fs.member_points for fs in index.files.values())
-    if op == LVD:
-        return any(fs.body_points for fs in index.files.values())
-    if op == CO:
-        return any(fs.comment_points for fs in index.files.values())
-    if op == JI:
-        return bool(_eligible_imports(index))
-    if op == TLC:
-        return bool(index.files)
-    return False
+    return _apply(src, index, op, _TABLE[op].candidates(index), seed, instance_id)
 
 
 def transform_corpus(corpus: BugCorpus, master_seed: int) -> list[MetamorphicVariant]:
-    """One variant per instance; operator drawn uniformly among applicable ones."""
+    """One variant per instance; operator drawn uniformly among applicable ones.
+
+    CO applies to every file (line 0 is always a comment point), so no
+    instance is ever left without an operator.
+    """
     if not corpus.instances:
         raise ValueError("empty corpus")
     variants = []
-    counts = {op: 0 for op in OPERATORS}
     for inst in corpus.instances:
-        seed = derive_key(master_seed, inst.id)
         index = index_structure(inst.original)
-        applicable = [op for op in OPERATORS if operator_applicable(index, op)]
-        if not applicable:  # unreachable while CO applies everywhere
-            logger.warning("no applicable operator for %s; left unchanged", inst.id)
-            continue
+        places = {op: _TABLE[op].candidates(index) for op in OPERATORS}
+        applicable = [op for op in OPERATORS if places[op]]
         op = CounterRng(derive_key(master_seed, inst.id, "op")).choice(applicable)
-        variants.append(apply_operator(inst.original, op, seed, instance_id=inst.id))
-        counts[op] += 1
+        seed = derive_key(master_seed, inst.id)
+        variants.append(_apply(inst.original, index, op, places[op], seed, inst.id))
     logger.info(
         "transformed %d instances: %s",
         len(variants),
-        ", ".join(f"{op}={n}" for op, n in counts.items()),
+        ", ".join(f"{op}={n}" for op, n in operator_counts(variants).items()),
     )
     return variants
 
@@ -220,35 +198,89 @@ def operator_counts(variants: list[MetamorphicVariant]) -> dict[str, int]:
     return counts
 
 
-# ---------------------------------------------------------------- operators
-
-
-def _inject_field(index: StructuralIndex, rng: CounterRng) -> InjectedElement:
-    points = _all_points(index, "member_points")
-    if not points:
-        raise NoInsertionPoint("AF: no class or interface body spans multiple lines")
-    path, insert_at, ctx = rng.choice(points)
-    jtype, literal = _typed_literal(rng)
-    name = fresh_identifier(index, rng.choice(_FIELD_PREFIXES), rng)
-    indent = _indent_of(index.files[path].scan.lines[ctx.open_line]) + "  "
-    return InjectedElement(
-        kind="field",
-        name=name,
-        file=path,
-        line=insert_at + 1,
-        lines=(f"{indent}{jtype} {name} = {literal};",),
+def _apply(
+    src: SourceSet,
+    index: StructuralIndex,
+    op: str,
+    places: list,
+    seed: int,
+    instance_id: str,
+) -> MetamorphicVariant:
+    """Draw one of `places` and build the operator's element there."""
+    if not places:
+        raise NoInsertionPoint(f"{op}: {_TABLE[op].no_place}")
+    rng = CounterRng(derive_key(seed, op))
+    element = _TABLE[op].build(index, rng, rng.choice(places))
+    return MetamorphicVariant(
+        base_instance_id=instance_id,
+        operator=op,
+        seed=seed,
+        transformed_original=_splice(src, element),
+        manifest=(element,),
     )
 
 
-def _inject_comment(index: StructuralIndex, rng: CounterRng) -> InjectedElement:
-    candidates = [
-        (path, point)
-        for path, fs in index.files.items()
-        for point in fs.comment_points
+# ---------------------------------------------------------------- operators
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """`candidates` lists the places the operator can act, in draw order, and
+    decides applicability; `build` turns one drawn place into the element."""
+
+    candidates: Callable[[StructuralIndex], list]
+    build: Callable[[StructuralIndex, CounterRng, tuple], InjectedElement]
+    no_place: str  # NoInsertionPoint reason when there are no candidates
+
+
+def _slots(index: StructuralIndex, kind: str) -> list[tuple[str, int, str]]:
+    """(path, line, indent) just inside every multi-line body of one kind."""
+    return [
+        (path, line, indent)
+        for path, fs in sorted(index.files.items())
+        for line, indent in fs.slots[kind]
     ]
-    if not candidates:
-        raise NoInsertionPoint("CO: no safe line boundary")
-    path, insert_at = rng.choice(candidates)
+
+
+def _file_ends(index: StructuralIndex) -> list[tuple[str, int, str]]:
+    return [(path, len(fs.scan.lines) + 1, "") for path, fs in sorted(index.files.items())]
+
+
+def _line_starts(index: StructuralIndex) -> list[tuple[str, int]]:
+    return [(path, point) for path, fs in index.files.items() for point in fs.comment_points]
+
+
+def _eligible_imports(index: StructuralIndex) -> list[tuple[str, str]]:
+    """(path, type) for every pool type whose simple name the sources never use."""
+    fresh = [fq for fq in IMPORT_POOL if fq.rsplit(".", 1)[1] not in index.identifiers]
+    return [(path, fq) for path in sorted(index.files) for fq in fresh]
+
+
+def _declaration(
+    kind: str, prefixes: tuple[str, ...], index: StructuralIndex, rng: CounterRng, place
+) -> InjectedElement:
+    """An unused initialised variable: a field (AF) or a local (LVD)."""
+    path, line, indent = place
+    jtype, literal = _typed_literal(rng)
+    name = fresh_identifier(index, rng.choice(prefixes), rng)
+    text = f"{indent}{jtype} {name} = {literal};"
+    return InjectedElement(kind=kind, name=name, file=path, line=line, lines=(text,))
+
+
+def _class(
+    kind: str, lead: tuple[str, ...], index: StructuralIndex, rng: CounterRng, place
+) -> InjectedElement:
+    """A class holding one initialised field: inner (IC) or top-level (TLC)."""
+    path, line, indent = place
+    cls = fresh_identifier(index, rng.choice(_CLASS_PREFIXES), rng)
+    fld = fresh_identifier(index, rng.choice(_VALUE_PREFIXES), rng)
+    jtype, literal = _typed_literal(rng)
+    body = (f"{indent}class {cls} {{", f"{indent}  {jtype} {fld} = {literal};", f"{indent}}}")
+    return InjectedElement(kind=kind, name=cls, file=path, line=line, lines=(*lead, *body))
+
+
+def _comment(index: StructuralIndex, rng: CounterRng, place) -> InjectedElement:
+    path, insert_at = place
     lines = index.files[path].scan.lines
     indent = _indent_of(lines[insert_at]) if insert_at < len(lines) else ""
     word = rng.choice(_COMMENT_WORDS)
@@ -256,110 +288,30 @@ def _inject_comment(index: StructuralIndex, rng: CounterRng) -> InjectedElement:
     return InjectedElement(kind="comment", name="", file=path, line=insert_at + 1, lines=(text,))
 
 
-def _inject_inner_class(index: StructuralIndex, rng: CounterRng) -> InjectedElement:
-    points = _all_points(index, "member_points")
-    if not points:
-        raise NoInsertionPoint("IC: no class or interface body spans multiple lines")
-    path, insert_at, ctx = rng.choice(points)
-    cls = fresh_identifier(index, rng.choice(_CLASS_PREFIXES), rng)
-    fld = fresh_identifier(index, rng.choice(_VALUE_PREFIXES), rng)
-    jtype, literal = _typed_literal(rng)
-    indent = _indent_of(index.files[path].scan.lines[ctx.open_line]) + "  "
-    return InjectedElement(
-        kind="inner_class",
-        name=cls,
-        file=path,
-        line=insert_at + 1,
-        lines=(
-            f"{indent}class {cls} {{",
-            f"{indent}  {jtype} {fld} = {literal};",
-            f"{indent}}}",
-        ),
-    )
-
-
-def _inject_import(index: StructuralIndex, rng: CounterRng) -> InjectedElement:
-    eligible = _eligible_imports(index)
-    if not eligible:
-        raise NoInsertionPoint("JI: every pool type already occurs")
-    path, fq = rng.choice(eligible)
+def _import(index: StructuralIndex, rng: CounterRng, place) -> InjectedElement:
+    path, fq = place
     simple = fq.rsplit(".", 1)[1]
     index.identifiers.add(simple)
-    return InjectedElement(
-        kind="import",
-        name=simple,
-        file=path,
-        line=index.files[path].import_point + 1,
-        lines=(f"import {fq};",),
-    )
+    line = index.files[path].import_point + 1
+    return InjectedElement(kind="import", name=simple, file=path, line=line, lines=(f"import {fq};",))
 
 
-def _inject_local(index: StructuralIndex, rng: CounterRng) -> InjectedElement:
-    points = _all_points(index, "body_points")
-    if not points:
-        raise NoInsertionPoint("LVD: no method body spans multiple lines")
-    path, insert_at, ctx = rng.choice(points)
-    jtype, literal = _typed_literal(rng)
-    name = fresh_identifier(index, rng.choice(_LOCAL_PREFIXES), rng)
-    indent = _indent_of(index.files[path].scan.lines[ctx.open_line]) + "  "
-    return InjectedElement(
-        kind="local",
-        name=name,
-        file=path,
-        line=insert_at + 1,
-        lines=(f"{indent}{jtype} {name} = {literal};",),
-    )
+_NO_BODY = "no class or interface body spans multiple lines"
 
-
-def _inject_top_level_class(index: StructuralIndex, rng: CounterRng) -> InjectedElement:
-    if not index.files:
-        raise NoInsertionPoint("TLC: no files")
-    path = rng.choice(sorted(index.files))
-    fs = index.files[path]
-    cls = fresh_identifier(index, rng.choice(_CLASS_PREFIXES), rng)
-    fld = fresh_identifier(index, rng.choice(_VALUE_PREFIXES), rng)
-    jtype, literal = _typed_literal(rng)
-    return InjectedElement(
-        kind="top_level_class",
-        name=cls,
-        file=path,
-        line=len(fs.scan.lines) + 1,
-        lines=(
-            "",
-            f"class {cls} {{",
-            f"  {jtype} {fld} = {literal};",
-            "}",
-        ),
-    )
-
-
-_OPERATOR_FUNCS = {
-    AF: _inject_field,
-    CO: _inject_comment,
-    IC: _inject_inner_class,
-    JI: _inject_import,
-    LVD: _inject_local,
-    TLC: _inject_top_level_class,
+_TABLE = {
+    AF: _Operator(
+        partial(_slots, kind=TYPE_BODY), partial(_declaration, "field", _FIELD_PREFIXES), _NO_BODY
+    ),
+    CO: _Operator(_line_starts, _comment, "no safe line boundary"),
+    IC: _Operator(partial(_slots, kind=TYPE_BODY), partial(_class, "inner_class", ()), _NO_BODY),
+    JI: _Operator(_eligible_imports, _import, "every pool type already occurs"),
+    LVD: _Operator(
+        partial(_slots, kind=METHOD_BODY),
+        partial(_declaration, "local", _LOCAL_PREFIXES),
+        "no method body spans multiple lines",
+    ),
+    TLC: _Operator(_file_ends, partial(_class, "top_level_class", ("",)), "no files"),
 }
-
-
-def _all_points(index: StructuralIndex, attr: str) -> list[tuple[str, int, object]]:
-    return [
-        (path, insert_at, ctx)
-        for path, fs in sorted(index.files.items())
-        for insert_at, ctx in getattr(fs, attr)
-    ]
-
-
-def _eligible_imports(index: StructuralIndex) -> list[tuple[str, str]]:
-    out = []
-    for path, fs in sorted(index.files.items()):
-        for fq in IMPORT_POOL:
-            simple = fq.rsplit(".", 1)[1]
-            if simple in index.identifiers:
-                continue
-            out.append((path, fq))
-    return out
 
 
 def _typed_literal(rng: CounterRng) -> tuple[str, str]:
@@ -390,34 +342,21 @@ def _indent_of(line: str) -> str:
 
 
 def _splice(src: SourceSet, element: InjectedElement) -> SourceSet:
+    """Insert the element's lines before its line; a final newline stays last."""
+    at = element.line - 1
     files = []
     for path, content in src.files:
-        if path != element.file:
-            files.append((path, content))
-            continue
-        lines = content.split("\n")
-        trailing = content.endswith("\n")
-        if trailing:
-            lines = lines[:-1]
-        at = element.line - 1
-        new_lines = lines[:at] + list(element.lines) + lines[at:]
-        new_content = "\n".join(new_lines) + ("\n" if trailing else "")
-        files.append((path, new_content))
+        if path == element.file:
+            lines = content.split("\n")
+            content = "\n".join(lines[:at] + list(element.lines) + lines[at:])
+        files.append((path, content))
     return SourceSet(files=tuple(files))
 
 
 def remove_injected_lines(content: str, elements: list[InjectedElement]) -> str:
     """Inverse of the splice: drop manifest lines, restoring the base text."""
-    lines = content.split("\n")
-    trailing = content.endswith("\n")
-    if trailing:
-        lines = lines[:-1]
-    drop: set[int] = set()
-    for el in elements:
-        for offset in range(len(el.lines)):
-            drop.add(el.line - 1 + offset)
-    kept = [ln for i, ln in enumerate(lines) if i not in drop]
-    return "\n".join(kept) + ("\n" if trailing else "")
+    drop = {el.line - 1 + offset for el in elements for offset in range(len(el.lines))}
+    return "\n".join(ln for i, ln in enumerate(content.split("\n")) if i not in drop)
 
 
 # --------------------------------------------------------------- persistence
@@ -455,16 +394,7 @@ def persist_variants(
         manifest = {
             "operator": variant.operator,
             "seed": variant.seed,
-            "elements": [
-                {
-                    "kind": el.kind,
-                    "name": el.name,
-                    "file": el.file,
-                    "line": el.line,
-                    "lines": list(el.lines),
-                }
-                for el in variant.manifest
-            ],
+            "elements": [asdict(el) for el in variant.manifest],
         }
         (inst_dir / "manifest").write_text(json.dumps(manifest, indent=1), "utf-8")
     return base

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -341,6 +342,13 @@ class TestOutcomePersistence:
         assert rows[0]["instance_id"] == CE_INSTANCE.id
         assert rows[0]["correct"] is True
         assert rows[0]["answer_label"] == SAID_CE
+
+    def test_row_carries_every_field(self):
+        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        row = json.loads(outcome.to_json_line())
+        names = {f.name for f in dataclasses.fields(outcome)} - {"evidence"}
+        assert set(row) == names | {"schema"}
+        assert all(row[name] == getattr(outcome, name) for name in names)
 
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "outcomes.jsonl"

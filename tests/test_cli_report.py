@@ -887,6 +887,20 @@ class TestCliEntry:
         code = main(["stats", "--outcomes", str(out / "outcomes.jsonl"), "--out", str(out)])
         assert code == 0
 
+    def test_stats_without_a_conclusive_first_attempt(self, tmp_path, capsys):
+        outcome = assessor.AssessmentOutcome(
+            instance_id="i1", attempt_index=1, backend_name="m", correct=False,
+            answer_label=assessor.SAID_BC_TEST_NOT_DISCRIMINATING, ground_label="BC",
+            inconclusive=True,
+        )
+        outcomes = tmp_path / "outcomes.jsonl"
+        outcomes.write_text(outcome.to_json_line() + "\n")
+        code = main(["stats", "--outcomes", str(outcomes), "--out", str(tmp_path / "out")])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert printed == "no stats: no configuration has a conclusive first attempt\n"
+        assert not (tmp_path / "out" / "stats.json").exists()
+
     def test_metamorph_cli(self, mini_corpus_root, tmp_path, capsys):
         out = tmp_path / "variants"
         code = main(

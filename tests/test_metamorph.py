@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import java_fixtures
@@ -309,6 +312,20 @@ class TestTransformCorpus:
         for op in OPERATORS:
             assert counts[op] >= 12, counts
 
+    def test_scans_each_source_file_once(self, monkeypatch):
+        corpus = corpus_from_fixtures(java_fixtures.FIXTURES)
+        scanned = []
+        real_scan = javalex.scan_file
+
+        def counting_scan(text, path="<source>"):
+            scanned.append(path)
+            return real_scan(text, path)
+
+        monkeypatch.setattr(javalex, "scan_file", counting_scan)
+        transform_corpus(corpus, master_seed=4242)
+        n_files = sum(len(inst.original.files) for inst in corpus.instances)
+        assert len(scanned) == n_files
+
     def test_single_instance_corpus(self):
         corpus = corpus_from_fixtures(java_fixtures.FIXTURES[:1])
         variants = transform_corpus(corpus, master_seed=1)
@@ -335,3 +352,102 @@ class TestTransformCorpus:
         assert reloaded.total == 4
         manifest = (base / "instances" / variants[0].base_instance_id / "manifest").read_text()
         assert variants[0].operator in manifest
+
+
+# Sources beyond the fixtures whose operators are inapplicable for each
+# documented reason: one-line bodies, enum bodies, constructor-only
+# methods and an exhausted import pool.
+EDGE_SOURCES = {
+    "edge-small": SMALL,
+    "edge-no-methods": NO_METHODS,
+    "edge-one-line": source_set(**{"A.java": "class A { int x = 1; }\n"}),
+    "edge-enum": source_set(**{"E.java": "enum E {\n  ONE, TWO\n}\n"}),
+    "edge-constructor": source_set(**{"A.java": "class A {\n  A() {\n    super();\n  }\n}\n"}),
+    "edge-pool": source_set(**{
+        "P.java": "class P {\n"
+        + "".join(
+            f"  int {fq.rsplit('.', 1)[1]} = {i};\n"
+            for i, fq in enumerate(metamorph.IMPORT_POOL)
+        )
+        + "}\n"
+    }),
+}
+
+
+NO_BODY = "no class or interface body spans multiple lines"
+NO_METHOD = "no method body spans multiple lines"
+
+
+def _variant_digest(variants) -> str:
+    h = hashlib.sha256()
+    for v in variants:
+        manifest = [[e.kind, e.name, e.file, e.line, e.lines] for e in v.manifest]
+        row = [v.base_instance_id, v.operator, v.seed, v.transformed_original.files, manifest]
+        h.update(json.dumps(row).encode())
+    return h.hexdigest()
+
+
+class TestGoldenVariants:
+    """Variant bytes pinned by digest: prompt hashes, and through them every
+    stored outcome, depend on the exact text, so a changed draw order or
+    layout must fail here rather than pass as run-to-run deterministic."""
+
+    CORPUS = {
+        4242: "c5bdcaa8635b21e412a36cbffa6f998a5450fe625c50f2433ed7d91ca0baeae2",
+        1: "55b3cbcefad021aaa4ae046a70dd68b7c3c976a72804dc3be0917f8ccd583e33",
+        77: "64c3b6f8a67f5c57db5736de877f6215c50f940d08bec68ef5bb0d6f187b7d64",
+    }
+    PER_OPERATOR = {
+        AF: "6b3de0e8751a253f9c102818cc849a63771c8d30b9d9e0d5e643a485a8f757ca",
+        CO: "f577b42f3aa40dbc923951892ef59d51800669b44e75c088215a4b30d80b45ed",
+        IC: "274dca1ebdfc72978c7273b9729b6ca7f963fe332ed967d61632ee32762c704d",
+        JI: "d90f10eb9bd9e73af21084498a5a936fa557eb420364202a3d686dddc7a36561",
+        LVD: "8b87d44fe1b0a66d53638a46c985ed1d9ab7f0f58c230737e4d7d0383b86898a",
+        TLC: "6e615caa8a0c1ab08a183b499c852879d95865fcf29e0ed7d61410c4aef136ed",
+    }
+    INAPPLICABLE = {
+        **{
+            (name, LVD): f"LVD: {NO_METHOD}"
+            for name in (
+                "bc-add-overload", "bc-pushdown-super", "bc-rename-dispatch",
+                "ce-field-type", "ce-interface-rename", "ce-pushdown-call",
+                "ce-removed-method", "ce-rename-broken", "pr-format", "pr-identity",
+                "pr-intro-const", "edge-constructor", "edge-enum", "edge-no-methods",
+                "edge-one-line", "edge-pool",
+            )
+        },
+        ("edge-enum", AF): f"AF: {NO_BODY}",
+        ("edge-enum", IC): f"IC: {NO_BODY}",
+        ("edge-one-line", AF): f"AF: {NO_BODY}",
+        ("edge-one-line", IC): f"IC: {NO_BODY}",
+        ("edge-pool", JI): "JI: every pool type already occurs",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CORPUS))
+    def test_transform_corpus(self, seed):
+        corpus = corpus_from_fixtures(java_fixtures.FIXTURES)
+        assert _variant_digest(transform_corpus(corpus, seed)) == self.CORPUS[seed]
+
+    def _sources(self):
+        fixtures = {f.id: source_set(**f.original) for f in java_fixtures.FIXTURES}
+        return {**fixtures, **EDGE_SOURCES}
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_apply_operator(self, op):
+        variants = [
+            apply_operator(src, op, seed, instance_id=name)
+            for name, src in self._sources().items()
+            if operator_applicable(index_structure(src), op)
+            for seed in range(5)
+        ]
+        assert _variant_digest(variants) == self.PER_OPERATOR[op]
+
+    def test_inapplicable_pairs_and_messages(self):
+        messages = {}
+        for name, src in self._sources().items():
+            for op in OPERATORS:
+                if not operator_applicable(index_structure(src), op):
+                    with pytest.raises(NoInsertionPoint) as err:
+                        apply_operator(src, op, seed=0)
+                    messages[name, op] = str(err.value)
+        assert messages == self.INAPPLICABLE
