@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 
@@ -54,17 +55,18 @@ class RunMatrix:
             if len(row) != self.attempts:
                 raise AnalyticsError("matrix is not rectangular")
 
-    def usable_rows(self) -> list[int]:
-        """Row indices without inconclusive cells."""
-        return [
+    @cached_property
+    def usable_rows(self) -> tuple[int, ...]:
+        """Row indices without inconclusive cells, found once per matrix."""
+        return tuple(
             i
             for i, row in enumerate(self.cells)
             if not any(cell.inconclusive for cell in row)
-        ]
+        )
 
     @property
     def dropped_rows(self) -> int:
-        return len(self.instance_ids) - len(self.usable_rows())
+        return len(self.instance_ids) - len(self.usable_rows)
 
 
 def matrix_from_outcomes(records: list[dict], name: str) -> RunMatrix:
@@ -110,8 +112,8 @@ def matrix_from_outcomes(records: list[dict], name: str) -> RunMatrix:
     )
 
 
-def _usable(m: RunMatrix) -> list[int]:
-    rows = m.usable_rows()
+def _usable(m: RunMatrix) -> tuple[int, ...]:
+    rows = m.usable_rows
     if not rows or m.attempts < 1:
         raise EmptyMatrix("no usable rows in matrix")
     return rows
@@ -270,7 +272,7 @@ def metric_report(m: RunMatrix) -> MetricReport:
             ce_at[k] = ce
     return MetricReport(
         backend_name=m.backend_name,
-        instances=len(m.usable_rows()),
+        instances=len(m.usable_rows),
         dropped_inconclusive=m.dropped_rows,
         attempts=m.attempts,
         mean_accuracy=mean_accuracy(m),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -141,17 +142,22 @@ def assess(
     backend_name: str = "",
     variant_tag: str = "",
     test_source: str | None | object = _SCAN,
+    provenance: Callable[[], dict] = dict,
 ) -> AssessmentOutcome:
     """Judge one attempt on a bug instance (ground truth BC or CE).
 
     A YES is always incorrect here: every instance is a confirmed bug.
     A caller that has already taken `checked_test(verdict)` passes it as
-    `test_source`, so the test is not scanned again.
+    `test_source`, so the test is not scanned again. `provenance` is
+    called once any claim is checked, and the fields it returns (prompt
+    hash, template and toolchain version, seed, temperature) go into the
+    outcome, so a slow lookup such as a toolchain version probe can
+    overlap the check.
     """
     if inst.label not in ("BC", "CE"):
         raise ValueError(f"assess() expects a bug instance, got label {inst.label}")
     return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
-                  test_source)
+                  test_source, provenance)
 
 
 def assess_preserving(
@@ -163,17 +169,18 @@ def assess_preserving(
     backend_name: str = "",
     variant_tag: str = "",
     test_source: str | None | object = _SCAN,
+    provenance: Callable[[], dict] = dict,
 ) -> AssessmentOutcome:
     """Judge one attempt on a behavior-preserving instance.
 
     Correct iff the model answers YES. NO verdicts are recorded with
     their claimed category for false-positive analysis. `test_source`
-    is as for assess().
+    and `provenance` are as for assess().
     """
     if inst.label != "PRESERVING":
         raise ValueError(f"assess_preserving() expects PRESERVING, got {inst.label}")
     return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
-                  test_source)
+                  test_source, provenance)
 
 
 _CLAIM_LABELS = {
@@ -191,6 +198,7 @@ def _judge(
     backend_name: str,
     variant_tag: str,
     test_source: str | None | object,
+    provenance: Callable[[], dict],
 ) -> AssessmentOutcome:
     """Score one attempt against any ground truth.
 
@@ -201,7 +209,8 @@ def _judge(
     base = _base(inst, verdict, attempt_index, backend_name, variant_tag)
     if isinstance(verdict, ParseFailure):
         return AssessmentOutcome(
-            correct=False, answer_label=PARSE_ERROR, parse_reason=verdict.reason, **base
+            correct=False, answer_label=PARSE_ERROR, parse_reason=verdict.reason, **base,
+            **provenance(),
         )
     base["explanation"] = verdict.explanation
     evidence, reflective, inconclusive = None, False, False
@@ -220,6 +229,7 @@ def _judge(
         reflective_test=reflective,
         inconclusive=inconclusive,
         **base,
+        **provenance(),
     )
 
 

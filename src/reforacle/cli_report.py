@@ -22,6 +22,7 @@ import threading
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from dataclasses import fields as dataclass_fields
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -176,14 +177,15 @@ def run_benchmark(
     """
     out_dir = Path(cfg.out_dir)
     outcomes_path = out_dir / "outcomes.jsonl"
-    with _VersionProbe(toolchain) as probe:
-        if not outcomes_path.exists():  # a fresh --out: every attempt is left to do
-            probe.start()
-        call_errors = _run_tasks(cfg, backends_impl, toolchain, probe, outcomes_path)
-
-    # a run whose every call failed has written no outcomes
     records = assessor.read_outcomes(outcomes_path) if outcomes_path.exists() else []
-    if not records:
+    with _VersionProbe(toolchain) as probe:
+        if not records:  # every attempt is left to do
+            probe.start()
+        written, call_errors = _run_tasks(cfg, backends_impl, toolchain, probe, outcomes_path,
+                                          records)
+    if written:  # else the reports come from the rows read for the resume check
+        records = assessor.read_outcomes(outcomes_path)
+    if not records:  # e.g. a run whose every call failed
         return RunArtifacts(outcomes_path=None, metrics_paths=[], stats_path=None,
                             telemetry={}, call_errors=call_errors)
     metrics_paths = write_metric_reports(records, out_dir)
@@ -201,14 +203,13 @@ def run_benchmark(
 
 def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                toolchain: java_executor.Toolchain, probe: _VersionProbe,
-               outcomes_path: Path) -> int:
-    """Schedule every attempt not yet in `outcomes_path`, run them and
-    append one row each; the number of failed model calls."""
+               outcomes_path: Path, records: list[dict]) -> tuple[int, int]:
+    """Schedule every attempt not among `records` (the rows already in
+    `outcomes_path`), run them and append one row each. The transcript
+    stores are opened only when an attempt is left to do. Returns (rows
+    appended, failed model calls); each attempt counts in one of them."""
     corpus = load_corpus(cfg.corpus_root)
     outcomes_path.parent.mkdir(parents=True, exist_ok=True)
-
-    replay_store = TranscriptStore(cfg.replay_path) if cfg.replay_path else None
-    record_store = TranscriptStore(cfg.record_path) if cfg.record_path else None
 
     variants_by_id: dict[str, metamorph.MetamorphicVariant] = {}
     if cfg.mode == METAMORPHIC_MODE:
@@ -216,19 +217,12 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
         for variant in metamorph.transform_corpus(corpus, cfg.master_seed):
             variants_by_id[variant.base_instance_id] = variant
 
-    done_keys = _completed_keys(outcomes_path)
+    done_keys = _completed_keys(records)
     override_template = _load_override_template(cfg)
     family = f"mt-{cfg.master_seed}" if cfg.mode == METAMORPHIC_MODE else ""
+    sweep = _sweep_configs(cfg)
     tasks: list[_Task] = []
-    clients: dict[str, ModelClient] = {}
-    for run_name, backend_cfg in _sweep_configs(cfg):
-        clients[run_name] = ModelClient(
-            backend_cfg,
-            backend=backends_impl.get(backend_cfg.name) if backends_impl is not None else None,
-            replay_store=replay_store,
-            record_store=record_store,
-            name=run_name,
-        )
+    for run_name, backend_cfg in sweep:
         for inst in corpus.instances:
             variant_tag = ""
             override = None
@@ -254,7 +248,21 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                         f"with another {prompt.template_version} prompt; rename the edited "
                         "template or use a new --out"
                     )
+    if not tasks:
+        return 0, 0
 
+    replay_store = TranscriptStore(cfg.replay_path) if cfg.replay_path else None
+    record_store = TranscriptStore(cfg.record_path) if cfg.record_path else None
+    clients = {
+        run_name: ModelClient(
+            backend_cfg,
+            backend=backends_impl.get(backend_cfg.name) if backends_impl is not None else None,
+            replay_store=replay_store,
+            record_store=record_store,
+            name=run_name,
+        )
+        for run_name, backend_cfg in sweep
+    }
     mode = prompting.DIFF_ONLY if cfg.mode == DIFF_ONLY_MODE else prompting.FULL_SOURCE
     write_lock = threading.Lock()
     call_errors = 0
@@ -272,14 +280,13 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
             backend_name=task.key.backend_name,
             variant_tag=task.prompt.variant_tag,
             test_source=test,
-        )
-        outcome = replace(
-            outcome,
-            prompt_hash=task.prompt.hash,
-            template_version=task.prompt.template_version,
-            toolchain_version=probe.result(),
-            seed=cfg.master_seed,
-            temperature=task.key.temperature,
+            provenance=lambda: {  # after the check, which overlaps the version probe
+                "prompt_hash": task.prompt.hash,
+                "template_version": task.prompt.template_version,
+                "toolchain_version": probe.result(),
+                "seed": cfg.master_seed,
+                "temperature": task.key.temperature,
+            },
         )
         with write_lock:
             assessor.write_outcomes([outcome], outcomes)
@@ -301,7 +308,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
         if cfg.jobs <= 1:
             for task in tasks:
                 run_task(task)
-            return call_errors
+            return len(tasks) - call_errors, call_errors
         # Threads only overlap waiting: an attempt that neither calls a
         # model nor checks a claim is finished on this thread, and the pool
         # gets the rest, so it never holds more than --jobs checks.
@@ -323,17 +330,15 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                 future.result()
         finally:  # on an error, drop the attempts no thread has started
             pool.shutdown(cancel_futures=True)
-    return call_errors
+    return len(tasks) - call_errors, call_errors
 
 
-def _completed_keys(outcomes_path: Path) -> dict[tuple[RunKey, str, str, int], str]:
+def _completed_keys(records: list[dict]) -> dict[tuple[RunKey, str, str, int], str]:
     """The stored prompt hash per done (RunKey, instance, variant, attempt)."""
-    if not outcomes_path.exists():
-        return {}
     return {
         (key, rec["instance_id"], rec.get("variant_tag", ""), rec["attempt_index"]):
             rec["prompt_hash"]
-        for key, rows in _runs(assessor.read_outcomes(outcomes_path)).items()
+        for key, rows in _runs(records).items()
         for rec in rows
     }
 
@@ -557,13 +562,31 @@ def _rate(rows: list[dict]) -> str:
 # ------------------------------------------------------------------- CLI
 
 
-def _load_backends(args) -> list[BackendConfig]:
+def _read_backends_file(path: str) -> dict[str, BackendConfig]:
+    """The backends a --backends-file defines, by name. A malformed entry is
+    a ConfigError naming the file, the entry's index and the bad key."""
+    doc = json.loads(Path(path).read_text("utf-8"))
+    if not isinstance(doc, list):
+        raise ConfigError(f"{path}: expected a JSON list of backend objects")
+    known = {f.name for f in dataclass_fields(BackendConfig)}
     configs: dict[str, BackendConfig] = {}
-    if getattr(args, "backends_file", None):
-        doc = json.loads(Path(args.backends_file).read_text("utf-8"))
-        for entry in doc:
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: entry {i} is a {type(entry).__name__}, not an object")
+        for key in entry:
+            if key not in known:
+                raise ConfigError(f"{path}: entry {i} has unknown key {key!r}")
+        try:
             cfg = BackendConfig(**entry)
-            configs[cfg.name] = cfg
+        except (TypeError, ValueError) as err:  # no name, or a value of the wrong type or range
+            raise ConfigError(f"{path}: entry {i}: {err}") from err
+        configs[cfg.name] = cfg
+    return configs
+
+
+def _load_backends(args) -> list[BackendConfig]:
+    backends_file = getattr(args, "backends_file", None)
+    configs = _read_backends_file(backends_file) if backends_file else {}
     chosen = []
     for name in args.backend:
         if name in configs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -86,7 +86,10 @@ class RenderedPrompt:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
+@cache
 def builtin_template(kind: str) -> PromptTemplate:
+    """The shipped template of `kind`, read from the package once per
+    process; the frozen template is shared by every render."""
     filename = _TEMPLATE_FILES[kind]
     body = (
         resources.files("reforacle").joinpath("templates", filename).read_text("utf-8")

@@ -243,6 +243,7 @@ class TestDefinitionalCases:
         )
         assert m.dropped_rows == 1
         assert mean_accuracy(m) == 1.0
+        assert m.usable_rows == (0,) and m.usable_rows is m.usable_rows  # found once
 
     def test_empty_matrix_raises(self):
         rows = ((Cell("SAID_CE", True, inconclusive=True),),)

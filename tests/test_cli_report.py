@@ -454,6 +454,85 @@ class TestRunKey:
         assert "telemetry.json" in reports
 
 
+def take_reports(out: Path) -> dict[str, bytes]:
+    """Every report file in `out` by name, deleted once read."""
+    reports = {}
+    for path in sorted(out.iterdir()):
+        if path.name != "outcomes.jsonl":
+            reports[path.name] = path.read_bytes()
+            path.unlink()
+    return reports
+
+
+class TestCompleteResume:
+    """A run into a finished --out opens no transcript store and writes its
+    reports from the rows it read for the resume check."""
+
+    @pytest.mark.parametrize("flag", ["--replay", "--record"])
+    def test_a_transcript_store_is_opened_only_for_work_left(
+        self, flag, mini_corpus_root, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: MockToolchain())
+        store, out = tmp_path / "store.jsonl", tmp_path / "out"
+        argv = ["run", "--corpus", str(mini_corpus_root), "--backend", "mock", "--out", str(out)]
+        assert main(argv + ["--record", str(store)]) == 0
+        reports = take_reports(out)
+        lines = store.read_text().splitlines(keepends=True)
+        store.write_text("".join(lines[:5] + ["{not json\n"] + lines[5:]))
+
+        assert main(argv + [flag, str(store)]) == 0
+        assert take_reports(out) == reports
+        outcomes = out / "outcomes.jsonl"
+        outcomes.write_text("".join(outcomes.read_text().splitlines(keepends=True)[1:]))
+        assert main(argv + [flag, str(store)]) == 2  # the store is read, and is malformed
+
+    def test_outcomes_are_read_once_unless_rows_are_appended(
+        self, mini_corpus_root, tmp_path, monkeypatch
+    ):
+        reads = []
+        read = assessor.read_outcomes
+
+        def counting_read(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(assessor, "read_outcomes", counting_read)
+        out = tmp_path / "out"
+
+        def run():
+            reads.clear()
+            run_benchmark(base_config(mini_corpus_root, out), backends_impl={"mock": ce_backend()},
+                          toolchain=scripted_toolchain(mini_corpus_root))
+            return len(reads)
+
+        assert run() == 1  # fresh: the reports read what the run wrote
+        assert run() == 1  # complete: the resume check's rows feed the reports
+        outcomes = out / "outcomes.jsonl"
+        outcomes.write_text("".join(outcomes.read_text().splitlines(keepends=True)[1:]))
+        assert run() == 2  # one row appended: read again for the reports
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reports_equal_those_of_the_full_run(self, jobs, mini_corpus_root, tmp_path):
+        backends = [BackendConfig(name="alpha"), BackendConfig(name="beta")]
+        store = tmp_path / "store.jsonl"
+        run_benchmark(base_config(mini_corpus_root, tmp_path / "record", backends=backends,
+                                  attempts=2, temperatures=[0.0, 0.5], record_path=str(store)),
+                      backends_impl={b.name: cycling_backend() for b in backends},
+                      toolchain=MockToolchain())
+        out = tmp_path / "out"
+        cfg = base_config(mini_corpus_root, out, backends=backends, attempts=2,
+                          temperatures=[0.0, 0.5], jobs=jobs, replay_path=str(store))
+        run_benchmark(cfg, backends_impl={}, toolchain=MockToolchain())
+        outcomes = (out / "outcomes.jsonl").read_bytes()
+        full = take_reports(out)
+        assert len(full) == 2 * 4 + 2  # metrics JSON and CSV per configuration, stats, telemetry
+
+        artifacts = run_benchmark(cfg, backends_impl={}, toolchain=MockToolchain())
+        assert artifacts.call_errors == 0
+        assert (out / "outcomes.jsonl").read_bytes() == outcomes
+        assert take_reports(out) == full
+
+
 BC_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "runnable test",
                         "junit_test": java_fixtures.VACUOUS_TEST})
 TWO_CLASS_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "two classes",
@@ -942,6 +1021,22 @@ class TestCliEntry:
         assert code == 0
         records = assessor.read_outcomes(out / "outcomes.jsonl")
         assert {r["backend_name"] for r in records} == {"local-sim"}
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "m", "endpoint": "mock", "temprature": 0.5}, "entry 1 has unknown key 'temprature'"),
+        ("m", "entry 1 is a str, not an object"),
+    ])
+    def test_a_malformed_backends_file_entry_is_a_config_error(
+        self, entry, message, mini_corpus_root, tmp_path, capsys
+    ):
+        backends_file = tmp_path / "backends.json"
+        backends_file.write_text(json.dumps([{"name": "ok", "endpoint": "mock"}, entry]))
+        out = tmp_path / "out"
+        code = main(["run", "--corpus", str(mini_corpus_root), "--backend", "ok",
+                     "--backends-file", str(backends_file), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {backends_file}: {message}"
+        assert not out.exists()
 
     def test_unknown_backend_is_config_error(self, mini_corpus_root, tmp_path):
         code = main(

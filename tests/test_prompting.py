@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 import java_fixtures
+from reforacle import prompting
 from reforacle.dataset import SourceSet
 from reforacle.diffs import unified_source_diff
 from reforacle.prompting import (
@@ -51,6 +54,21 @@ class TestTemplates:
         path.write_text("{code1} only, no second placeholder")
         with pytest.raises(BadTemplate):
             load_template(path, FULL_SOURCE)
+
+    def test_renders_read_each_builtin_template_once(self, monkeypatch):
+        files = prompting.resources.files
+        opened = []
+
+        def counting_files(package):
+            opened.append(package)
+            return files(package)
+
+        monkeypatch.setattr(prompting, "resources", SimpleNamespace(files=counting_files))
+        builtin_template.cache_clear()  # earlier tests in this process filled it
+        for i in range(5):
+            render_full_prompt(f"class A{i} {{}}", "class B {}")
+            render_diff_prompt(f"--- a\n+++ b\n-x{i}\n+y\n")
+        assert opened == ["reforacle", "reforacle"]  # one read per mode
 
 
 class TestRenderFull:
