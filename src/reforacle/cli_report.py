@@ -177,20 +177,21 @@ def run_benchmark(
     """
     out_dir = Path(cfg.out_dir)
     outcomes_path = out_dir / "outcomes.jsonl"
-    records = assessor.read_outcomes(outcomes_path) if outcomes_path.exists() else []
+    runs = _runs(assessor.read_outcomes(outcomes_path) if outcomes_path.exists() else [])
     with _VersionProbe(toolchain) as probe:
-        if not records:  # every attempt is left to do
+        if not runs:  # every attempt is left to do
             probe.start()
         written, call_errors = _run_tasks(cfg, backends_impl, toolchain, probe, outcomes_path,
-                                          records)
-    if written:  # else the reports come from the rows read for the resume check
-        records = assessor.read_outcomes(outcomes_path)
-    if not records:  # e.g. a run whose every call failed
+                                          runs)
+    if written:  # else the reports come from the rows grouped for the resume check
+        runs = _runs(assessor.read_outcomes(outcomes_path))
+    if not runs:  # e.g. a run whose every call failed
         return RunArtifacts(outcomes_path=None, metrics_paths=[], stats_path=None,
                             telemetry={}, call_errors=call_errors)
-    metrics_paths = write_metric_reports(records, out_dir)
-    stats_path = write_stats_report(records, out_dir)
-    telemetry = telemetry_summary(records)
+    view = _by_run(runs)
+    metrics_paths = write_metric_reports(view, out_dir)
+    stats_path = write_stats_report(view, out_dir)
+    telemetry = telemetry_summary(view)
     (out_dir / "telemetry.json").write_text(json.dumps(telemetry, indent=1), "utf-8")
     return RunArtifacts(
         outcomes_path=outcomes_path,
@@ -203,9 +204,9 @@ def run_benchmark(
 
 def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                toolchain: java_executor.Toolchain, probe: _VersionProbe,
-               outcomes_path: Path, records: list[dict]) -> tuple[int, int]:
-    """Schedule every attempt not among `records` (the rows already in
-    `outcomes_path`), run them and append one row each. The transcript
+               outcomes_path: Path, runs: dict[RunKey, list[dict]]) -> tuple[int, int]:
+    """Schedule every attempt not among `runs` (the rows already in
+    `outcomes_path`, grouped), run them and append one row each. The transcript
     stores are opened only when an attempt is left to do. Returns (rows
     appended, failed model calls); each attempt counts in one of them."""
     corpus = load_corpus(cfg.corpus_root)
@@ -217,7 +218,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
         for variant in metamorph.transform_corpus(corpus, cfg.master_seed):
             variants_by_id[variant.base_instance_id] = variant
 
-    done_keys = _completed_keys(records)
+    done_keys = _completed_keys(runs)
     override_template = _load_override_template(cfg)
     family = f"mt-{cfg.master_seed}" if cfg.mode == METAMORPHIC_MODE else ""
     sweep = _sweep_configs(cfg)
@@ -333,12 +334,12 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
     return len(tasks) - call_errors, call_errors
 
 
-def _completed_keys(records: list[dict]) -> dict[tuple[RunKey, str, str, int], str]:
+def _completed_keys(runs: dict[RunKey, list[dict]]) -> dict[tuple[RunKey, str, str, int], str]:
     """The stored prompt hash per done (RunKey, instance, variant, attempt)."""
     return {
         (key, rec["instance_id"], rec.get("variant_tag", ""), rec["attempt_index"]):
             rec["prompt_hash"]
-        for key, rows in _runs(records).items()
+        for key, rows in runs.items()
         for rec in rows
     }
 
@@ -357,19 +358,25 @@ def _runs(records: list[dict]) -> dict[RunKey, list[dict]]:
     return groups
 
 
-def _by_run(records: list[dict]) -> dict[str, list[dict]]:
-    """The one grouping every report reads: rows per RunKey in name order,
+def _by_run(runs: dict[RunKey, list[dict]]) -> dict[str, list[dict]]:
+    """The one view every report reads: the groups of `_runs` in name order,
     each sorted by (instance, attempt), so no report depends on row order.
     A name is the backend name plus `#<value>` for each key part that differs
-    among the configurations sharing it, empty values skipped (`mock#mt-7`)."""
-    groups = _runs(records)
+    among the configurations sharing it, empty values skipped (`mock#mt-7`).
+    A configuration with two rows for one (instance, attempt) is left out,
+    with a warning, rather than reported from either of them."""
+    at = itemgetter("instance_id", "attempt_index")
     named = {}
-    for key, rows in groups.items():
-        peers = [k for k in groups if k.backend_name == key.backend_name]
-        suffix = "".join(f"#{value}" for i, value in enumerate(key)
-                         if value and len({peer[i] for peer in peers}) > 1)
-        rows.sort(key=itemgetter("instance_id", "attempt_index"))
-        named[key.backend_name + suffix] = rows
+    for key, rows in runs.items():
+        peers = [k for k in runs if k.backend_name == key.backend_name]
+        name = key.backend_name + "".join(f"#{value}" for i, value in enumerate(key)
+                                          if value and len({peer[i] for peer in peers}) > 1)
+        rows.sort(key=at)
+        twice = next((at(r) for prev, r in zip(rows, rows[1:]) if at(prev) == at(r)), None)
+        if twice is None:
+            named[name] = rows
+        else:
+            logger.warning("no reports for %s: %s attempt %d appears twice", name, *twice)
     return dict(sorted(named.items()))
 
 
@@ -381,9 +388,9 @@ def _conclusive(rows: list[dict]) -> list[dict]:
     return [r for r in rows if not r.get("inconclusive")]
 
 
-def write_metric_reports(records: list[dict], out_dir: Path) -> list[Path]:
+def write_metric_reports(view: dict[str, list[dict]], out_dir: Path) -> list[Path]:
     paths = []
-    for name, rows in _by_run(records).items():
+    for name, rows in view.items():
         try:
             report = analytics.metric_report(analytics.matrix_from_outcomes(rows, name))
         except analytics.AnalyticsError as err:  # e.g. every row inconclusive
@@ -398,11 +405,11 @@ def write_metric_reports(records: list[dict], out_dir: Path) -> list[Path]:
     return paths
 
 
-def write_stats_report(records: list[dict], out_dir: Path) -> Path | None:
+def write_stats_report(view: dict[str, list[dict]], out_dir: Path) -> Path | None:
     """Wilson CIs per model plus pairwise exact McNemar with Holm, and
     Cochran's Q, over first-attempt conclusive outcomes."""
     per_model = {}
-    for name, rows in _by_run(records).items():
+    for name, rows in view.items():
         first = _conclusive(_first_attempts(rows))
         outcomes = {r["instance_id"]: bool(r["correct"]) for r in first}
         if outcomes:
@@ -464,9 +471,9 @@ def write_stats_report(records: list[dict], out_dir: Path) -> Path | None:
     return path
 
 
-def telemetry_summary(records: list[dict]) -> dict:
+def telemetry_summary(view: dict[str, list[dict]]) -> dict:
     summary: dict = {}
-    for name, rows in _by_run(records).items():
+    for name, rows in view.items():
         latencies = [r["latency_s"] for r in rows]
         summary[name] = {
             "calls": len(rows),
@@ -483,14 +490,11 @@ def telemetry_summary(records: list[dict]) -> dict:
     return summary
 
 
-def summarize(outcomes_path: str | Path, out_dir: str | Path) -> list[Path]:
+def summarize(view: dict[str, list[dict]], out_dir: Path) -> list[Path]:
     """Emit the summary CSVs: accuracy, per-type heatmap data, failure
     modes, telemetry, and the UNKNOWN adjudication worksheet."""
-    records = assessor.read_outcomes(outcomes_path)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     accuracy, heatmap, modes, unknowns = [], [], [], []
-    for name, rows in _by_run(records).items():
+    for name, rows in view.items():
         first = _first_attempts(rows)
         usable = _conclusive(first)
         bc = [r for r in usable if r["ground_label"] == "BC"]
@@ -524,7 +528,7 @@ def summarize(outcomes_path: str | Path, out_dir: str | Path) -> list[Path]:
             row["tokens_out"],
             f"{row['cost_total']:.4f}",
         ]
-        for name, row in telemetry_summary(records).items()
+        for name, row in telemetry_summary(view).items()
     ]
     paths = [
         _write_csv(out_dir / "accuracy_by_model.csv",
@@ -563,9 +567,13 @@ def _rate(rows: list[dict]) -> str:
 
 
 def _read_backends_file(path: str) -> dict[str, BackendConfig]:
-    """The backends a --backends-file defines, by name. A malformed entry is
-    a ConfigError naming the file, the entry's index and the bad key."""
-    doc = json.loads(Path(path).read_text("utf-8"))
+    """The backends a --backends-file defines, by name. A file that is not
+    JSON, or a malformed entry, is a ConfigError naming the file (and the
+    entry's index and the bad key)."""
+    try:
+        doc = json.loads(Path(path).read_text("utf-8"))
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}: not valid JSON: {err}") from err
     if not isinstance(doc, list):
         raise ConfigError(f"{path}: expected a JSON list of backend objects")
     known = {f.name for f in dataclass_fields(BackendConfig)}
@@ -764,28 +772,20 @@ def _dispatch(args) -> int:
         print("operators: " + ", ".join(f"{op}={n}" for op, n in counts.items()))
         return 0
 
-    if args.command == "metrics":
-        records = assessor.read_outcomes(args.outcomes)
+    if args.command in ("metrics", "stats", "summarize"):
+        view = _by_run(_runs(assessor.read_outcomes(args.outcomes)))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path in write_metric_reports(records, out_dir):
-            print(f"metrics: {path}")
-        return 0
-
-    if args.command == "stats":
-        records = assessor.read_outcomes(args.outcomes)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = write_stats_report(records, out_dir)
-        if path is None:
-            print("no stats: no configuration has a conclusive first attempt")
+        if args.command == "metrics":
+            for path in write_metric_reports(view, out_dir):
+                print(f"metrics: {path}")
+        elif args.command == "summarize":
+            for path in summarize(view, out_dir):
+                print(f"summary: {path}")
         else:
-            print(f"stats: {path}")
-        return 0
-
-    if args.command == "summarize":
-        for path in summarize(args.outcomes, args.out):
-            print(f"summary: {path}")
+            path = write_stats_report(view, out_dir)
+            print(f"stats: {path}" if path else
+                  "no stats: no configuration has a conclusive first attempt")
         return 0
 
     raise ConfigError(f"unknown command {args.command}")

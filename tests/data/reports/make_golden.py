@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 from reforacle import assessor, metamorph
-from reforacle.cli_report import main, telemetry_summary
+from reforacle.cli_report import _by_run, _runs, main, telemetry_summary
 
 HERE = Path(__file__).resolve().parent
 SEED = 20260418
@@ -157,7 +157,8 @@ if __name__ == "__main__":
     shutil.rmtree(expected, ignore_errors=True)
     write_golden(outcomes, expected / "outcomes")
     (expected / "telemetry.json").write_text(
-        json.dumps(telemetry_summary(assessor.read_outcomes(outcomes)), indent=1), "utf-8"
+        json.dumps(telemetry_summary(_by_run(_runs(assessor.read_outcomes(outcomes)))), indent=1),
+        "utf-8",
     )
     with tempfile.TemporaryDirectory() as tmp:
         paired = Path(tmp) / "paired.jsonl"

@@ -489,27 +489,39 @@ class TestCompleteResume:
     def test_outcomes_are_read_once_unless_rows_are_appended(
         self, mini_corpus_root, tmp_path, monkeypatch
     ):
-        reads = []
-        read = assessor.read_outcomes
+        reads, groupings = [], []
+        read, group = assessor.read_outcomes, cli_report._runs
 
         def counting_read(path):
             reads.append(path)
             return read(path)
 
+        def counting_group(records):
+            groupings.append(len(records))
+            return group(records)
+
         monkeypatch.setattr(assessor, "read_outcomes", counting_read)
+        monkeypatch.setattr(cli_report, "_runs", counting_group)
         out = tmp_path / "out"
 
         def run():
             reads.clear()
+            groupings.clear()
             run_benchmark(base_config(mini_corpus_root, out), backends_impl={"mock": ce_backend()},
                           toolchain=scripted_toolchain(mini_corpus_root))
-            return len(reads)
+            return len(reads), len(groupings)
 
-        assert run() == 1  # fresh: the reports read what the run wrote
-        assert run() == 1  # complete: the resume check's rows feed the reports
+        assert run() == (1, 2)  # fresh: the reports read and group what the run wrote
+        assert run() == (1, 1)  # complete: the resume check's grouping feeds the reports
         outcomes = out / "outcomes.jsonl"
         outcomes.write_text("".join(outcomes.read_text().splitlines(keepends=True)[1:]))
-        assert run() == 2  # one row appended: read again for the reports
+        assert run() == (2, 2)  # one row appended: read and grouped again for the reports
+        for command in ("metrics", "stats", "summarize"):
+            reads.clear()
+            groupings.clear()
+            assert main([command, "--outcomes", str(outcomes),
+                         "--out", str(tmp_path / command)]) == 0
+            assert (len(reads), len(groupings)) == (1, 1), command
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_reports_equal_those_of_the_full_run(self, jobs, mini_corpus_root, tmp_path):
@@ -803,6 +815,15 @@ class TestVersionProbe:
         assert not (out / "outcomes.jsonl").exists()
 
 
+def grouped(records: list[dict]) -> dict[str, list[dict]]:
+    """The view every report reads, grouped as the CLI groups it."""
+    return cli_report._by_run(cli_report._runs(records))
+
+
+def read_view(outcomes_path) -> dict[str, list[dict]]:
+    return grouped(assessor.read_outcomes(outcomes_path))
+
+
 class TestSummarize:
     def test_summary_tables(self, mini_corpus_root, tmp_path):
         cfg = base_config(mini_corpus_root, tmp_path / "out")
@@ -811,13 +832,13 @@ class TestSummarize:
             backends_impl={"mock": ce_backend()},
             toolchain=scripted_toolchain(mini_corpus_root),
         )
-        paths = summarize(artifacts.outcomes_path, tmp_path / "summary")
+        paths = summarize(read_view(artifacts.outcomes_path), tmp_path)
         names = {p.name for p in paths}
         assert "accuracy_by_model.csv" in names
         assert "heatmap_by_refactoring.csv" in names
         assert "failure_modes.csv" in names
         assert "telemetry.csv" in names
-        acc = (tmp_path / "summary" / "accuracy_by_model.csv").read_text().splitlines()
+        acc = (tmp_path / "accuracy_by_model.csv").read_text().splitlines()
         assert acc[0] == "model,overall,bc,ce,n,inconclusive"
         assert acc[1].startswith("mock,")
 
@@ -828,13 +849,13 @@ class TestSummarize:
             backends_impl={"mock": MockBackend('{"verdict": "UNKNOWN", "explanation": "?"}')},
             toolchain=scripted_toolchain(mini_corpus_root),
         )
-        paths = summarize(artifacts.outcomes_path, tmp_path / "summary")
+        paths = summarize(read_view(artifacts.outcomes_path), tmp_path)
         assert any(p.name == "unknown_adjudication.csv" for p in paths)
 
     def test_empty_outcomes_summary(self, tmp_path):
         outcomes = tmp_path / "outcomes.jsonl"
         outcomes.write_text("")
-        paths = summarize(outcomes, tmp_path / "summary")
+        paths = summarize(read_view(outcomes), tmp_path)
         assert paths  # tables exist, just empty
 
 
@@ -857,7 +878,7 @@ class TestGroupedView:
     def test_by_run_groups_in_name_order_sorted_by_instance_and_attempt(self):
         records = [row("b", "i2"), row("a@t=0.7", "i1"), row("b", "i1", attempt=2),
                    row("a@t=0.2", "i3"), row("b", "i1")]
-        groups = cli_report._by_run(records)
+        groups = grouped(records)
         assert list(groups) == ["a@t=0.2", "a@t=0.7", "b"]
         assert [(r["instance_id"], r["attempt_index"]) for r in groups["b"]] == [
             ("i1", 1), ("i1", 2), ("i2", 1)]
@@ -872,7 +893,7 @@ class TestGroupedView:
             {**row("m", "i1"), **base, "template_version": "diff_only_v1"},
             {**row("n", "i1"), **base, "variant_tag": "mt-7-AF"},
         ]
-        groups = cli_report._by_run(records)
+        groups = grouped(records)
         assert list(groups) == ["m#diff_only_v1", "m#full_source_v1",
                                 "m#full_source_v1#mt-7", "n"]
         assert [r["instance_id"] for r in groups["m#full_source_v1#mt-7"]] == ["i1", "i2"]
@@ -884,7 +905,7 @@ class TestGroupedView:
             row("m", "i2", attempt=1, inconclusive=True),
             {k: v for k, v in row("m", "i3", attempt=1).items() if k != "inconclusive"},
         ]
-        first = cli_report._first_attempts(rows)
+        first = cli_report._first_attempts(grouped(rows)["m"])
         assert [r["instance_id"] for r in first] == ["i1", "i2", "i3"]
         assert [r["instance_id"] for r in cli_report._conclusive(first)] == ["i1", "i3"]
 
@@ -897,7 +918,7 @@ class TestGroupedView:
             records += [row("a", inst, correct=a), row("b", inst, correct=b),
                         row("a", inst, attempt=2, correct=not a)]
         records += [row("a", "i6"), row("b", "i6", inconclusive=True)]
-        doc = json.loads(cli_report.write_stats_report(records, tmp_path).read_text())
+        doc = json.loads(cli_report.write_stats_report(grouped(records), tmp_path).read_text())
         (pair,) = doc["pairwise"]
         assert pair["pair"] == ["a", "b"]
         assert (pair["n11"], pair["n10"], pair["n01"], pair["n00"]) == (1, 2, 1, 1)
@@ -910,7 +931,7 @@ class TestGroupedView:
     ):
         records = [row("a", "i1"), row("b", "i1", correct=False), row("a", "i2"),
                    row("b", "i2"), row("c", "i1", inconclusive=True), row("c", "i2", attempt=2)]
-        doc = json.loads(cli_report.write_stats_report(records, tmp_path).read_text())
+        doc = json.loads(cli_report.write_stats_report(grouped(records), tmp_path).read_text())
         assert "no stats for c" in caplog.text
         assert list(doc["models"]) == ["a", "b"]
         (pair,) = doc["pairwise"]
@@ -920,20 +941,43 @@ class TestGroupedView:
 
     def test_no_conclusive_first_attempt_writes_no_stats(self, tmp_path):
         records = [row("a", "i1", inconclusive=True), row("a", "i1", attempt=2)]
-        assert cli_report.write_stats_report(records, tmp_path) is None
+        assert cli_report.write_stats_report(grouped(records), tmp_path) is None
         assert not (tmp_path / "stats.json").exists()
 
     def test_telemetry_summary_totals_every_attempt(self):
         records = [row("b", "i1", latency=1.0, cost=0.25, tokens_in=None),
                    row("a", "i1", latency=4.0),
                    row("b", "i1", attempt=2, latency=3.0, inconclusive=True, cost=None)]
-        summary = cli_report.telemetry_summary(records)
+        summary = cli_report.telemetry_summary(grouped(records))
         assert list(summary) == ["a", "b"]
         b = summary["b"]
         assert b["calls"] == 2
         assert b["latency_total_s"] == 4.0 and b["latency_median_s"] == 2.0
         assert (b["latency_min_s"], b["latency_max_s"]) == (1.0, 3.0)
         assert (b["tokens_in"], b["tokens_out"], b["cost_total"]) == (10, 10, 0.25)
+
+    def test_a_configuration_with_a_duplicate_row_is_left_out_of_every_report(
+        self, tmp_path, caplog
+    ):
+        rows = [{**row(name, inst), "schema": assessor.OUTCOME_SCHEMA, "ground_label": "CE",
+                 "answer_label": assessor.SAID_CE, "refactoring_type": "Rename Method"}
+                for name in ("kept", "dup") for inst in ("i1", "i2")]
+        twice = {**rows[2], "correct": False, "answer_label": assessor.SAID_YES}
+        outputs = []
+        for order in ([twice] + rows, rows + [twice]):
+            outcomes = tmp_path / f"outcomes-{len(outputs)}.jsonl"
+            outcomes.write_text("".join(json.dumps(r) + "\n" for r in order))
+            out = tmp_path / f"out-{len(outputs)}"
+            for command in ("metrics", "stats", "summarize"):
+                assert main([command, "--outcomes", str(outcomes), "--out", str(out)]) == 0
+            assert list(cli_report.telemetry_summary(read_view(outcomes))) == ["kept"]
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == [
+            "accuracy_by_model.csv", "failure_modes.csv", "heatmap_by_refactoring.csv",
+            "metrics-kept.csv", "metrics-kept.json", "stats.json", "telemetry.csv"]
+        assert not [name for name, content in outputs[0].items() if b"dup" in content]
+        assert "no reports for dup: i1 attempt 1 appears twice" in caplog.text
 
     def test_write_csv_writes_header_then_rows(self, tmp_path):
         path = cli_report._write_csv(tmp_path / "t.csv", ["x", "y"], [[1, "a,b"], [2, ""]])
@@ -1022,15 +1066,19 @@ class TestCliEntry:
         records = assessor.read_outcomes(out / "outcomes.jsonl")
         assert {r["backend_name"] for r in records} == {"local-sim"}
 
-    @pytest.mark.parametrize("entry, message", [
-        ({"name": "m", "endpoint": "mock", "temprature": 0.5}, "entry 1 has unknown key 'temprature'"),
-        ("m", "entry 1 is a str, not an object"),
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps([{"name": "ok", "endpoint": "mock"},
+                     {"name": "m", "endpoint": "mock", "temprature": 0.5}]),
+         "entry 1 has unknown key 'temprature'"),
+        (json.dumps([{"name": "ok", "endpoint": "mock"}, "m"]), "entry 1 is a str, not an object"),
+        ('[{"name": "ok", endpoint: "mock"}]', "not valid JSON: Expecting property name enclosed "
+         "in double quotes: line 1 column 17 (char 16)"),
     ])
     def test_a_malformed_backends_file_entry_is_a_config_error(
-        self, entry, message, mini_corpus_root, tmp_path, capsys
+        self, text, message, mini_corpus_root, tmp_path, capsys
     ):
         backends_file = tmp_path / "backends.json"
-        backends_file.write_text(json.dumps([{"name": "ok", "endpoint": "mock"}, entry]))
+        backends_file.write_text(text)
         out = tmp_path / "out"
         code = main(["run", "--corpus", str(mini_corpus_root), "--backend", "ok",
                      "--backends-file", str(backends_file), "--out", str(out)])

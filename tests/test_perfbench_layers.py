@@ -43,9 +43,10 @@ def test_every_traced_layer_resolves(tracer):
 
 
 def test_a_traced_replay_records_every_per_attempt_span(mini_corpus_root, tmp_path):
-    """perfbench/tracer.py over a replay at --jobs 2 with one checked claim:
-    the spans `run.py --trace 1` requires of every workload fire, the
-    per-attempt ones once per row or claim."""
+    """perfbench/tracer.py over a replay at --jobs 2 with one checked claim,
+    then over `summarize`: the spans `run.py --trace 1` requires of every
+    workload fire, the per-attempt ones once per row or claim and each
+    report writer once."""
     pytest.importorskip("tomllib")
     backend = BackendConfig(name="model", endpoint="local")
     answers = iter([CLAIM_ANSWER])
@@ -61,15 +62,16 @@ def test_a_traced_replay_records_every_per_attempt_span(mini_corpus_root, tmp_pa
     spans_path, out, tmp = tmp_path / "spans.jsonl", tmp_path / "out", tmp_path / "tmp"
     tmp.mkdir()
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", TMPDIR=str(tmp))
-    proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "tracer.py"), str(spans_path), "run",
-         "--corpus", str(mini_corpus_root), "--backend", "model",
-         "--backends-file", str(backends_file), "--replay", str(store),
-         "--jobs", "2", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr[-3000:]
-    spans = [json.loads(line)["name"] for line in spans_path.read_text().splitlines()]
+
+    def traced(*args: str) -> list[str]:
+        command = [sys.executable, str(PERFBENCH / "tracer.py"), str(spans_path), *args]
+        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        return [json.loads(line)["name"] for line in spans_path.read_text().splitlines()]
+
+    spans = traced("run", "--corpus", str(mini_corpus_root), "--backend", "model",
+                   "--backends-file", str(backends_file), "--replay", str(store),
+                   "--jobs", "2", "--out", str(out))
     rows = [json.loads(line) for line in (out / "outcomes.jsonl").read_text().splitlines()]
     claims = [r for r in rows if r["answer_label"].startswith("SAID_BC_")]
     assert len(rows) == 10 and len(claims) == 1
@@ -77,4 +79,9 @@ def test_a_traced_replay_records_every_per_attempt_span(mini_corpus_root, tmp_pa
     assert spans.count("model_client.query") == len(rows)
     assert spans.count("verdict_parser.extract") == len(claims)
     assert spans.count("java_executor.version") == 1
+    for name in ("completed_keys", "metric_reports", "stats_report", "telemetry"):
+        assert spans.count(f"cli_report.{name}") == 1, name
+    spans = traced("summarize", "--outcomes", str(out / "outcomes.jsonl"),
+                   "--out", str(tmp_path / "summary"))
+    assert spans.count("cli_report.summarize") == 1
     assert not [p for p in tmp.iterdir() if p.name.startswith("reforacle-")]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from reforacle import assessor
-from reforacle.cli_report import main, telemetry_summary
+from reforacle.cli_report import _by_run, _runs, main, telemetry_summary
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "reports"
 OUTCOMES = GOLDEN / "outcomes.jsonl"
@@ -66,4 +66,4 @@ def test_report_matches_golden(source, command, tmp_path):
 def test_telemetry_matches_golden(source, tmp_path):
     records = assessor.read_outcomes(_outcomes(source, tmp_path))
     expected = (GOLDEN / "expected" / "telemetry.json").read_text("utf-8")
-    assert json.dumps(telemetry_summary(records), indent=1) == expected
+    assert json.dumps(telemetry_summary(_by_run(_runs(records))), indent=1) == expected
