@@ -18,30 +18,23 @@ from pathlib import Path
 from . import java_executor, jsonl, verdict_parser
 from .dataset import BugInstance
 from .java_executor import DiscriminationResult, Toolchain
+# read_outcomes is imported only so that assessor.read_outcomes stays the
+# function perfbench/tracer.py wraps, until its LAYERS table names outcome_rows.
+from .outcome_rows import (  # noqa: F401
+    ANSWER_LABELS,
+    OUTCOME_SCHEMA,
+    PARSE_ERROR,
+    SAID_BC_TEST_NOT_COMPILING,
+    SAID_BC_TEST_NOT_DISCRIMINATING,
+    SAID_BC_VALID,
+    SAID_CE,
+    SAID_UNKNOWN,
+    SAID_YES,
+    read_outcomes,
+)
 from .verdict_parser import ModelVerdict, ParseFailure
 
 logger = logging.getLogger(__name__)
-
-OUTCOME_SCHEMA = 1
-
-# Answer labels
-SAID_YES = "SAID_YES"
-SAID_CE = "SAID_CE"
-SAID_BC_VALID = "SAID_BC_VALID"
-SAID_BC_TEST_NOT_COMPILING = "SAID_BC_TEST_NOT_COMPILING"
-SAID_BC_TEST_NOT_DISCRIMINATING = "SAID_BC_TEST_NOT_DISCRIMINATING"
-SAID_UNKNOWN = "SAID_UNKNOWN"
-PARSE_ERROR = "PARSE_ERROR"
-
-ANSWER_LABELS = (
-    SAID_YES,
-    SAID_CE,
-    SAID_BC_VALID,
-    SAID_BC_TEST_NOT_COMPILING,
-    SAID_BC_TEST_NOT_DISCRIMINATING,
-    SAID_UNKNOWN,
-    PARSE_ERROR,
-)
 
 
 def correct_answer_label(ground_label: str) -> str:
@@ -282,14 +275,3 @@ def write_outcomes(outcomes, out: str | Path | jsonl.Appender) -> None:
         out.write(lines)
     else:
         jsonl.append(out, lines)
-
-
-def read_outcomes(path: str | Path) -> list[dict]:
-    """Outcome records as dicts, without a torn last line; raises on
-    schema mismatch."""
-    rows = []
-    for n, doc in jsonl.records(path):
-        if doc.get("schema") != OUTCOME_SCHEMA:
-            raise ValueError(f"{path}:{n}: unsupported outcome schema {doc.get('schema')}")
-        rows.append(doc)
-    return rows

@@ -285,19 +285,25 @@ class RealToolchain(Toolchain):
     @contextmanager
     def _workspace(self, tag: str, given: str | Path | None):
         """The caller's workspace, left alone, or a new one that is deleted
-        once the call returns a result. A new workspace whose call raised
-        ToolchainError is kept for its invocations.log, and the error
-        names it."""
+        once the call ends. A new workspace whose call raised ToolchainError
+        is kept for its invocations.log, and the error names it; one whose
+        javac or java could not start (ToolchainUnavailable) holds nothing
+        to read and is deleted."""
         if given:
             yield Path(given).absolute()
             return
         ws = self._new_workspace(tag)
+        keep = False
         try:
             yield ws
         except ToolchainError as err:
-            err.args = (f"{err} (workspace kept: {ws})",)
+            keep = not isinstance(err, ToolchainUnavailable)
+            if keep:
+                err.args = (f"{err} (workspace kept: {ws})",)
             raise
-        shutil.rmtree(ws, ignore_errors=True)
+        finally:
+            if not keep:
+                shutil.rmtree(ws, ignore_errors=True)
 
     def _write_sources(self, src: SourceSet, workspace: Path) -> list[Path]:
         files = []
@@ -332,7 +338,7 @@ class RealToolchain(Toolchain):
             result = self._compile_in_worker(cmd[1:])
             if result is None:
                 result = _compile_one_shot(cmd)
-        except ToolchainError as err:  # the compile overran COMPILE_TIMEOUT_S
+        except ToolchainError as err:  # javac overran COMPILE_TIMEOUT_S or did not start
             _log_invocation(ws, cmd, str(err))
             raise
         returncode, diagnostics = result
@@ -424,6 +430,8 @@ class RealToolchain(Toolchain):
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=self.config.test_timeout_s
             )
+        except OSError as err:  # e.g. java lost its execute bit
+            raise ToolchainUnavailable(f"{cmd[0]} did not start: {err}") from err
         except subprocess.TimeoutExpired as err:
             _log_invocation(ws, cmd, "TIMEOUT")
             return TestRunResult(
@@ -531,6 +539,8 @@ def _compile_one_shot(cmd: list[str]) -> tuple[int, str]:
     """(exit code, diagnostics) of one javac process."""
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=COMPILE_TIMEOUT_S)
+    except OSError as err:
+        raise ToolchainUnavailable(f"{cmd[0]} did not start: {err}") from err
     except subprocess.TimeoutExpired as err:
         raise ToolchainError(f"javac exceeded {COMPILE_TIMEOUT_S:g} s") from err
     return proc.returncode, proc.stdout + proc.stderr

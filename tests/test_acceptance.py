@@ -18,7 +18,7 @@ import pytest
 
 import java_fixtures
 from conftest import SAMPLE_BC_OUTPUT, SAMPLE_CE_OUTPUT, SAMPLE_YES_OUTPUT
-from reforacle import analytics, assessor, cli_report, metamorph, stats
+from reforacle import analytics, assessor, metamorph, pipeline, stats
 from reforacle.analytics import Cell, RunMatrix
 from reforacle.dataset import BugInstance, SourceSet, load_corpus
 from reforacle.java_executor import FAIL, PASS, MockToolchain
@@ -387,28 +387,28 @@ def test_criterion_09_pipeline_determinism(mini_corpus_root, tmp_path):
             return toolchain
 
         store_path = tmp_path / "transcripts.jsonl"
-        record_cfg = cli_report.RunConfig(
+        record_cfg = pipeline.RunConfig(
             corpus_root=str(mini_corpus_root),
             backends=[BackendConfig(name="mock")],
             attempts=2,
             record_path=str(store_path),
             out_dir=str(tmp_path / "record"),
         )
-        cli_report.run_benchmark(
+        pipeline.run_benchmark(
             record_cfg, backends_impl={"mock": MockBackend(CE_ANSWER)}, toolchain=scripted()
         )
         assert len(TranscriptStore(store_path)) == 10 * 2
 
         replays = []
         for name in ("r1", "r2"):
-            cfg = cli_report.RunConfig(
+            cfg = pipeline.RunConfig(
                 corpus_root=str(mini_corpus_root),
                 backends=[BackendConfig(name="mock")],
                 attempts=2,
                 replay_path=str(store_path),
                 out_dir=str(tmp_path / name),
             )
-            artifacts = cli_report.run_benchmark(
+            artifacts = pipeline.run_benchmark(
                 cfg, backends_impl={}, toolchain=scripted()
             )
             replays.append(Path(artifacts.outcomes_path).read_bytes())
@@ -421,14 +421,14 @@ def test_criterion_09_pipeline_determinism(mini_corpus_root, tmp_path):
         (resumed_dir / "outcomes.jsonl").write_text(
             "\n".join(full_lines[: len(full_lines) // 2]) + "\n"
         )
-        cfg = cli_report.RunConfig(
+        cfg = pipeline.RunConfig(
             corpus_root=str(mini_corpus_root),
             backends=[BackendConfig(name="mock")],
             attempts=2,
             replay_path=str(store_path),
             out_dir=str(resumed_dir),
         )
-        artifacts = cli_report.run_benchmark(cfg, backends_impl={}, toolchain=scripted())
+        artifacts = pipeline.run_benchmark(cfg, backends_impl={}, toolchain=scripted())
 
         def keyed(text: str):
             rows = {}

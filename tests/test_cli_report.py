@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import subprocess
 import sys
 import threading
 import time
@@ -12,10 +14,19 @@ from pathlib import Path
 import pytest
 
 import java_fixtures
-from reforacle import assessor, cli_report, jsonl, verdict_parser
-from reforacle.cli_report import ConfigError, RunConfig, main, run_benchmark, summarize
+from reforacle import (
+    assessor,
+    cli_report,
+    java_executor,
+    jsonl,
+    outcome_rows,
+    pipeline,
+    verdict_parser,
+)
+from reforacle.cli_report import ConfigError, main, summarize
 from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain, ToolchainUnavailable
 from reforacle.model_client import BackendConfig, MockBackend, TranscriptStore
+from reforacle.pipeline import RunConfig, run_benchmark
 
 CE_ANSWER = '{"verdict": "NO - COMPILATION ERROR", "explanation": "does not compile", "junit_test": null}'
 YES_ANSWER = '{"verdict": "YES", "explanation": "fine", "junit_test": null}'
@@ -423,7 +434,7 @@ class TestRunKey:
 
         cfg = base_config(mini_corpus_root, tmp_path / "out", temperatures=[0.2],
                           backends=[BackendConfig(name="alpha"), BackendConfig(name="beta")])
-        with caplog.at_level("ERROR", logger="reforacle.cli_report"):
+        with caplog.at_level("ERROR", logger="reforacle.pipeline"):
             artifacts = run_benchmark(cfg, backends_impl={"alpha": Refusing(), "beta": ce_backend()},
                                       toolchain=scripted_toolchain(mini_corpus_root))
         assert artifacts.call_errors == 10
@@ -490,7 +501,7 @@ class TestCompleteResume:
         self, mini_corpus_root, tmp_path, monkeypatch
     ):
         reads, groupings = [], []
-        read, group = assessor.read_outcomes, cli_report._runs
+        read, group = outcome_rows.read_outcomes, cli_report._runs
 
         def counting_read(path):
             reads.append(path)
@@ -500,7 +511,7 @@ class TestCompleteResume:
             groupings.append(len(records))
             return group(records)
 
-        monkeypatch.setattr(assessor, "read_outcomes", counting_read)
+        monkeypatch.setattr(outcome_rows, "read_outcomes", counting_read)
         monkeypatch.setattr(cli_report, "_runs", counting_group)
         out = tmp_path / "out"
 
@@ -689,7 +700,7 @@ class TestOncePerAttempt:
                       backends_impl={"mock": cycling_backend()}, toolchain=MockToolchain())
 
         rendered, hashed, extracted, opened, writes = [], [], [], [], []
-        render, sha256 = cli_report._render, hashlib.sha256
+        render, sha256 = pipeline._render, hashlib.sha256
         extract = verdict_parser.extract_test_source
 
         def recording_render(*args, **kwargs):
@@ -708,7 +719,7 @@ class TestOncePerAttempt:
             opened.append(Path(path))
             return CountingFile(open(path, *args, **kwargs), writes)
 
-        monkeypatch.setattr(cli_report, "_render", recording_render)
+        monkeypatch.setattr(pipeline, "_render", recording_render)
         monkeypatch.setattr(hashlib, "sha256", recording_sha256)
         monkeypatch.setattr(verdict_parser, "extract_test_source", recording_extract)
         monkeypatch.setattr(jsonl, "open", recording_open, raising=False)
@@ -758,13 +769,13 @@ class TestVersionProbe:
                 probing.set()
                 return super().version()
 
-        load = cli_report.load_corpus
+        load = pipeline.load_corpus
 
         def load_after_the_probe_started(root):
             assert probing.wait(10), "the corpus loaded before the version probe started"
             return load(root)
 
-        monkeypatch.setattr(cli_report, "load_corpus", load_after_the_probe_started)
+        monkeypatch.setattr(pipeline, "load_corpus", load_after_the_probe_started)
         artifacts = run_benchmark(base_config(mini_corpus_root, tmp_path / "out"),
                                   backends_impl={"mock": ce_backend()}, toolchain=SignallingProbe())
         rows = assessor.read_outcomes(artifacts.outcomes_path)
@@ -1134,14 +1145,14 @@ class TestToolchainLifetime:
 
     def test_junit_cp_splits_on_the_path_separator(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli_report.java_executor, "find_jdk", seen.append)
+        monkeypatch.setattr(java_executor, "find_jdk", seen.append)
         monkeypatch.setattr(os, "pathsep", ";")  # as on Windows, where ":" ends a drive
         args = argparse.Namespace(compiler=None, junit_cp=r"C:\junit.jar;C:\hamcrest.jar")
         assert isinstance(cli_report._toolchain_from_args(args), NullToolchain)
         assert seen == [(r"C:\junit.jar", r"C:\hamcrest.jar")]
 
     def test_no_jdk_gives_a_null_toolchain(self, monkeypatch):
-        monkeypatch.setattr(cli_report.java_executor, "find_jdk", lambda entries: None)
+        monkeypatch.setattr(java_executor, "find_jdk", lambda entries: None)
         args = argparse.Namespace(compiler=None, junit_cp=None)
         toolchain = cli_report._toolchain_from_args(args)
         assert isinstance(toolchain, NullToolchain)
@@ -1150,7 +1161,7 @@ class TestToolchainLifetime:
     def test_validate_without_a_jdk_is_a_config_error(
         self, mini_corpus_root, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setattr(cli_report.java_executor, "find_jdk", lambda entries: None)
+        monkeypatch.setattr(java_executor, "find_jdk", lambda entries: None)
         out = tmp_path / "out"
         assert main(["validate", "--corpus", str(mini_corpus_root), "--out", str(out)]) == 2
         assert "validate needs a JDK" in capsys.readouterr().err
@@ -1167,3 +1178,74 @@ class TestToolchainLifetime:
             argv += ["--backend", "mock"]
         assert main(argv) == 2
         assert capsys.readouterr().err.strip() == f"error: compiler not found: {missing}"
+
+
+GOLDEN_OUTCOMES = Path(__file__).resolve().parent / "data" / "reports" / "outcomes.jsonl"
+PIPELINE_MODULES = {"pipeline", "assessor", "java_executor", "model_client", "verdict_parser",
+                    "prompting", "dataset", "metamorph", "diffs", "javalex"}
+# The CLI in a fresh interpreter: argv[1] gets the reforacle modules it loaded.
+FRESH_CLI = """
+import json, sys
+from reforacle.cli_report import main
+try:
+    status = main(sys.argv[2:])
+finally:
+    with open(sys.argv[1], "w") as fh:
+        json.dump(sorted(m for m in sys.modules if m.startswith("reforacle.")), fh)
+sys.exit(status)
+"""
+
+
+def fresh_cli(tmp_path: Path, *args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """(the process, the modules it loaded, without the package prefix)."""
+    loaded = tmp_path / "loaded.json"
+    src = str(Path(cli_report.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, str(loaded), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc, {name.removeprefix("reforacle.") for name in json.loads(loaded.read_text())}
+
+
+class TestReportCommandsLoadNoPipeline:
+    @pytest.mark.parametrize("command", ["metrics", "stats", "summarize"])
+    def test_a_report_command_loads_no_pipeline_module(self, command, tmp_path):
+        out = tmp_path / "out"
+        proc, loaded = fresh_cli(tmp_path, command, "--outcomes", str(GOLDEN_OUTCOMES),
+                                 "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert list(out.iterdir())
+        assert not loaded & PIPELINE_MODULES
+        if command == "summarize":
+            assert not loaded & {"analytics", "stats"}
+
+
+class TestExitContract:
+    """A ToolchainError or ConfigError still prints `error: ...` and exits 2,
+    though cli_report loads java_executor only for a command that needs it."""
+
+    def test_a_missing_compiler_is_a_config_error(self, tmp_path):
+        missing = str(tmp_path / "nonexistent")
+        args = argparse.Namespace(compiler=missing, java="java", junit_cp=None)
+        with pytest.raises(ConfigError, match=re.escape(f"compiler not found: {missing}")):
+            cli_report._toolchain_from_args(args)
+
+    @pytest.mark.parametrize("compiler", ["cannot-start", "nonexistent"])
+    def test_a_fresh_interpreter_exits_2_with_the_error(self, compiler, mini_corpus_root,
+                                                        tmp_path):
+        javac = tmp_path / compiler
+        if compiler == "cannot-start":  # a ToolchainError from the version probe
+            javac.write_text(f"#!{tmp_path / 'no-such-interpreter'}\n")
+            javac.chmod(0o755)
+            message = f"error: {javac} -version: "
+        else:  # a ConfigError
+            message = f"error: compiler not found: {javac}"
+        out = tmp_path / "out"
+        proc, loaded = fresh_cli(tmp_path, "run", "--corpus", str(mini_corpus_root),
+                                 "--backend", "mock", "--out", str(out),
+                                 "--compiler", str(javac), "--java", sys.executable)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1].startswith(message)
+        assert "Traceback" not in proc.stderr
+        assert "java_executor" in loaded
+        assert not (out / "outcomes.jsonl").exists()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import java_fixtures
-from reforacle import java_executor
+from reforacle import assessor, java_executor
 from reforacle.dataset import SourceSet
 from reforacle.java_executor import (
     DID_NOT_COMPILE,
@@ -31,6 +31,7 @@ from reforacle.java_executor import (
     uses_reflection,
 )
 from reforacle.java_executor import TestRunResult as RunResult
+from test_assessor import BC_INSTANCE, verdict_of
 
 
 def src(**files) -> SourceSet:
@@ -565,6 +566,53 @@ class TestVersionProbe:
         monkeypatch.setattr(java_executor.subprocess, "run", fail)
         with pytest.raises(ToolchainUnavailable, match="-version"):
             toolchain.version()
+
+
+class TestLaunchFailure:
+    """A javac or java that cannot be started: the claim is inconclusive,
+    not a crash, and its workspace is deleted."""
+
+    def toolchain(self, tmp_path, broken: str) -> RealToolchain:
+        """Stand-in javac and java that exit 0, with `broken` made
+        non-executable once the toolchain is built."""
+        jdk = tmp_path / "jdk"
+        jdk.mkdir()
+        for name in ("javac", "java"):
+            (jdk / name).write_text("#!/bin/sh\nexit 0\n")
+            (jdk / name).chmod(0o755)
+        config = java_executor.ToolchainConfig(
+            javac_path=str(jdk / "javac"), java_path=str(jdk / "java"),
+            junit_classpath=("junit.jar",),
+        )
+        toolchain = RealToolchain(config, workspace_root=tmp_path / "ws")
+        (jdk / broken).chmod(0o644)
+        return toolchain
+
+    @pytest.mark.parametrize("broken", ["java", "javac"])
+    def test_a_claim_is_inconclusive_and_leaves_no_workspace(self, broken, tmp_path):
+        toolchain = self.toolchain(tmp_path, broken)
+        verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST)
+        with pytest.raises(ToolchainUnavailable, match=f"{broken} did not start"):
+            toolchain.check_discriminating(java_fixtures.VACUOUS_TEST, FIG1_ORIGINAL,
+                                           FIG1_RESULTING)
+        outcome = assessor.assess(BC_INSTANCE, verdict, toolchain)
+        toolchain.close()
+        assert outcome.inconclusive and not outcome.correct
+        assert outcome.answer_label == assessor.SAID_BC_TEST_NOT_COMPILING
+        assert list((tmp_path / "ws").iterdir()) == []
+
+    def test_any_other_error_deletes_the_workspace(self, tmp_path, monkeypatch):
+        toolchain = self.toolchain(tmp_path, "java")
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(java_executor.subprocess, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            toolchain.check_discriminating(java_fixtures.VACUOUS_TEST, FIG1_ORIGINAL,
+                                           FIG1_RESULTING)
+        toolchain.close()
+        assert list((tmp_path / "ws").iterdir()) == []
 
 
 class TestRunTestWithoutJUnit:

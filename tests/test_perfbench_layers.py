@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import java_fixtures
-from reforacle.cli_report import RunConfig, run_benchmark
 from reforacle.java_executor import MockToolchain
 from reforacle.model_client import BackendConfig, MockBackend
+from reforacle.pipeline import RunConfig, run_benchmark
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 YES_ANSWER = json.dumps({"verdict": "YES", "explanation": "fine", "junit_test": None})
