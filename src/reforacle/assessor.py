@@ -253,10 +253,7 @@ def _validate_bc_claim(
     except java_executor.ToolchainError as err:
         logger.warning("inconclusive assessment for %s: %s", inst.id, err)
         return SAID_BC_TEST_NOT_COMPILING, None, reflective, True
-    if (
-        evidence.on_original.outcome == java_executor.DID_NOT_COMPILE
-        or evidence.on_resulting.outcome == java_executor.DID_NOT_COMPILE
-    ):
+    if not evidence.compiled:
         return SAID_BC_TEST_NOT_COMPILING, evidence, reflective, False
     if reflective:
         # reflective tests step outside the client-observable equivalence

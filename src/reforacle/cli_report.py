@@ -17,8 +17,10 @@ import itertools
 import json
 import logging
 import os
+import signal
 import statistics as pystats
 import sys
+import threading
 from collections import Counter
 from operator import itemgetter
 from pathlib import Path
@@ -31,11 +33,11 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-FULL_SOURCE_MODE = "FullSource"
-DIFF_ONLY_MODE = "DiffOnly"
-PRESERVING_MODE = "Preserving"
-METAMORPHIC_MODE = "Metamorphic"
-MODES = (FULL_SOURCE_MODE, DIFF_ONLY_MODE, PRESERVING_MODE, METAMORPHIC_MODE)
+# the values of `run --mode`
+FULL_SOURCE_MODE = "fullsource"
+DIFF_ONLY_MODE = "diffonly"
+METAMORPHIC_MODE = "metamorphic"
+MODES = (FULL_SOURCE_MODE, DIFF_ONLY_MODE, METAMORPHIC_MODE)
 
 
 class ConfigError(ValueError):
@@ -313,11 +315,8 @@ def _toolchain_from_args(args) -> java_executor.Toolchain:
     return java_executor.RealToolchain(found) if found else java_executor.NullToolchain()
 
 
-def _toolchain_error() -> type[Exception]:
-    """java_executor.ToolchainError, if a command has loaded that module;
-    until one has, no ToolchainError can have been raised."""
-    module = sys.modules.get(f"{__package__}.java_executor")
-    return module.ToolchainError if module is not None else ConfigError
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -342,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--temperature", default="")
     p_run.add_argument(
         "--mode",
-        choices=[m.lower() for m in MODES] + list(MODES),
+        choices=MODES,
         default=FULL_SOURCE_MODE,
     )
     p_run.add_argument("--seed", type=int)
@@ -375,18 +374,31 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
+    # While a command runs, SIGTERM exits with 143 the way an error does, so
+    # every `finally` and `with` on the way out runs: workspaces are deleted,
+    # javac/java children killed, compile workers stopped. Only the main
+    # thread may set a handler; the caller's is restored on return.
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm) if on_main_thread else None
     try:
         return _dispatch(args)
-    except (ConfigError, OSError, ValueError, _toolchain_error()) as err:
+    except (ConfigError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def _dispatch(args) -> int:
     if args.command not in ("metrics", "stats", "summarize"):
-        from . import pipeline  # run, validate, metamorph: corpus, model and toolchain code
+        # run, validate, metamorph: corpus, model and toolchain code
+        from . import java_executor, pipeline
 
-        return pipeline.dispatch(args)
+        try:
+            return pipeline.dispatch(args)
+        except java_executor.ToolchainError as err:
+            raise ConfigError(str(err)) from err
     view = _by_run(_runs(outcome_rows.read_outcomes(args.outcomes)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

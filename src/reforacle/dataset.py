@@ -277,20 +277,12 @@ def validate_instance(inst: BugInstance, toolchain) -> ValidationReport:
         disc = toolchain.check_discriminating(
             inst.exposing_test, inst.original, inst.resulting
         )
-        compiled_both = (
-            disc.on_original.outcome != java_executor.DID_NOT_COMPILE
-            and disc.on_resulting.outcome != java_executor.DID_NOT_COMPILE
-        )
-        report.test_compiles_on_both = compiled_both
+        report.test_compiles_on_both = disc.compiled
         report.test_discriminates = disc.discriminates
         report.logs["test_on_original"] = disc.on_original.runner_output
         report.logs["test_on_resulting"] = disc.on_resulting.runner_output
         report.ground_truth_confirmed = (
-            orig.success
-            and res.success
-            and compiled_both
-            and disc.on_original.outcome == java_executor.PASS
-            and disc.on_resulting.outcome != java_executor.PASS
+            orig.success and res.success and disc.passing_side == "original"
         )
         return report
     except java_executor.ToolchainError as err:

@@ -7,7 +7,7 @@ import difflib
 from .dataset import SourceSet
 
 
-def unified_source_diff(original: SourceSet, resulting: SourceSet, context: int = 3) -> str:
+def unified_source_diff(original: SourceSet, resulting: SourceSet) -> str:
     """difflib-style unified diff over all files of the two versions.
 
     Files are matched by relative path; files present in only one version
@@ -29,7 +29,6 @@ def unified_source_diff(original: SourceSet, resulting: SourceSet, context: int 
             after,
             fromfile=f"a/{path}",
             tofile=f"b/{path}",
-            n=context,
             lineterm="",
         )
         chunks.extend(diff)

@@ -85,30 +85,28 @@ class TestRunResult:
 
 @dataclass(frozen=True)
 class DiscriminationResult:
+    """One test's runs on the original and on the resulting program."""
+
     on_original: TestRunResult
     on_resulting: TestRunResult
-    discriminates: bool
-    # which side the test passes on, when it discriminates
-    passing_side: str = ""  # "original" | "resulting" | ""
 
+    @property
+    def compiled(self) -> bool:
+        """The test compiled against both versions."""
+        return DID_NOT_COMPILE not in (self.on_original.outcome, self.on_resulting.outcome)
 
-def discrimination(on_original: TestRunResult, on_resulting: TestRunResult) -> DiscriminationResult:
-    """Combine two runs; discriminates iff compiled on both and exactly one PASS."""
-    compiled = (
-        on_original.outcome != DID_NOT_COMPILE
-        and on_resulting.outcome != DID_NOT_COMPILE
-    )
-    passes = [r.outcome == PASS for r in (on_original, on_resulting)]
-    disc = compiled and (passes[0] != passes[1])
-    side = ""
-    if disc:
-        side = "original" if passes[0] else "resulting"
-    return DiscriminationResult(
-        on_original=on_original,
-        on_resulting=on_resulting,
-        discriminates=disc,
-        passing_side=side,
-    )
+    @property
+    def passing_side(self) -> str:
+        """The side the test passes on, "original" or "resulting", when it
+        compiled on both sides and passes on exactly one; else ""."""
+        passes = (self.on_original.outcome == PASS, self.on_resulting.outcome == PASS)
+        if not self.compiled or passes[0] == passes[1]:
+            return ""
+        return "original" if passes[0] else "resulting"
+
+    @property
+    def discriminates(self) -> bool:
+        return self.passing_side != ""
 
 
 def uses_reflection(test_source: str) -> bool:
@@ -122,8 +120,7 @@ class ToolchainConfig:
     java_path: str = "java"
     junit_classpath: tuple[str, ...] = ()
     test_timeout_s: float = DEFAULT_TEST_TIMEOUT_S
-    # JUnit 4 runner by default; point at the platform console launcher
-    # (with a vintage engine on the classpath) to run under JUnit 5
+    # a main class that runs the test class named as its one argument
     runner_main: str = "org.junit.runner.JUnitCore"
 
 
@@ -152,12 +149,10 @@ class Toolchain:
     def version(self) -> str:
         raise NotImplementedError
 
-    def compile(self, src: SourceSet, workspace: str | Path | None = None) -> CompileResult:
+    def compile(self, src: SourceSet) -> CompileResult:
         raise NotImplementedError
 
-    def run_test(
-        self, program: SourceSet, test_source: str, workspace: str | Path | None = None
-    ) -> TestRunResult:
+    def run_test(self, program: SourceSet, test_source: str) -> TestRunResult:
         raise NotImplementedError
 
     def check_discriminating(
@@ -179,31 +174,26 @@ class Toolchain:
         sides = [(p, (source_set_hash(p), test_hash)) for p in (original, resulting)]
         runs: dict[tuple[str, str], Future] = {}  # every side's run, wherever it is made
         ran: dict[tuple[str, str], TestRunResult] = {}  # the runs made by this call
-        while True:
-            claim = None
+        for program, key in sides:
+            if key in runs:  # identical versions
+                continue
             with self._runs_lock:
-                for program, key in sides:
-                    if key in runs:
-                        continue
-                    if key in self._runs:
-                        runs[key] = self._runs[key]
-                        continue
-                    claim = program, key
-                    runs[key] = self._runs[key] = Future()
-                    break
-            if claim is None:
-                break
-            program, key = claim
+                claimed = key not in self._runs
+                if claimed:
+                    self._runs[key] = Future()
+                run = runs[key] = self._runs[key]
+            if not claimed:
+                continue
             try:
                 ran[key] = self.run_test(program, test_source)
             except BaseException as err:
                 with self._runs_lock:
                     self._runs.pop(key, None)  # gone if a mock was re-scripted meanwhile
-                runs[key].set_exception(err)
+                run.set_exception(err)
                 raise
-            runs[key].set_result(ran[key])
+            run.set_result(ran[key])
         # identical versions share a key: the run counts once, on the first side
-        return discrimination(*(
+        return DiscriminationResult(*(
             ran.pop(key) if key in ran else replace(runs[key].result(), elapsed_s=0.0)
             for _, key in sides
         ))
@@ -219,12 +209,10 @@ class NullToolchain(Toolchain):
     def version(self) -> str:
         return "none"
 
-    def compile(self, src: SourceSet, workspace: str | Path | None = None) -> CompileResult:
+    def compile(self, src: SourceSet) -> CompileResult:
         raise ToolchainUnavailable("no JDK configured")
 
-    def run_test(
-        self, program: SourceSet, test_source: str, workspace: str | Path | None = None
-    ) -> TestRunResult:
+    def run_test(self, program: SourceSet, test_source: str) -> TestRunResult:
         raise ToolchainUnavailable("no JDK configured")
 
 
@@ -241,7 +229,7 @@ class RealToolchain(Toolchain):
     fresh JVM. Call close() to stop the workers.
     """
 
-    def __init__(self, config: ToolchainConfig, workspace_root: str | Path | None = None) -> None:
+    def __init__(self, config: ToolchainConfig) -> None:
         javac = shutil.which(config.javac_path)
         if javac is None:
             raise ToolchainUnavailable(f"compiler not found: {config.javac_path}")
@@ -249,7 +237,6 @@ class RealToolchain(Toolchain):
             raise ToolchainUnavailable(f"runtime not found: {config.java_path}")
         super().__init__()
         self.config = config
-        self.workspace_root = Path(workspace_root) if workspace_root else None
         self._version: str | None = None
         # the launcher of javac's own JDK, so workers compile as javac does;
         # None once workers are known not to start
@@ -275,23 +262,17 @@ class RealToolchain(Toolchain):
 
     def _new_workspace(self, tag: str) -> Path:
         try:
-            base = self.workspace_root
-            if base is not None:
-                base.mkdir(parents=True, exist_ok=True)
-            return Path(tempfile.mkdtemp(prefix=f"reforacle-{tag}-", dir=base)).absolute()
+            return Path(tempfile.mkdtemp(prefix=f"reforacle-{tag}-")).absolute()
         except OSError as err:
             raise WorkspaceCreationFailed(str(err)) from err
 
     @contextmanager
-    def _workspace(self, tag: str, given: str | Path | None):
-        """The caller's workspace, left alone, or a new one that is deleted
-        once the call ends. A new workspace whose call raised ToolchainError
-        is kept for its invocations.log, and the error names it; one whose
-        javac or java could not start (ToolchainUnavailable) holds nothing
-        to read and is deleted."""
-        if given:
-            yield Path(given).absolute()
-            return
+    def _workspace(self, tag: str):
+        """A new workspace under the temp directory, deleted once the call
+        ends. One whose call raised ToolchainError is kept for its
+        invocations.log, and the error names it; one whose javac or java
+        could not start (ToolchainUnavailable) holds nothing to read and is
+        deleted."""
         ws = self._new_workspace(tag)
         keep = False
         try:
@@ -314,15 +295,13 @@ class RealToolchain(Toolchain):
             files.append(path)
         return files
 
-    def compile(self, src: SourceSet, workspace: str | Path | None = None) -> CompileResult:
+    def compile(self, src: SourceSet) -> CompileResult:
         """Write all files and compile them together in one javac call.
 
         The paths are absolute, because a warm worker's working directory
         is fixed when it starts.
         """
-        if not src.files:
-            raise WorkspaceCreationFailed("empty source set")
-        with self._workspace("compile", workspace) as ws:
+        with self._workspace("compile") as ws:
             return self._compile_in(src, ws)
 
     def _compile_in(self, src: SourceSet, ws: Path) -> CompileResult:
@@ -389,12 +368,7 @@ class RealToolchain(Toolchain):
         for worker in workers:
             worker.close()
 
-    def run_test(
-        self,
-        program: SourceSet,
-        test_source: str,
-        workspace: str | Path | None = None,
-    ) -> TestRunResult:
+    def run_test(self, program: SourceSet, test_source: str) -> TestRunResult:
         """Compile program + test together, then run the single JUnit test."""
         if not self.config.junit_classpath:
             # the runner main can only come from the JUnit classpath
@@ -402,7 +376,7 @@ class RealToolchain(Toolchain):
         test_class = javalex.top_level_public_class(test_source)
         if test_class is None:
             raise ToolchainError("test must declare exactly one public class")
-        with self._workspace("test", workspace) as ws:
+        with self._workspace("test") as ws:
             return self._run_test_in(program, test_source, test_class, ws)
 
     def _run_test_in(
@@ -410,7 +384,7 @@ class RealToolchain(Toolchain):
     ) -> TestRunResult:
         test_rel = _test_relative_path(test_source, test_class)
         combined = SourceSet(files=program.files + ((test_rel, test_source),))
-        compile_result = self.compile(combined, ws)
+        compile_result = self._compile_in(combined, ws)
         if not compile_result.success:
             return TestRunResult(
                 outcome=DID_NOT_COMPILE,
@@ -419,12 +393,7 @@ class RealToolchain(Toolchain):
             )
         classpath = _join_cp((str(ws / "classes"),) + self.config.junit_classpath)
         qualified = _qualified_test_class(test_source, test_class)
-        runner = self.config.runner_main
-        if "ConsoleLauncher" in runner or "console" in runner:
-            runner_args = ["--select-class", qualified, "--disable-ansi-colors"]
-        else:
-            runner_args = [qualified]
-        cmd = [self.config.java_path, "-cp", classpath, runner] + runner_args
+        cmd = [self.config.java_path, "-cp", classpath, self.config.runner_main, qualified]
         start = time.monotonic()
         try:
             proc = subprocess.run(
@@ -444,7 +413,7 @@ class RealToolchain(Toolchain):
         _log_invocation(ws, cmd, output)
         if proc.returncode == 0:
             outcome = PASS
-        elif _FAILURE_MARKER.search(output):
+        elif _FAILURE_MARKER in output:
             outcome = FAIL
         else:
             outcome = ERROR
@@ -587,9 +556,7 @@ class MockToolchain(Toolchain):
         )
         self._runs.clear()
 
-    def compile(self, src: SourceSet, workspace: str | Path | None = None) -> CompileResult:
-        if not src.files:
-            raise WorkspaceCreationFailed("empty source set")
+    def compile(self, src: SourceSet) -> CompileResult:
         key = source_set_hash(src)
         if key in self._compile_table:
             return self._compile_table[key]
@@ -599,12 +566,7 @@ class MockToolchain(Toolchain):
             elapsed_s=0.0,
         )
 
-    def run_test(
-        self,
-        program: SourceSet,
-        test_source: str,
-        workspace: str | Path | None = None,
-    ) -> TestRunResult:
+    def run_test(self, program: SourceSet, test_source: str) -> TestRunResult:
         compile_result = self.compile(program)
         if not compile_result.success:
             return TestRunResult(
@@ -632,8 +594,8 @@ def _text_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# failure summaries of the JUnit 4 runner and the platform console launcher
-_FAILURE_MARKER = re.compile(r"FAILURES!!!|\b[1-9]\d* tests? failed")
+# the JUnit 4 runner's summary when a test failed
+_FAILURE_MARKER = "FAILURES!!!"
 
 _PACKAGE_RE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
 

@@ -40,7 +40,6 @@ class BraceContext:
     kind: str
     open_line: int  # 0-based
     close_line: int = -1
-    depth: int = 0
     type_keyword: str = ""   # for TYPE_BODY: class/interface/enum/record
     name: str = ""           # type or method name when recognized
     is_constructor: bool = False
@@ -54,7 +53,6 @@ class FileScan:
     """Result of scanning one Java source file."""
 
     lines: list[str]
-    ends_with_newline: bool
     identifiers: set[str] = field(default_factory=set)
     contexts: list[BraceContext] = field(default_factory=list)
     # True at index i when the boundary *after* line i is in plain code
@@ -98,10 +96,9 @@ _IDENT_PART = _IDENT_START | frozenset("0123456789")
 def scan_file(text: str, path: str = "<source>") -> FileScan:
     """Scan one file; raises UnbalancedBraces/UnterminatedLiteral."""
     raw_lines = text.split("\n")
-    ends_nl = text.endswith("\n")
-    if ends_nl:
+    if text.endswith("\n"):
         raw_lines = raw_lines[:-1]
-    result = FileScan(lines=raw_lines, ends_with_newline=ends_nl)
+    result = FileScan(lines=raw_lines)
 
     state = _CODE
     line_no = 0
@@ -346,12 +343,10 @@ def _classify_brace(
     line_no: int,
 ) -> BraceContext:
     parent = stack[-1] if stack else None
-    depth = len(stack)
     if pending_type_kw and pending_type_name and not stmt_has_new:
         return BraceContext(
             kind=TYPE_BODY,
             open_line=line_no,
-            depth=depth,
             type_keyword=pending_type_kw,
             name=pending_type_name,
             parent=parent,
@@ -370,12 +365,11 @@ def _classify_brace(
         return BraceContext(
             kind=METHOD_BODY,
             open_line=line_no,
-            depth=depth,
             name=ident_before_paren,
             is_constructor=ident_before_paren == parent.name,
             parent=parent,
         )
-    return BraceContext(kind=OTHER_BLOCK, open_line=line_no, depth=depth, parent=parent)
+    return BraceContext(kind=OTHER_BLOCK, open_line=line_no, parent=parent)
 
 
 def _find_package_line(result: FileScan) -> None:

@@ -82,7 +82,6 @@ class MetamorphicVariant:
     seed: int
     transformed_original: SourceSet
     manifest: tuple[InjectedElement, ...]
-    resulting_unchanged: bool = True
 
 
 @dataclass

@@ -70,6 +70,12 @@ class RunConfig:
         if not self.backends:
             raise ConfigError("at least one backend required")
 
+    @property
+    def prompt_kind(self) -> str:
+        """The prompt every attempt renders: the diff in diff-only mode,
+        else both whole programs."""
+        return prompting.DIFF_ONLY if self.mode == DIFF_ONLY_MODE else prompting.FULL_SOURCE
+
 
 @dataclass
 class RunArtifacts:
@@ -107,14 +113,13 @@ def _sweep_configs(cfg: RunConfig) -> list[tuple[str, BackendConfig]]:
 def _load_override_template(cfg: RunConfig) -> prompting.PromptTemplate | None:
     if not cfg.template_path:
         return None
-    kind = prompting.DIFF_ONLY if cfg.mode == DIFF_ONLY_MODE else prompting.FULL_SOURCE
-    return prompting.load_template(cfg.template_path, kind)
+    return prompting.load_template(cfg.template_path, cfg.prompt_kind)
 
 
 def _render(cfg: RunConfig, inst: BugInstance, variant_tag: str,
             original_override=None, template=None) -> prompting.RenderedPrompt:
     original = original_override if original_override is not None else inst.original
-    if cfg.mode == DIFF_ONLY_MODE:
+    if cfg.prompt_kind == prompting.DIFF_ONLY:
         diff = diffs.unified_source_diff(original, inst.resulting)
         return prompting.render_diff_prompt(
             diff, template=template, instance_id=inst.id, variant_tag=variant_tag
@@ -250,7 +255,6 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
         )
         for run_name, backend_cfg in sweep
     }
-    mode = prompting.DIFF_ONLY if cfg.mode == DIFF_ONLY_MODE else prompting.FULL_SOURCE
     write_lock = threading.Lock()
     call_errors = 0
 
@@ -288,7 +292,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
             logger.error("call failed (%s: %s attempt %d): %s", task.key.backend_name,
                          task.instance.id, task.attempt, err)
             return
-        verdict = parse_response(response, mode)
+        verdict = parse_response(response, task.prompt.kind)
         score(task, verdict, assessor.checked_test(verdict))
 
     with jsonl.Appender(outcomes_path) as outcomes:
@@ -307,7 +311,8 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                 if client.recorded(task.prompt, task.attempt) is None:
                     pending.append(pool.submit(run_task, task))
                     continue
-                verdict = parse_response(client.query(task.prompt, task.attempt), mode)
+                verdict = parse_response(client.query(task.prompt, task.attempt),
+                                         task.prompt.kind)
                 test = assessor.checked_test(verdict)
                 if test is None:
                     score(task, verdict, test)
@@ -394,12 +399,11 @@ def dispatch(args) -> int:
         temperatures: list[float | str] = []
         if args.temperature:
             temperatures = [float(t) for t in args.temperature.split(",")]
-        mode = {m.lower(): m for m in MODES}.get(args.mode, args.mode)
         cfg = RunConfig(
             corpus_root=args.corpus,
             backends=_load_backends(args),
             attempts=args.attempts,
-            mode=mode,
+            mode=args.mode,
             master_seed=args.seed,
             temperatures=temperatures,
             replay_path=args.replay,

@@ -23,8 +23,6 @@ NO_COMPILATION_ERROR = "NO_COMPILATION_ERROR"
 NO_BEHAVIOR_CHANGE = "NO_BEHAVIOR_CHANGE"
 UNKNOWN = "UNKNOWN"
 
-CATEGORIES = (YES, NO_COMPILATION_ERROR, NO_BEHAVIOR_CHANGE, UNKNOWN)
-
 _VERDICT_STRINGS = {
     "YES": YES,
     "NO - COMPILATION ERROR": NO_COMPILATION_ERROR,

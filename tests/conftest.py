@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,21 @@ SAMPLE_YES_OUTPUT = """{
   "explanation": "The refactored code compiles: the conditional expression (flag ? 1 : 2) has type Integer due to boxing, so calling .byteValue() is valid. Behavior is unchanged because the local variable iii was not used for anything other than immediately invoking byteValue().",
   "junit_test": null
 }"""
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_temp_dir(tmp_path_factory):
+    """The run's own temp directory, for this process (`tempfile.tempdir`)
+    and the processes it starts (TMPDIR). The session fails if a toolchain
+    workspace (`reforacle-*`) is left in it."""
+    temp_dir = tmp_path_factory.mktemp("tmpdir")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TMPDIR", str(temp_dir))
+        patch.setattr(tempfile, "tempdir", str(temp_dir))
+        yield temp_dir
+    left = sorted(p.name for p in temp_dir.iterdir() if p.name.startswith("reforacle-"))
+    if left:
+        pytest.fail(f"workspaces left in {temp_dir}: {', '.join(left)}")
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,13 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -1117,6 +1119,15 @@ class TestCliEntry:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["preserving", "FullSource"])
+    def test_only_the_three_modes_are_accepted(self, mode, mini_corpus_root, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--corpus", str(mini_corpus_root), "--backend", "mock",
+                  "--mode", mode, "--out", str(out)])
+        assert exit_.value.code == 2
+        assert not out.exists()
+
 
 class ClosingToolchain(MockToolchain):
     def __init__(self) -> None:
@@ -1196,6 +1207,15 @@ sys.exit(status)
 """
 
 
+def killed(pid: int) -> bool:
+    """Whether a process `pid` was there to be killed."""
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def fresh_cli(tmp_path: Path, *args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     """(the process, the modules it loaded, without the package prefix)."""
     loaded = tmp_path / "loaded.json"
@@ -1249,3 +1269,59 @@ class TestExitContract:
         assert "Traceback" not in proc.stderr
         assert "java_executor" in loaded
         assert not (out / "outcomes.jsonl").exists()
+
+    def test_sigterm_mid_compile_exits_143_and_leaves_nothing_behind(self, mini_corpus_root,
+                                                                     tmp_path):
+        started = tmp_path / "javac.pid"
+        javac = tmp_path / "javac"  # answers -version; a compile hangs
+        javac.write_text(
+            "#!/bin/sh\n"
+            'if [ "$1" = -version ]; then echo "javac 0"; exit 0; fi\n'
+            f"echo $$ > {started}.part && mv {started}.part {started}\n"
+            "exec sleep 60\n"
+        )
+        javac.chmod(0o755)
+        temp_dir = tmp_path / "tmp"
+        temp_dir.mkdir()
+        src = str(Path(cli_report.__file__).resolve().parents[1])
+        env = dict(os.environ, TMPDIR=str(temp_dir),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["validate", "--corpus", str(mini_corpus_root), "--out", str(tmp_path / "out"),
+                "--compiler", str(javac), "--java", sys.executable]
+        with (tmp_path / "stderr").open("w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c",
+                 "import sys; from reforacle.cli_report import main; sys.exit(main(sys.argv[1:]))",
+                 *argv], env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+        try:
+            deadline = time.monotonic() + 60
+            while not started.exists():
+                assert proc.poll() is None, (tmp_path / "stderr").read_text()
+                assert time.monotonic() < deadline, "the compile never started"
+                time.sleep(0.05)
+            assert [p.name[:18] for p in temp_dir.iterdir()] == ["reforacle-compile-"]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 143
+        finally:
+            proc.kill()
+            proc.wait()
+            child_left = started.exists() and killed(int(started.read_text()))
+        assert list(temp_dir.iterdir()) == []
+        assert not child_left, "javac's process outlived the CLI"
+
+    def test_main_keeps_the_callers_sigterm_handler(self, tmp_path):
+        argv = ["summarize", "--outcomes", str(GOLDEN_OUTCOMES), "--out", str(tmp_path / "out")]
+
+        def own(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, own)
+        try:
+            assert main(argv) == 0
+            assert signal.getsignal(signal.SIGTERM) is own
+            # off the main thread no handler can be set, and main sets none
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                assert pool.submit(main, argv).result(timeout=60) == 0
+            assert signal.getsignal(signal.SIGTERM) is own
+        finally:
+            signal.signal(signal.SIGTERM, previous)

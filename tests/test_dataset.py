@@ -183,7 +183,7 @@ class TestValidateInstance:
             def version(self):
                 return "broken"
 
-            def compile(self, *a, **k):
+            def compile(self, src):
                 raise java_executor.ToolchainUnavailable("gone")
 
         report = validate_instance(corpus.instances[0], Broken())

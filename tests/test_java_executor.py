@@ -1,7 +1,9 @@
 import fnmatch
 import importlib.resources
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -19,14 +21,13 @@ from reforacle.java_executor import (
     FAIL,
     PASS,
     TIMEOUT,
+    DiscriminationResult,
     MockToolchain,
     NullToolchain,
     RealToolchain,
     Toolchain,
     ToolchainError,
     ToolchainUnavailable,
-    WorkspaceCreationFailed,
-    discrimination,
     source_set_hash,
     uses_reflection,
 )
@@ -46,31 +47,44 @@ def run(outcome: str) -> RunResult:
     return RunResult(outcome=outcome, runner_output="", elapsed_s=0.0)
 
 
+@pytest.fixture
+def workspaces(tmp_path, monkeypatch) -> Path:
+    """The temp directory, and so the parent of every workspace, for one test."""
+    base = tmp_path / "ws"
+    base.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(base))
+    return base
+
+
 class TestDiscrimination:
     def test_pass_fail_discriminates(self):
-        result = discrimination(run(PASS), run(FAIL))
+        result = DiscriminationResult(run(PASS), run(FAIL))
         assert result.discriminates
         assert result.passing_side == "original"
 
     def test_pass_pass_does_not(self):
-        assert not discrimination(run(PASS), run(PASS)).discriminates
+        assert not DiscriminationResult(run(PASS), run(PASS)).discriminates
 
     def test_fail_fail_does_not(self):
-        assert not discrimination(run(FAIL), run(FAIL)).discriminates
+        assert not DiscriminationResult(run(FAIL), run(FAIL)).discriminates
 
     def test_did_not_compile_never_discriminates(self):
-        assert not discrimination(run(DID_NOT_COMPILE), run(PASS)).discriminates
-        assert not discrimination(run(PASS), run(DID_NOT_COMPILE)).discriminates
+        for sides in ((DID_NOT_COMPILE, PASS), (PASS, DID_NOT_COMPILE)):
+            result = DiscriminationResult(*map(run, sides))
+            assert not result.compiled
+            assert not result.discriminates
+            assert result.passing_side == ""
+        assert DiscriminationResult(run(FAIL), run(ERROR)).compiled
 
     def test_symmetry_flips_sides_not_verdict(self):
         for a in (PASS, FAIL, TIMEOUT, DID_NOT_COMPILE):
             for b in (PASS, FAIL, TIMEOUT, DID_NOT_COMPILE):
-                fwd = discrimination(run(a), run(b))
-                rev = discrimination(run(b), run(a))
+                fwd = DiscriminationResult(run(a), run(b))
+                rev = DiscriminationResult(run(b), run(a))
                 assert fwd.discriminates == rev.discriminates
 
     def test_error_counts_as_non_pass(self):
-        result = discrimination(run(PASS), run(java_executor.ERROR))
+        result = DiscriminationResult(run(PASS), run(java_executor.ERROR))
         assert result.discriminates
 
 
@@ -119,11 +133,6 @@ class TestMockToolchain:
         assert result.on_original.outcome == DID_NOT_COMPILE
         assert not result.discriminates
 
-    def test_empty_source_set_rejected(self):
-        toolchain = MockToolchain()
-        with pytest.raises((WorkspaceCreationFailed, Exception)):
-            toolchain.compile(SourceSet(files=()))
-
     def test_determinism(self):
         toolchain = MockToolchain()
         toolchain.script_run(FIG1_ORIGINAL, java_fixtures.BEHAVIOR_TEST, FAIL)
@@ -165,7 +174,7 @@ class CountingToolchain(MockToolchain):
         self.runs: Counter = Counter()
         self._count_lock = threading.Lock()
 
-    def run_test(self, program, test_source, workspace=None):
+    def run_test(self, program, test_source):
         with self._count_lock:
             self.runs[program] += 1
         return replace(super().run_test(program, test_source), elapsed_s=self.elapsed_s)
@@ -208,7 +217,7 @@ class TestRunMemo:
         both_running = threading.Barrier(2, timeout=30)
 
         class Splitting(CountingToolchain):
-            def run_test(self, program, test_source, workspace=None):
+            def run_test(self, program, test_source):
                 both_running.wait()
                 return super().run_test(program, test_source)
 
@@ -232,7 +241,7 @@ class TestRunMemo:
         failing = [True]
 
         class Flaky(CountingToolchain):
-            def run_test(self, program, test_source, workspace=None):
+            def run_test(self, program, test_source):
                 result = super().run_test(program, test_source)
                 if program == FIG1_ORIGINAL and failing[0]:
                     assert release.wait(timeout=30)
@@ -310,22 +319,16 @@ class TestRealCompile:
         assert not result.success
         assert "int" in result.diagnostics
 
-    def test_workspaces_are_disjoint(self, jdk, tmp_path):
-        toolchain = java_executor.RealToolchain(jdk.config, workspace_root=tmp_path)
-        ws1 = toolchain._new_workspace("a")
-        ws2 = toolchain._new_workspace("a")
+    def test_workspaces_are_disjoint(self, jdk, workspaces):
+        ws1 = jdk._new_workspace("a")
+        ws2 = jdk._new_workspace("a")
         assert ws1 != ws2
+        assert ws1.parent == ws2.parent == workspaces
 
-    def test_compile_deletes_its_own_workspace(self, jdk, tmp_path):
-        toolchain = java_executor.RealToolchain(jdk.config, workspace_root=tmp_path / "ws")
-        try:
-            assert toolchain.compile(FIG1_ORIGINAL).success
-            assert not toolchain.compile(src(**java_fixtures.INLINE_VAR_RESULTING)).success
-            assert toolchain.compile(FIG1_ORIGINAL, tmp_path / "given").success
-        finally:
-            toolchain.close()
-        assert list((tmp_path / "ws").iterdir()) == []
-        assert (tmp_path / "given" / "invocations.log").is_file()
+    def test_compile_deletes_its_own_workspace(self, jdk, workspaces):
+        assert jdk.compile(FIG1_ORIGINAL).success
+        assert not jdk.compile(src(**java_fixtures.INLINE_VAR_RESULTING)).success
+        assert list(workspaces.iterdir()) == []
 
     def test_version_reported(self, jdk):
         assert jdk.version()
@@ -385,10 +388,11 @@ def _fixture_source_sets():
                 )
 
 
-def _normalised(diagnostics: str, workspace) -> str:
+def _normalised(diagnostics: str, temp_dir: Path) -> str:
     # one-shot javac repeats the JVM's "Picked up JAVA_TOOL_OPTIONS: ..."
     # line; a warm worker printed it once, when it started
-    lines = diagnostics.replace(str(workspace), "<ws>").splitlines()
+    workspace = re.escape(str(temp_dir)) + r"/reforacle-compile-[^/]+"
+    lines = re.sub(workspace, "<ws>", diagnostics).splitlines()
     return "\n".join(line for line in lines if not line.startswith("Picked up "))
 
 
@@ -410,16 +414,15 @@ class TestCompileWorker:
     @pytest.mark.parametrize(
         "source_set", [pytest.param(s, id=name) for name, s in _fixture_source_sets()]
     )
-    def test_worker_matches_one_shot_javac(self, jdk, source_set, tmp_path, monkeypatch, caplog):
-        warm = jdk.compile(source_set, tmp_path / "ws")
+    def test_worker_matches_one_shot_javac(self, jdk, source_set, workspaces, monkeypatch,
+                                           caplog):
+        warm = jdk.compile(source_set)
         assert jdk._workers, "the compile did not reach a worker"
         assert "one-shot" not in caplog.text
-        cold = _one_shot(java_executor.RealToolchain(jdk.config), monkeypatch).compile(
-            source_set, tmp_path / "ws-one-shot"
-        )
+        cold = _one_shot(java_executor.RealToolchain(jdk.config), monkeypatch).compile(source_set)
         assert warm.success == cold.success
-        assert _normalised(warm.diagnostics, tmp_path / "ws") == _normalised(
-            cold.diagnostics, tmp_path / "ws-one-shot"
+        assert _normalised(warm.diagnostics, workspaces) == _normalised(
+            cold.diagnostics, workspaces
         )
 
     def test_killed_worker_falls_back_to_one_shot(self, fresh_jdk, caplog):
@@ -476,7 +479,7 @@ class TestCompileWorker:
         assert 1 <= len(fresh_jdk._workers) <= 3
         assert sorted(map(id, fresh_jdk._idle_workers)) == sorted(map(id, fresh_jdk._workers))
 
-    def test_worker_timeout_is_a_toolchain_error(self, fresh_jdk, monkeypatch, tmp_path):
+    def test_worker_timeout_is_a_toolchain_error(self, fresh_jdk, monkeypatch, workspaces):
         assert fresh_jdk.compile(FIG1_ORIGINAL).success
         (worker,) = fresh_jdk._workers
 
@@ -486,14 +489,15 @@ class TestCompileWorker:
         monkeypatch.setattr(java_executor, "_compile_one_shot", no_retry)
         monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.001)
         with pytest.raises(java_executor.ToolchainError, match="exceeded"):
-            fresh_jdk.compile(FIG1_RESULTING, tmp_path / "ws")
+            fresh_jdk.compile(FIG1_RESULTING)
         assert worker.proc.poll() is not None
         assert fresh_jdk._workers == []
-        assert "javac exceeded" in (tmp_path / "ws" / "invocations.log").read_text()
+        (kept,) = workspaces.iterdir()
+        assert "javac exceeded" in (kept / "invocations.log").read_text()
 
 
 class TestCompileTimeout:
-    def test_one_shot_timeout_is_a_toolchain_error(self, tmp_path, monkeypatch):
+    def test_one_shot_timeout_is_a_toolchain_error(self, tmp_path, monkeypatch, workspaces):
         javac = tmp_path / "javac"
         javac.write_text("#!/bin/sh\nexec sleep 30\n")
         javac.chmod(0o755)
@@ -501,9 +505,10 @@ class TestCompileTimeout:
         toolchain = java_executor.RealToolchain(config)
         monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.5)
         with pytest.raises(java_executor.ToolchainError, match="exceeded"):
-            toolchain.compile(FIG1_ORIGINAL, tmp_path / "ws")
+            toolchain.compile(FIG1_ORIGINAL)
         toolchain.close()
-        log = (tmp_path / "ws" / "invocations.log").read_text()
+        (kept,) = workspaces.iterdir()
+        log = (kept / "invocations.log").read_text()
         assert log.startswith(f"{javac} -d ")
         assert "javac exceeded 0.5 s" in log
 
@@ -519,32 +524,32 @@ MAIN_TEST = """public class MainTest {
 
 @pytest.mark.usefixtures("jdk")
 class TestRealCheck:
-    def test_check_leaves_no_workspace(self, jdk, tmp_path):
+    def test_check_leaves_no_workspace(self, jdk, tmp_path, workspaces):
         config = replace(
-            jdk.config, junit_classpath=(str(tmp_path.parent / "no-junit"),), runner_main="MainTest"
+            jdk.config, junit_classpath=(str(tmp_path / "no-junit"),), runner_main="MainTest"
         )
-        toolchain = java_executor.RealToolchain(config, workspace_root=tmp_path)
+        toolchain = java_executor.RealToolchain(config)
         try:
             result = toolchain.check_discriminating(MAIN_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
         finally:
             toolchain.close()
         assert (result.on_original.outcome, result.on_resulting.outcome) == (PASS, ERROR)
         assert result.discriminates
-        assert list(tmp_path.iterdir()) == []
+        assert list(workspaces.iterdir()) == []
 
-    def test_toolchain_error_keeps_the_workspace(self, tmp_path, monkeypatch):
+    def test_toolchain_error_keeps_the_workspace(self, tmp_path, monkeypatch, workspaces):
         javac = tmp_path / "javac"
         javac.write_text("#!/bin/sh\nexec sleep 30\n")
         javac.chmod(0o755)
         config = java_executor.ToolchainConfig(
             javac_path=str(javac), java_path=sys.executable, junit_classpath=("junit.jar",)
         )
-        toolchain = java_executor.RealToolchain(config, workspace_root=tmp_path / "ws")
+        toolchain = java_executor.RealToolchain(config)
         monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.5)
         with pytest.raises(ToolchainError, match="workspace kept") as err:
             toolchain.check_discriminating(MAIN_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
         toolchain.close()
-        (kept,) = (tmp_path / "ws").iterdir()
+        (kept,) = workspaces.iterdir()
         assert str(kept) in str(err.value)
         assert "javac exceeded 0.5 s" in (kept / "invocations.log").read_text()
 
@@ -584,12 +589,12 @@ class TestLaunchFailure:
             javac_path=str(jdk / "javac"), java_path=str(jdk / "java"),
             junit_classpath=("junit.jar",),
         )
-        toolchain = RealToolchain(config, workspace_root=tmp_path / "ws")
+        toolchain = RealToolchain(config)
         (jdk / broken).chmod(0o644)
         return toolchain
 
     @pytest.mark.parametrize("broken", ["java", "javac"])
-    def test_a_claim_is_inconclusive_and_leaves_no_workspace(self, broken, tmp_path):
+    def test_a_claim_is_inconclusive_and_leaves_no_workspace(self, broken, tmp_path, workspaces):
         toolchain = self.toolchain(tmp_path, broken)
         verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST)
         with pytest.raises(ToolchainUnavailable, match=f"{broken} did not start"):
@@ -599,9 +604,9 @@ class TestLaunchFailure:
         toolchain.close()
         assert outcome.inconclusive and not outcome.correct
         assert outcome.answer_label == assessor.SAID_BC_TEST_NOT_COMPILING
-        assert list((tmp_path / "ws").iterdir()) == []
+        assert list(workspaces.iterdir()) == []
 
-    def test_any_other_error_deletes_the_workspace(self, tmp_path, monkeypatch):
+    def test_any_other_error_deletes_the_workspace(self, tmp_path, monkeypatch, workspaces):
         toolchain = self.toolchain(tmp_path, "java")
 
         def interrupted(*args, **kwargs):
@@ -612,19 +617,19 @@ class TestLaunchFailure:
             toolchain.check_discriminating(java_fixtures.VACUOUS_TEST, FIG1_ORIGINAL,
                                            FIG1_RESULTING)
         toolchain.close()
-        assert list((tmp_path / "ws").iterdir()) == []
+        assert list(workspaces.iterdir()) == []
 
 
 class TestRunTestWithoutJUnit:
-    def test_raises_before_compiling(self, tmp_path):
+    def test_raises_before_compiling(self, tmp_path, workspaces):
         javac = tmp_path / "javac"
         javac.write_text("#!/bin/sh\nexit 99\n")
         javac.chmod(0o755)
         config = java_executor.ToolchainConfig(javac_path=str(javac), java_path=sys.executable)
-        toolchain = java_executor.RealToolchain(config, workspace_root=tmp_path / "ws")
+        toolchain = java_executor.RealToolchain(config)
         with pytest.raises(ToolchainUnavailable):
             toolchain.check_discriminating(java_fixtures.BEHAVIOR_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
-        assert not (tmp_path / "ws").exists()
+        assert list(workspaces.iterdir()) == []
 
 
 class TestPackaging:
