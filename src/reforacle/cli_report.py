@@ -294,25 +294,22 @@ def _rate(rows: list[dict]) -> str:
 
 
 def _toolchain_from_args(args) -> java_executor.Toolchain:
-    """The toolchain named on the command line, else the JDK on PATH,
-    else a NullToolchain. The one place a JDK is looked for."""
+    """The JDK of the `--compiler` given, else of the javac on PATH, else a
+    NullToolchain. The one place a JDK is looked for."""
     from . import java_executor
 
     compiler = getattr(args, "compiler", None)
     junit_cp = getattr(args, "junit_cp", None)
-    entries = tuple(junit_cp.split(os.pathsep)) if junit_cp else ()
-    if compiler:
-        cfg = java_executor.ToolchainConfig(
-            javac_path=compiler,
-            java_path=getattr(args, "java", "java"),
-            junit_classpath=entries,
-        )
-        try:
-            return java_executor.RealToolchain(cfg)
-        except java_executor.ToolchainUnavailable as err:  # e.g. no such compiler
+    cfg = java_executor.ToolchainConfig(
+        javac_path=compiler or "javac",
+        junit_classpath=tuple(junit_cp.split(os.pathsep)) if junit_cp else (),
+    )
+    try:
+        return java_executor.RealToolchain(cfg)
+    except java_executor.ToolchainUnavailable as err:  # no such javac, or no java beside it
+        if compiler:
             raise ConfigError(str(err)) from err
-    found = java_executor.find_jdk(entries)
-    return java_executor.RealToolchain(found) if found else java_executor.NullToolchain()
+        return java_executor.NullToolchain()
 
 
 def _exit_on_sigterm(signum, frame):
@@ -325,15 +322,16 @@ def main(argv: list[str] | None = None) -> int:
         description="Evaluate foundation models as refactoring correctness oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    jdk = argparse.ArgumentParser(add_help=False)
+    jdk.add_argument("--compiler")
+    jdk.add_argument("--junit-cp", dest="junit_cp")
 
-    p_validate = sub.add_parser("validate", help="check corpus ground truth with a JDK")
+    p_validate = sub.add_parser("validate", parents=[jdk],
+                                help="check corpus ground truth with a JDK")
     p_validate.add_argument("--corpus", required=True)
-    p_validate.add_argument("--compiler")
-    p_validate.add_argument("--java", default="java")
-    p_validate.add_argument("--junit-cp", dest="junit_cp")
     p_validate.add_argument("--out", default="out")
 
-    p_run = sub.add_parser("run", help="run a benchmark")
+    p_run = sub.add_parser("run", parents=[jdk], help="run a benchmark")
     p_run.add_argument("--corpus", required=True)
     p_run.add_argument("--backend", action="append", required=True)
     p_run.add_argument("--backends-file", dest="backends_file")
@@ -350,26 +348,18 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--template")
-    p_run.add_argument("--compiler")
-    p_run.add_argument("--java", default="java")
-    p_run.add_argument("--junit-cp", dest="junit_cp")
 
     p_meta = sub.add_parser("metamorph", help="persist metamorphic variants")
     p_meta.add_argument("--corpus", required=True)
     p_meta.add_argument("--seed", type=int, required=True)
     p_meta.add_argument("--out", default="out")
 
-    p_metrics = sub.add_parser("metrics", help="metric reports from outcomes")
-    p_metrics.add_argument("--outcomes", required=True)
-    p_metrics.add_argument("--out", default="out")
-
-    p_stats = sub.add_parser("stats", help="significance tests from outcomes")
-    p_stats.add_argument("--outcomes", required=True)
-    p_stats.add_argument("--out", default="out")
-
-    p_sum = sub.add_parser("summarize", help="summary CSV tables from outcomes")
-    p_sum.add_argument("--outcomes", required=True)
-    p_sum.add_argument("--out", default="out")
+    for command, help_text in (("metrics", "metric reports from outcomes"),
+                               ("stats", "significance tests from outcomes"),
+                               ("summarize", "summary CSV tables from outcomes")):
+        p_report = sub.add_parser(command, help=help_text)
+        p_report.add_argument("--outcomes", required=True)
+        p_report.add_argument("--out", default="out")
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")

@@ -1,12 +1,13 @@
 """Compile source sets and run single JUnit tests in isolated workspaces.
 
 Every toolchain implements the Toolchain protocol. RealToolchain compiles
-with javac and runs each test in a fresh JVM with a JUnit 4 runner on the
-classpath; MockToolchain answers from a table keyed by content hashes so
-everything above it can be exercised without a JDK; NullToolchain stands
-for "no JDK" and makes every compile and test run unavailable. Every task
-gets its own workspace directory; nothing is shared between tasks. A
-toolchain runs each (program, test) pair once and reuses that run.
+with one JDK's javac and runs each test in a fresh JVM of that JDK's java
+with a JUnit 4 runner on the classpath; MockToolchain answers from a table
+keyed by content hashes so everything above it can be exercised without a
+JDK; NullToolchain stands for "no JDK" and makes every compile and test
+run unavailable. Every task gets its own workspace directory; nothing is
+shared between tasks. A toolchain runs each (program, test) pair once and
+reuses that run.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ DID_NOT_COMPILE = "DID_NOT_COMPILE"
 
 REFLECTION_MARKER = "java.lang.reflect"
 
-DEFAULT_TEST_TIMEOUT_S = 30.0
+TEST_TIMEOUT_S = 30.0
 COMPILE_TIMEOUT_S = 300.0
 
 # The warm compiler run by RealToolchain, started with the JDK's
@@ -62,10 +63,6 @@ class ToolchainError(RuntimeError):
 
 
 class ToolchainUnavailable(ToolchainError):
-    pass
-
-
-class WorkspaceCreationFailed(ToolchainError):
     pass
 
 
@@ -116,21 +113,12 @@ def uses_reflection(test_source: str) -> bool:
 
 @dataclass(frozen=True)
 class ToolchainConfig:
+    """One JDK, named by its javac; its java runs the workers and tests."""
+
     javac_path: str = "javac"
-    java_path: str = "java"
     junit_classpath: tuple[str, ...] = ()
-    test_timeout_s: float = DEFAULT_TEST_TIMEOUT_S
     # a main class that runs the test class named as its one argument
     runner_main: str = "org.junit.runner.JUnitCore"
-
-
-def find_jdk(junit_classpath: tuple[str, ...] = ()) -> ToolchainConfig | None:
-    """A usable local JDK, or None."""
-    javac = shutil.which("javac")
-    java = shutil.which("java")
-    if javac is None or java is None:
-        return None
-    return ToolchainConfig(javac_path=javac, java_path=java, junit_classpath=junit_classpath)
 
 
 class Toolchain:
@@ -217,7 +205,7 @@ class NullToolchain(Toolchain):
 
 
 class RealToolchain(Toolchain):
-    """javac/java wrapper; one fresh workspace per compile or run.
+    """One JDK's javac and java; one fresh workspace per compile or run.
 
     Compiles go to a pool of warm compiler JVMs (CompileWorker.java) that
     run javac in process with the argv one-shot javac would get. A worker
@@ -226,22 +214,23 @@ class RealToolchain(Toolchain):
     start or dies is dropped and that compile runs one-shot javac
     instead; a compile that overruns COMPILE_TIMEOUT_S, in a worker or
     one-shot, raises ToolchainError at once. Each test still runs in a
-    fresh JVM. Call close() to stop the workers.
+    fresh JVM. The workers and the tests run on the java launcher next to
+    the resolved javac, so one JDK compiles and runs everything. Call
+    close() to stop the workers.
     """
 
     def __init__(self, config: ToolchainConfig) -> None:
         javac = shutil.which(config.javac_path)
         if javac is None:
             raise ToolchainUnavailable(f"compiler not found: {config.javac_path}")
-        if shutil.which(config.java_path) is None:
-            raise ToolchainUnavailable(f"runtime not found: {config.java_path}")
+        java = Path(javac).resolve().with_name("java")
+        if not java.is_file():
+            raise ToolchainUnavailable(f"no java launcher next to {javac}")
         super().__init__()
         self.config = config
+        self.java = str(java)
         self._version: str | None = None
-        # the launcher of javac's own JDK, so workers compile as javac does;
-        # None once workers are known not to start
-        worker_java = Path(javac).resolve().with_name("java")
-        self._worker_java: str | None = str(worker_java) if worker_java.is_file() else None
+        self._workers_can_start = True  # False once a worker failed to start
         self._workers_lock = threading.Lock()
         self._workers: list[_CompileWorker] = []
         self._idle_workers: list[_CompileWorker] = []
@@ -260,12 +249,6 @@ class RealToolchain(Toolchain):
             self._version = (proc.stdout + proc.stderr).strip()
         return self._version
 
-    def _new_workspace(self, tag: str) -> Path:
-        try:
-            return Path(tempfile.mkdtemp(prefix=f"reforacle-{tag}-")).absolute()
-        except OSError as err:
-            raise WorkspaceCreationFailed(str(err)) from err
-
     @contextmanager
     def _workspace(self, tag: str):
         """A new workspace under the temp directory, deleted once the call
@@ -273,7 +256,10 @@ class RealToolchain(Toolchain):
         invocations.log, and the error names it; one whose javac or java
         could not start (ToolchainUnavailable) holds nothing to read and is
         deleted."""
-        ws = self._new_workspace(tag)
+        try:
+            ws = Path(tempfile.mkdtemp(prefix=f"reforacle-{tag}-")).absolute()
+        except OSError as err:
+            raise ToolchainError(str(err)) from err
         keep = False
         try:
             yield ws
@@ -334,15 +320,15 @@ class RealToolchain(Toolchain):
             return None
         with self._workers_lock:
             worker = self._idle_workers.pop() if self._idle_workers else None
-            java = self._worker_java
+            can_start = self._workers_can_start
         if worker is None:
-            if java is None:
+            if not can_start:
                 return None
             try:
-                worker = _CompileWorker(java)
+                worker = _CompileWorker(self.java)
             except _WorkerFailed as err:
                 with self._workers_lock:
-                    self._worker_java = None
+                    self._workers_can_start = False
                 logger.warning("compile worker did not start (%s); using one-shot javac", err)
                 return None
             with self._workers_lock:
@@ -393,12 +379,10 @@ class RealToolchain(Toolchain):
             )
         classpath = _join_cp((str(ws / "classes"),) + self.config.junit_classpath)
         qualified = _qualified_test_class(test_source, test_class)
-        cmd = [self.config.java_path, "-cp", classpath, self.config.runner_main, qualified]
+        cmd = [self.java, "-cp", classpath, self.config.runner_main, qualified]
         start = time.monotonic()
         try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=self.config.test_timeout_s
-            )
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=TEST_TIMEOUT_S)
         except OSError as err:  # e.g. java lost its execute bit
             raise ToolchainUnavailable(f"{cmd[0]} did not start: {err}") from err
         except subprocess.TimeoutExpired as err:

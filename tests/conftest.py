@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -75,33 +77,44 @@ def mini_corpus_root(tmp_path_factory) -> Path:
     return java_fixtures.write_corpus(root, chosen)
 
 
-def junit_classpath() -> tuple[str, ...]:
+# JUnit 4 and hamcrest as Debian-style systems install them
+SYSTEM_JARS = (
+    "/usr/share/java/junit4.jar",
+    "/usr/share/java/junit.jar",
+    "/usr/share/java/hamcrest-core.jar",
+    "/usr/share/java/hamcrest.jar",
+)
+# the benchmark's JUnit 4 stand-in: the runner, @Test and Assert, as sources
+JUNIT_STAND_IN = Path(__file__).resolve().parents[1] / "perfbench" / "junit"
+
+
+def junit_classpath(tmp_path_factory) -> tuple[str, ...]:
+    """REFORACLE_JUNIT_CP, else the system's JUnit 4 jars, else the JUnit 4
+    stand-in compiled with the javac on PATH; () without a javac."""
     env = os.environ.get("REFORACLE_JUNIT_CP", "")
     if env:
         return tuple(env.split(os.pathsep))
-    candidates = [
-        "/usr/share/java/junit4.jar",
-        "/usr/share/java/junit.jar",
-        "/usr/share/java/hamcrest-core.jar",
-        "/usr/share/java/hamcrest.jar",
-    ]
-    return tuple(p for p in candidates if Path(p).exists())
+    system = tuple(p for p in SYSTEM_JARS if Path(p).exists())
+    if any("junit" in Path(p).name for p in system):
+        return system
+    javac = shutil.which("javac")
+    if javac is None:
+        return ()
+    classes = tmp_path_factory.mktemp("junit")
+    sources = sorted(str(p) for p in JUNIT_STAND_IN.rglob("*.java"))
+    subprocess.run([javac, "-d", str(classes), *sources], check=True, capture_output=True,
+                   timeout=120)
+    return (str(classes),)
 
 
 @pytest.fixture(scope="session")
-def jdk() -> java_executor.RealToolchain:
-    """Real toolchain for compile-only checks; skips when absent."""
-    config = java_executor.find_jdk(junit_classpath())
-    if config is None:
-        pytest.skip("no JDK on PATH")
-    toolchain = java_executor.RealToolchain(config)
+def jdk(tmp_path_factory) -> java_executor.RealToolchain:
+    """The JDK of the javac on PATH, found as the CLI finds it, with a JUnit 4
+    classpath; skips when there is none."""
+    config = java_executor.ToolchainConfig(junit_classpath=junit_classpath(tmp_path_factory))
+    try:
+        toolchain = java_executor.RealToolchain(config)
+    except java_executor.ToolchainUnavailable as err:
+        pytest.skip(f"no JDK on PATH ({err})")
     yield toolchain
     toolchain.close()
-
-
-@pytest.fixture(scope="session")
-def junit_jdk(jdk) -> java_executor.RealToolchain:
-    """Toolchain able to run JUnit tests; skips without a junit 4 classpath."""
-    if not jdk.config.junit_classpath:
-        pytest.skip("no JUnit 4 classpath (set REFORACLE_JUNIT_CP)")
-    return jdk

@@ -711,6 +711,21 @@ def write_corpus(root: Path, fixtures: list[Fixture] | None = None) -> Path:
     return root
 
 
+# A stand-in `java` that starts no JVM: a compile worker launched with it
+# never says it is ready, so every compile runs one-shot javac.
+NO_JVM = "#!/bin/sh\nexit 0\n"
+
+
+def stand_in_jdk(directory: Path, javac: str, java: str = NO_JVM) -> Path:
+    """Executable scripts `javac` and `java` with these texts, side by side
+    in `directory`, as in a JDK's bin directory; returns the javac's path."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in (("javac", javac), ("java", java)):
+        (directory / name).write_text(text)
+        (directory / name).chmod(0o755)
+    return directory / "javac"
+
+
 def synthetic_fixture(index: int, label: str) -> Fixture:
     """A tiny generated instance for volume tests (content varies by index)."""
     name = f"Gen{index}"

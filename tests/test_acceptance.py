@@ -230,18 +230,18 @@ def test_criterion_06b_metamorphic_variants_compile(jdk):
             assert result.success, (fixture.id, op, seed, result.diagnostics)
 
 
-@pytest.mark.usefixtures("junit_jdk")
-def test_criterion_06c_metamorphic_oracle_preserved(junit_jdk):
+@pytest.mark.usefixtures("jdk")
+def test_criterion_06c_metamorphic_oracle_preserved(jdk):
     with criterion(6, "metamorphic oracle preservation (real JDK)", budget_s=300.0):
         for fixture in java_fixtures.BC_FIXTURES:
             base = src(**fixture.original)
             resulting = src(**fixture.resulting)
-            baseline = junit_jdk.check_discriminating(fixture.test, base, resulting)
+            baseline = jdk.check_discriminating(fixture.test, base, resulting)
             for op in metamorph.OPERATORS:
                 if not metamorph.operator_applicable(metamorph.index_structure(base), op):
                     continue
                 variant = metamorph.apply_operator(base, op, seed=1)
-                shifted = junit_jdk.check_discriminating(
+                shifted = jdk.check_discriminating(
                     fixture.test, variant.transformed_original, resulting
                 )
                 assert shifted.on_original.outcome == baseline.on_original.outcome
@@ -332,20 +332,20 @@ def test_criterion_07_assessor_truth_table():
             assert outcome.correct == expected_correct
 
 
-@pytest.mark.usefixtures("junit_jdk")
-def test_criterion_08_executor_end_to_end(junit_jdk):
+@pytest.mark.usefixtures("jdk")
+def test_criterion_08_executor_end_to_end(jdk):
     with criterion(8, "executor end-to-end (real JDK)", budget_s=30.0):
         original = src(**java_fixtures.PUSH_DOWN_ORIGINAL)
         resulting = src(**java_fixtures.PUSH_DOWN_RESULTING)
-        result = junit_jdk.check_discriminating(
+        result = jdk.check_discriminating(
             java_fixtures.BEHAVIOR_TEST, original, resulting
         )
         assert result.discriminates
 
-        broken = junit_jdk.compile(src(**java_fixtures.INLINE_VAR_RESULTING))
+        broken = jdk.compile(src(**java_fixtures.INLINE_VAR_RESULTING))
         assert not broken.success
 
-        vacuous = junit_jdk.check_discriminating(
+        vacuous = jdk.check_discriminating(
             java_fixtures.VACUOUS_TEST, original, resulting
         )
         assert not vacuous.discriminates

@@ -816,12 +816,10 @@ class TestVersionProbe:
     def test_a_compiler_that_cannot_start_exits_2_and_writes_no_outcomes(
         self, jobs, mini_corpus_root, tmp_path, capsys
     ):
-        javac = tmp_path / "javac"
-        javac.write_text(f"#!{tmp_path / 'no-such-interpreter'}\n")
-        javac.chmod(0o755)
+        javac = java_fixtures.stand_in_jdk(tmp_path, f"#!{tmp_path / 'no-such-interpreter'}\n")
         out = tmp_path / "out"
         argv = ["run", "--corpus", str(mini_corpus_root), "--backend", "mock", "--jobs", jobs,
-                "--out", str(out), "--compiler", str(javac), "--java", sys.executable]
+                "--out", str(out), "--compiler", str(javac)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {javac} -version: ") and "Traceback" not in err
@@ -1128,6 +1126,19 @@ class TestCliEntry:
         assert exit_.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_java_is_not_an_option(self, command, mini_corpus_root, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--corpus", str(mini_corpus_root), "--out", str(out),
+                "--java", sys.executable]
+        if command == "run":
+            argv += ["--backend", "mock"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --java" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class ClosingToolchain(MockToolchain):
     def __init__(self) -> None:
@@ -1156,14 +1167,15 @@ class TestToolchainLifetime:
 
     def test_junit_cp_splits_on_the_path_separator(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(java_executor, "find_jdk", seen.append)
+        monkeypatch.setattr(java_executor, "RealToolchain", seen.append)
         monkeypatch.setattr(os, "pathsep", ";")  # as on Windows, where ":" ends a drive
         args = argparse.Namespace(compiler=None, junit_cp=r"C:\junit.jar;C:\hamcrest.jar")
-        assert isinstance(cli_report._toolchain_from_args(args), NullToolchain)
-        assert seen == [(r"C:\junit.jar", r"C:\hamcrest.jar")]
+        cli_report._toolchain_from_args(args)
+        assert [config.junit_classpath for config in seen] == [
+            (r"C:\junit.jar", r"C:\hamcrest.jar")]
 
     def test_no_jdk_gives_a_null_toolchain(self, monkeypatch):
-        monkeypatch.setattr(java_executor, "find_jdk", lambda entries: None)
+        monkeypatch.setenv("PATH", "")
         args = argparse.Namespace(compiler=None, junit_cp=None)
         toolchain = cli_report._toolchain_from_args(args)
         assert isinstance(toolchain, NullToolchain)
@@ -1172,7 +1184,7 @@ class TestToolchainLifetime:
     def test_validate_without_a_jdk_is_a_config_error(
         self, mini_corpus_root, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setattr(java_executor, "find_jdk", lambda entries: None)
+        monkeypatch.setenv("PATH", "")
         out = tmp_path / "out"
         assert main(["validate", "--corpus", str(mini_corpus_root), "--out", str(out)]) == 2
         assert "validate needs a JDK" in capsys.readouterr().err
@@ -1189,6 +1201,23 @@ class TestToolchainLifetime:
             argv += ["--backend", "mock"]
         assert main(argv) == 2
         assert capsys.readouterr().err.strip() == f"error: compiler not found: {missing}"
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_a_compiler_with_no_java_beside_it_is_a_config_error(
+        self, command, mini_corpus_root, tmp_path, capsys
+    ):
+        javac = tmp_path / "jdk" / "javac"
+        javac.parent.mkdir()
+        javac.write_text("#!/bin/sh\nexit 0\n")
+        javac.chmod(0o755)
+        out = tmp_path / "out"
+        argv = [command, "--corpus", str(mini_corpus_root), "--out", str(out),
+                "--compiler", str(javac)]
+        if command == "run":
+            argv += ["--backend", "mock"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == f"error: no java launcher next to {javac}"
+        assert not (out / "outcomes.jsonl").exists()
 
 
 GOLDEN_OUTCOMES = Path(__file__).resolve().parent / "data" / "reports" / "outcomes.jsonl"
@@ -1246,7 +1275,7 @@ class TestExitContract:
 
     def test_a_missing_compiler_is_a_config_error(self, tmp_path):
         missing = str(tmp_path / "nonexistent")
-        args = argparse.Namespace(compiler=missing, java="java", junit_cp=None)
+        args = argparse.Namespace(compiler=missing, junit_cp=None)
         with pytest.raises(ConfigError, match=re.escape(f"compiler not found: {missing}")):
             cli_report._toolchain_from_args(args)
 
@@ -1255,15 +1284,15 @@ class TestExitContract:
                                                         tmp_path):
         javac = tmp_path / compiler
         if compiler == "cannot-start":  # a ToolchainError from the version probe
-            javac.write_text(f"#!{tmp_path / 'no-such-interpreter'}\n")
-            javac.chmod(0o755)
+            javac = java_fixtures.stand_in_jdk(tmp_path / compiler,
+                                               f"#!{tmp_path / 'no-such-interpreter'}\n")
             message = f"error: {javac} -version: "
         else:  # a ConfigError
             message = f"error: compiler not found: {javac}"
         out = tmp_path / "out"
         proc, loaded = fresh_cli(tmp_path, "run", "--corpus", str(mini_corpus_root),
                                  "--backend", "mock", "--out", str(out),
-                                 "--compiler", str(javac), "--java", sys.executable)
+                                 "--compiler", str(javac))
         assert proc.returncode == 2
         assert proc.stderr.splitlines()[-1].startswith(message)
         assert "Traceback" not in proc.stderr
@@ -1273,21 +1302,20 @@ class TestExitContract:
     def test_sigterm_mid_compile_exits_143_and_leaves_nothing_behind(self, mini_corpus_root,
                                                                      tmp_path):
         started = tmp_path / "javac.pid"
-        javac = tmp_path / "javac"  # answers -version; a compile hangs
-        javac.write_text(
+        javac = java_fixtures.stand_in_jdk(  # answers -version; a compile hangs
+            tmp_path,
             "#!/bin/sh\n"
             'if [ "$1" = -version ]; then echo "javac 0"; exit 0; fi\n'
             f"echo $$ > {started}.part && mv {started}.part {started}\n"
-            "exec sleep 60\n"
+            "exec sleep 60\n",
         )
-        javac.chmod(0o755)
         temp_dir = tmp_path / "tmp"
         temp_dir.mkdir()
         src = str(Path(cli_report.__file__).resolve().parents[1])
         env = dict(os.environ, TMPDIR=str(temp_dir),
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = ["validate", "--corpus", str(mini_corpus_root), "--out", str(tmp_path / "out"),
-                "--compiler", str(javac), "--java", sys.executable]
+                "--compiler", str(javac)]
         with (tmp_path / "stderr").open("w") as stderr:
             proc = subprocess.Popen(
                 [sys.executable, "-c",

@@ -167,11 +167,11 @@ class TestValidateInstance:
         assert not report.ground_truth_confirmed
         assert not report.quarantined
 
-    def test_every_fixture_instance_confirmed_with_real_jdk(self, corpus_root, junit_jdk):
+    def test_every_fixture_instance_confirmed_with_real_jdk(self, corpus_root, jdk):
         corpus = load_corpus(corpus_root)
         unconfirmed = []
         for inst in corpus.instances:
-            report = validate_instance(inst, junit_jdk)
+            report = validate_instance(inst, jdk)
             if not report.ground_truth_confirmed:
                 unconfirmed.append((inst.id, report.logs))
         assert not unconfirmed, unconfirmed

@@ -1,6 +1,7 @@
 import fnmatch
 import importlib.resources
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -320,10 +321,9 @@ class TestRealCompile:
         assert "int" in result.diagnostics
 
     def test_workspaces_are_disjoint(self, jdk, workspaces):
-        ws1 = jdk._new_workspace("a")
-        ws2 = jdk._new_workspace("a")
-        assert ws1 != ws2
-        assert ws1.parent == ws2.parent == workspaces
+        with jdk._workspace("a") as ws1, jdk._workspace("a") as ws2:
+            assert ws1 != ws2
+            assert ws1.parent == ws2.parent == workspaces
 
     def test_compile_deletes_its_own_workspace(self, jdk, workspaces):
         assert jdk.compile(FIG1_ORIGINAL).success
@@ -334,37 +334,37 @@ class TestRealCompile:
         assert jdk.version()
 
 
-@pytest.mark.usefixtures("junit_jdk")
+@pytest.mark.usefixtures("jdk")
 class TestRealJUnit:
-    def test_behavior_test_passes_on_original(self, junit_jdk):
-        result = junit_jdk.run_test(FIG1_ORIGINAL, java_fixtures.BEHAVIOR_TEST)
+    def test_behavior_test_passes_on_original(self, jdk):
+        result = jdk.run_test(FIG1_ORIGINAL, java_fixtures.BEHAVIOR_TEST)
         assert result.outcome == PASS, result.runner_output
 
-    def test_behavior_test_fails_on_resulting(self, junit_jdk):
-        result = junit_jdk.run_test(FIG1_RESULTING, java_fixtures.BEHAVIOR_TEST)
+    def test_behavior_test_fails_on_resulting(self, jdk):
+        result = jdk.run_test(FIG1_RESULTING, java_fixtures.BEHAVIOR_TEST)
         assert result.outcome == FAIL, result.runner_output
 
-    def test_discriminates_fig1(self, junit_jdk):
-        result = junit_jdk.check_discriminating(
+    def test_discriminates_fig1(self, jdk):
+        result = jdk.check_discriminating(
             java_fixtures.BEHAVIOR_TEST, FIG1_ORIGINAL, FIG1_RESULTING
         )
         assert result.discriminates
         assert result.passing_side == "original"
 
-    def test_vacuous_test_does_not_discriminate(self, junit_jdk):
-        result = junit_jdk.check_discriminating(
+    def test_vacuous_test_does_not_discriminate(self, jdk):
+        result = jdk.check_discriminating(
             java_fixtures.VACUOUS_TEST, FIG1_ORIGINAL, FIG1_RESULTING
         )
         assert not result.discriminates
 
-    def test_missing_class_does_not_compile(self, junit_jdk):
+    def test_missing_class_does_not_compile(self, jdk):
         other = src(**{"Z.java": "class Z { }\n"})
-        result = junit_jdk.run_test(other, java_fixtures.BEHAVIOR_TEST)
+        result = jdk.run_test(other, java_fixtures.BEHAVIOR_TEST)
         assert result.outcome == DID_NOT_COMPILE
 
-    def test_test_compiling_only_on_resulting(self, junit_jdk):
+    def test_test_compiling_only_on_resulting(self, jdk):
         fixture = next(f for f in java_fixtures.FIXTURES if f.id == "pr-intro-const")
-        result = junit_jdk.check_discriminating(
+        result = jdk.check_discriminating(
             java_fixtures.CONSTANT_ONLY_TEST,
             src(**fixture.original),
             src(**fixture.resulting),
@@ -498,10 +498,8 @@ class TestCompileWorker:
 
 class TestCompileTimeout:
     def test_one_shot_timeout_is_a_toolchain_error(self, tmp_path, monkeypatch, workspaces):
-        javac = tmp_path / "javac"
-        javac.write_text("#!/bin/sh\nexec sleep 30\n")
-        javac.chmod(0o755)
-        config = java_executor.ToolchainConfig(javac_path=str(javac), java_path=sys.executable)
+        javac = java_fixtures.stand_in_jdk(tmp_path, "#!/bin/sh\nexec sleep 30\n")
+        config = java_executor.ToolchainConfig(javac_path=str(javac))
         toolchain = java_executor.RealToolchain(config)
         monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.5)
         with pytest.raises(java_executor.ToolchainError, match="exceeded"):
@@ -538,11 +536,9 @@ class TestRealCheck:
         assert list(workspaces.iterdir()) == []
 
     def test_toolchain_error_keeps_the_workspace(self, tmp_path, monkeypatch, workspaces):
-        javac = tmp_path / "javac"
-        javac.write_text("#!/bin/sh\nexec sleep 30\n")
-        javac.chmod(0o755)
+        javac = java_fixtures.stand_in_jdk(tmp_path, "#!/bin/sh\nexec sleep 30\n")
         config = java_executor.ToolchainConfig(
-            javac_path=str(javac), java_path=sys.executable, junit_classpath=("junit.jar",)
+            javac_path=str(javac), junit_classpath=("junit.jar",)
         )
         toolchain = java_executor.RealToolchain(config)
         monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.5)
@@ -554,15 +550,63 @@ class TestRealCheck:
         assert "javac exceeded 0.5 s" in (kept / "invocations.log").read_text()
 
 
+def wrapped_jdk(directory: Path, log: Path, java_body: str) -> Path:
+    """A stand-in JDK in `directory` whose javac runs the real javac and whose
+    java appends its arguments to `log`, then runs `java_body`."""
+    real = Path(shutil.which("javac")).resolve().parent
+    return java_fixtures.stand_in_jdk(
+        directory,
+        javac=f'#!/bin/sh\nexec "{real / "javac"}" "$@"\n',
+        java=f'#!/bin/sh\necho "$*" >> "{log}"\n{java_body.format(real=real)}\n',
+    )
+
+
+@pytest.mark.usefixtures("jdk")
+class TestOneJdk:
+    """A toolchain starts every JVM from the java next to its javac."""
+
+    def test_workers_and_test_runs_use_the_java_beside_javac(self, tmp_path, workspaces):
+        log = tmp_path / "java.log"
+        javac = wrapped_jdk(tmp_path / "jdk", log, 'exec "{real}/java" "$@"')
+        toolchain = RealToolchain(java_executor.ToolchainConfig(
+            javac_path=str(javac), junit_classpath=(str(tmp_path / "no-junit"),),
+            runner_main="MainTest",
+        ))
+        try:
+            result = toolchain.check_discriminating(MAIN_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
+        finally:
+            toolchain.close()
+        assert (result.on_original.outcome, result.on_resulting.outcome) == (PASS, ERROR)
+        launches = log.read_text().splitlines()
+        assert sum(line.endswith(" MainTest MainTest") for line in launches) == 2
+        assert sum(line.endswith(str(java_executor.COMPILE_WORKER_SOURCE))
+                   for line in launches) == 1
+        assert len(launches) == 3
+
+    def test_a_java_that_starts_no_worker_leaves_compiles_to_javac(self, tmp_path, caplog):
+        log = tmp_path / "java.log"
+        javac = wrapped_jdk(tmp_path / "jdk", log, "exit 1")
+        toolchain = RealToolchain(java_executor.ToolchainConfig(javac_path=str(javac)))
+        try:
+            assert toolchain.compile(FIG1_ORIGINAL).success
+            assert len(log.read_text().splitlines()) == 1
+            result = toolchain.compile(src(**java_fixtures.INLINE_VAR_RESULTING))
+        finally:
+            toolchain.close()
+        assert not result.success
+        assert "int" in result.diagnostics
+        assert caplog.text.count("compile worker did not start") == 1
+        assert len(log.read_text().splitlines()) == 1  # no second start attempt
+        assert toolchain._workers == []
+
+
 class TestVersionProbe:
     @pytest.mark.parametrize(
         "error", [FileNotFoundError(2, "No such file"), subprocess.TimeoutExpired(["javac"], 60)],
         ids=["oserror", "timeout"])
     def test_a_failed_probe_is_toolchain_unavailable(self, error, tmp_path, monkeypatch):
-        javac = tmp_path / "javac"
-        javac.write_text("#!/bin/sh\nexit 0\n")
-        javac.chmod(0o755)
-        config = java_executor.ToolchainConfig(javac_path=str(javac), java_path=sys.executable)
+        javac = java_fixtures.stand_in_jdk(tmp_path, "#!/bin/sh\nexit 0\n")
+        config = java_executor.ToolchainConfig(javac_path=str(javac))
         toolchain = java_executor.RealToolchain(config)
 
         def fail(*args, **kwargs):
@@ -580,17 +624,11 @@ class TestLaunchFailure:
     def toolchain(self, tmp_path, broken: str) -> RealToolchain:
         """Stand-in javac and java that exit 0, with `broken` made
         non-executable once the toolchain is built."""
-        jdk = tmp_path / "jdk"
-        jdk.mkdir()
-        for name in ("javac", "java"):
-            (jdk / name).write_text("#!/bin/sh\nexit 0\n")
-            (jdk / name).chmod(0o755)
-        config = java_executor.ToolchainConfig(
-            javac_path=str(jdk / "javac"), java_path=str(jdk / "java"),
-            junit_classpath=("junit.jar",),
+        javac = java_fixtures.stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 0\n")
+        toolchain = RealToolchain(
+            java_executor.ToolchainConfig(javac_path=str(javac), junit_classpath=("junit.jar",))
         )
-        toolchain = RealToolchain(config)
-        (jdk / broken).chmod(0o644)
+        javac.with_name(broken).chmod(0o644)
         return toolchain
 
     @pytest.mark.parametrize("broken", ["java", "javac"])
@@ -622,10 +660,8 @@ class TestLaunchFailure:
 
 class TestRunTestWithoutJUnit:
     def test_raises_before_compiling(self, tmp_path, workspaces):
-        javac = tmp_path / "javac"
-        javac.write_text("#!/bin/sh\nexit 99\n")
-        javac.chmod(0o755)
-        config = java_executor.ToolchainConfig(javac_path=str(javac), java_path=sys.executable)
+        javac = java_fixtures.stand_in_jdk(tmp_path, "#!/bin/sh\nexit 99\n")
+        config = java_executor.ToolchainConfig(javac_path=str(javac))
         toolchain = java_executor.RealToolchain(config)
         with pytest.raises(ToolchainUnavailable):
             toolchain.check_discriminating(java_fixtures.BEHAVIOR_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
