@@ -28,10 +28,6 @@ class KOutOfRange(AnalyticsError):
     pass
 
 
-class MismatchedCorpus(AnalyticsError):
-    pass
-
-
 @dataclass(frozen=True)
 class Cell:
     answer_label: str
@@ -297,9 +293,7 @@ class UnionReport:
         return self.regions.get(tuple(sorted(models)), 0)
 
 
-def union_coverage(
-    solved: dict[str, set[str]], corpus_ids: set[str] | None = None
-) -> UnionReport:
+def union_coverage(solved: dict[str, set[str]]) -> UnionReport:
     """OR-combination of per-model solved sets with exact region counts.
 
     Every instance in the union lands in exactly one region, keyed by the
@@ -307,13 +301,6 @@ def union_coverage(
     """
     if not solved:
         raise AnalyticsError("no solved sets given")
-    if corpus_ids is not None:
-        for name, ids in solved.items():
-            extra = ids - corpus_ids
-            if extra:
-                raise MismatchedCorpus(
-                    f"{name}: {len(extra)} solved ids outside the corpus"
-                )
     names = tuple(solved)
     union: set[str] = set()
     for ids in solved.values():

@@ -81,46 +81,59 @@ def _runs(records: list[dict]) -> dict[RunKey, list[dict]]:
     return groups
 
 
-def _by_run(runs: dict[RunKey, list[dict]]) -> dict[str, list[dict]]:
+class Run(NamedTuple):
+    """One configuration in the report view: its rows in (instance, attempt)
+    order, the attempt-1 rows of the instances whose every attempt is
+    conclusive (the one instance set every accuracy reads), and how many
+    instances that set leaves out."""
+
+    rows: list[dict]
+    first: list[dict]
+    left_out: int
+
+
+_NO_INSTANCE_SET = "no instance has every attempt conclusive"
+
+
+def _by_run(runs: dict[RunKey, list[dict]]) -> dict[str, Run]:
     """The one view every report reads: the groups of `_runs` in name order,
     each sorted by (instance, attempt), so no report depends on row order.
     A name is the backend name plus `#<value>` for each key part that differs
     among the configurations sharing it, empty values skipped (`mock#mt-7`).
-    A configuration with two rows for one (instance, attempt) is left out,
-    with a warning, rather than reported from either of them."""
-    at = itemgetter("instance_id", "attempt_index")
+    A configuration whose rows are not one per (instance, attempt) for
+    attempts 1..K, K its largest attempt, is left out, with a warning,
+    rather than reported from a guess."""
     named = {}
     for key, rows in runs.items():
         peers = [k for k in runs if k.backend_name == key.backend_name]
         name = key.backend_name + "".join(f"#{value}" for i, value in enumerate(key)
                                           if value and len({peer[i] for peer in peers}) > 1)
-        rows.sort(key=at)
-        twice = next((at(r) for prev, r in zip(rows, rows[1:]) if at(prev) == at(r)), None)
-        if twice is None:
-            named[name] = rows
-        else:
-            logger.warning("no reports for %s: %s attempt %d appears twice", name, *twice)
+        rows.sort(key=itemgetter("instance_id", "attempt_index"))
+        want = list(range(1, max(r["attempt_index"] for r in rows) + 1))
+        first = []
+        for instance, group in itertools.groupby(rows, itemgetter("instance_id")):
+            attempts = list(group)
+            indices = [r["attempt_index"] for r in attempts]
+            if indices != want:
+                logger.warning("no reports for %s: %s has attempts %s, not one each of 1..%d",
+                               name, instance, indices, len(want))
+                break
+            if not any(r.get("inconclusive") for r in attempts):
+                first.append(attempts[0])
+        else:  # one row per (instance, attempt): len(rows) // len(want) instances
+            named[name] = Run(rows, first, len(rows) // len(want) - len(first))
     return dict(sorted(named.items()))
 
 
-def _first_attempts(rows: list[dict]) -> list[dict]:
-    return [r for r in rows if r["attempt_index"] == 1]
-
-
-def _conclusive(rows: list[dict]) -> list[dict]:
-    return [r for r in rows if not r.get("inconclusive")]
-
-
-def write_metric_reports(view: dict[str, list[dict]], out_dir: Path) -> list[Path]:
+def write_metric_reports(view: dict[str, Run], out_dir: Path) -> list[Path]:
     from . import analytics
 
     paths = []
-    for name, rows in view.items():
-        try:
-            report = analytics.metric_report(analytics.matrix_from_outcomes(rows, name))
-        except analytics.AnalyticsError as err:  # e.g. every row inconclusive
-            logger.warning("no metrics for %s: %s", name, err)
+    for name, run in view.items():
+        if not run.first:
+            logger.warning("no metrics for %s: %s", name, _NO_INSTANCE_SET)
             continue
+        report = analytics.metric_report(analytics.matrix_from_outcomes(run.rows, name))
         safe = name.replace("/", "_").replace("@", "_at_").replace("=", "")
         json_path = out_dir / f"metrics-{safe}.json"
         json_path.write_text(report.to_json(), "utf-8")
@@ -130,19 +143,18 @@ def write_metric_reports(view: dict[str, list[dict]], out_dir: Path) -> list[Pat
     return paths
 
 
-def write_stats_report(view: dict[str, list[dict]], out_dir: Path) -> Path | None:
-    """Wilson CIs per model plus pairwise exact McNemar with Holm, and
-    Cochran's Q, over first-attempt conclusive outcomes."""
+def write_stats_report(view: dict[str, Run], out_dir: Path) -> Path | None:
+    """Wilson CIs per model over its first-run instance set, exact McNemar
+    with Holm over the instances each pair has in common, and Cochran's Q
+    over the instances every model has."""
     from . import stats
 
     per_model = {}
-    for name, rows in view.items():
-        first = _conclusive(_first_attempts(rows))
-        outcomes = {r["instance_id"]: bool(r["correct"]) for r in first}
-        if outcomes:
-            per_model[name] = outcomes
+    for name, run in view.items():
+        if run.first:
+            per_model[name] = {r["instance_id"]: bool(r["correct"]) for r in run.first}
         else:  # it would leave the models no instance in common
-            logger.warning("no stats for %s: no conclusive first attempt", name)
+            logger.warning("no stats for %s: %s", name, _NO_INSTANCE_SET)
     if not per_model:
         return None
     backends = list(per_model)
@@ -154,13 +166,14 @@ def write_stats_report(view: dict[str, list[dict]], out_dir: Path) -> Path | Non
         doc["models"][name] = {
             "correct": successes,
             "n": n,
+            "left_out": view[name].left_out,
             "accuracy": successes / n,
             "wilson_95": [low, high],
         }
-    common = sorted(set.intersection(*(set(outcomes) for outcomes in per_model.values())))
     pairs = []
     for a, b in itertools.combinations(backends, 2):
-        cells = Counter((per_model[a][x], per_model[b][x]) for x in common)
+        shared = per_model[a].keys() & per_model[b].keys()
+        cells = Counter((per_model[a][x], per_model[b][x]) for x in shared)
         counts = stats.PairedCounts(
             n11=cells[True, True],
             n10=cells[True, False],
@@ -183,6 +196,7 @@ def write_stats_report(view: dict[str, list[dict]], out_dir: Path) -> Path | Non
                     "p_holm": p_holm,
                 }
             )
+    common = sorted(set.intersection(*(set(outcomes) for outcomes in per_model.values())))
     if len(backends) >= 2 and common:
         matrix = [[1 if per_model[b][x] else 0 for b in backends] for x in common]
         q = stats.cochran_q(matrix)
@@ -198,9 +212,9 @@ def write_stats_report(view: dict[str, list[dict]], out_dir: Path) -> Path | Non
     return path
 
 
-def telemetry_summary(view: dict[str, list[dict]]) -> dict:
+def telemetry_summary(view: dict[str, Run]) -> dict:
     summary: dict = {}
-    for name, rows in view.items():
+    for name, (rows, _, _) in view.items():
         latencies = [r["latency_s"] for r in rows]
         summary[name] = {
             "calls": len(rows),
@@ -217,20 +231,17 @@ def telemetry_summary(view: dict[str, list[dict]]) -> dict:
     return summary
 
 
-def summarize(view: dict[str, list[dict]], out_dir: Path) -> list[Path]:
-    """Emit the summary CSVs: accuracy, per-type heatmap data, failure
-    modes, telemetry, and the UNKNOWN adjudication worksheet."""
+def summarize(view: dict[str, Run], out_dir: Path) -> list[Path]:
+    """Emit the summary CSVs: accuracy and per-type heatmap data over each
+    configuration's first-run instance set, failure modes, telemetry, and
+    the UNKNOWN adjudication worksheet."""
     accuracy, heatmap, modes, unknowns = [], [], [], []
-    for name, rows in view.items():
-        first = _first_attempts(rows)
-        usable = _conclusive(first)
-        bc = [r for r in usable if r["ground_label"] == "BC"]
-        ce = [r for r in usable if r["ground_label"] == "CE"]
-        accuracy.append(
-            [name, _rate(usable), _rate(bc), _rate(ce), len(usable), len(first) - len(usable)]
-        )
+    for name, (rows, first, left_out) in view.items():
+        bc = [r for r in first if r["ground_label"] == "BC"]
+        ce = [r for r in first if r["ground_label"] == "CE"]
+        accuracy.append([name, _rate(first), _rate(bc), _rate(ce), len(first), left_out])
         cells: dict[tuple[str, str], list[dict]] = {}
-        for r in usable:
+        for r in first:
             cells.setdefault((r["refactoring_type"], r["ground_label"]), []).append(r)
         for (rtype, label), grp in sorted(cells.items()):
             heatmap.append([name, rtype, label, _rate(grp), len(grp)])
@@ -401,7 +412,7 @@ def _dispatch(args) -> int:
     else:
         path = write_stats_report(view, out_dir)
         print(f"stats: {path}" if path else
-              "no stats: no configuration has a conclusive first attempt")
+              "no stats: no configuration has an instance whose every attempt is conclusive")
     return 0
 
 

@@ -8,9 +8,12 @@ names), one backend whose every row is inconclusive, one backend that
 lacks some instances, three attempts, UNKNOWN rows, parse errors and
 missing token counts. `expected/outcomes/` holds what `reforacle
 metrics`, `stats` and `summarize` write for it, and
-`expected/telemetry.json` the telemetry summary as JSON. `stats` drops
-the backend with no conclusive row, so `expected/paired/`, the `stats`
-output for the same rows without that backend, is the same file as
+`expected/telemetry.json` the telemetry summary as JSON. Every report
+reads one instance set per configuration, the instances whose every
+attempt is conclusive, so the backend with no conclusive row has an empty
+set and `stats` leaves it out. Each McNemar pair compares the instances
+both of its models have, so `expected/paired/`, the `stats` output for
+the same rows without that backend, is the same file as
 `expected/outcomes/stats/`.
 `mixed.jsonl` holds one backend's rows from three run configurations (a
 base run, a metamorphic run with seed 7 and a diff-only run) next to a

@@ -8,7 +8,6 @@ from reforacle.analytics import (
     Cell,
     EmptyMatrix,
     KOutOfRange,
-    MismatchedCorpus,
     RunMatrix,
     acc_at,
     accuracy_spread,
@@ -291,10 +290,6 @@ class TestUnionCoverage:
         full = union_coverage(solved).union_size
         partial = union_coverage({k: v for k, v in solved.items() if k != "c"}).union_size
         assert partial <= full
-
-    def test_mismatched_corpus(self):
-        with pytest.raises(MismatchedCorpus):
-            union_coverage({"a": {"x"}}, corpus_ids={"y"})
 
 
 class TestMatrixFromOutcomes:

@@ -826,12 +826,12 @@ class TestVersionProbe:
         assert not (out / "outcomes.jsonl").exists()
 
 
-def grouped(records: list[dict]) -> dict[str, list[dict]]:
+def grouped(records: list[dict]) -> dict[str, cli_report.Run]:
     """The view every report reads, grouped as the CLI groups it."""
     return cli_report._by_run(cli_report._runs(records))
 
 
-def read_view(outcomes_path) -> dict[str, list[dict]]:
+def read_view(outcomes_path) -> dict[str, cli_report.Run]:
     return grouped(assessor.read_outcomes(outcomes_path))
 
 
@@ -888,12 +888,12 @@ def row(backend, instance, attempt=1, correct=True, inconclusive=False, latency=
 class TestGroupedView:
     def test_by_run_groups_in_name_order_sorted_by_instance_and_attempt(self):
         records = [row("b", "i2"), row("a@t=0.7", "i1"), row("b", "i1", attempt=2),
-                   row("a@t=0.2", "i3"), row("b", "i1")]
+                   row("a@t=0.2", "i3"), row("b", "i2", attempt=2), row("b", "i1")]
         groups = grouped(records)
         assert list(groups) == ["a@t=0.2", "a@t=0.7", "b"]
-        assert [(r["instance_id"], r["attempt_index"]) for r in groups["b"]] == [
-            ("i1", 1), ("i1", 2), ("i2", 1)]
-        assert sum(len(rows) for rows in groups.values()) == len(records)
+        assert [(r["instance_id"], r["attempt_index"]) for r in groups["b"].rows] == [
+            ("i1", 1), ("i1", 2), ("i2", 1), ("i2", 2)]
+        assert sum(len(run.rows) for run in groups.values()) == len(records)
 
     def test_by_run_names_configurations_that_share_a_backend_name(self):
         base = dict(temperature="0.2", template_version="full_source_v1")
@@ -907,41 +907,53 @@ class TestGroupedView:
         groups = grouped(records)
         assert list(groups) == ["m#diff_only_v1", "m#full_source_v1",
                                 "m#full_source_v1#mt-7", "n"]
-        assert [r["instance_id"] for r in groups["m#full_source_v1#mt-7"]] == ["i1", "i2"]
+        assert [r["instance_id"] for r in groups["m#full_source_v1#mt-7"].rows] == ["i1", "i2"]
 
-    def test_selectors_keep_first_attempt_conclusive_rows(self):
+    def test_by_run_keeps_first_attempts_of_instances_with_every_attempt_conclusive(self):
         rows = [
             row("m", "i1", attempt=1),
             row("m", "i1", attempt=2),
             row("m", "i2", attempt=1, inconclusive=True),
-            {k: v for k, v in row("m", "i3", attempt=1).items() if k != "inconclusive"},
+            row("m", "i2", attempt=2),
+            row("m", "i3", attempt=1),
+            row("m", "i3", attempt=2, inconclusive=True),
+            {k: v for k, v in row("m", "i4", attempt=1).items() if k != "inconclusive"},
+            row("m", "i4", attempt=2),
         ]
-        first = cli_report._first_attempts(grouped(rows)["m"])
-        assert [r["instance_id"] for r in first] == ["i1", "i2", "i3"]
-        assert [r["instance_id"] for r in cli_report._conclusive(first)] == ["i1", "i3"]
+        run = grouped(rows)["m"]
+        assert [(r["instance_id"], r["attempt_index"]) for r in run.first] == [("i1", 1), ("i4", 1)]
+        assert run.left_out == 2
 
     def test_mcnemar_cells_count_common_first_attempts(self, tmp_path):
-        # a/b per instance: i1 TT, i2 TF, i3 TF, i4 FT, i5 FF; i6 only a has.
+        # a/b per instance: i1 TT, i2 TF, i3 TF, i4 FT, i5 FF; i6 only a has
+        # (b's is inconclusive), i7 only b has (a's second attempt is).
         outcomes = {"i1": (True, True), "i2": (True, False), "i3": (True, False),
                     "i4": (False, True), "i5": (False, False)}
         records = []
         for inst, (a, b) in outcomes.items():
             records += [row("a", inst, correct=a), row("b", inst, correct=b),
                         row("a", inst, attempt=2, correct=not a)]
-        records += [row("a", "i6"), row("b", "i6", inconclusive=True)]
+        records += [row("a", "i6"), row("a", "i6", attempt=2), row("b", "i6", inconclusive=True),
+                    row("a", "i7"), row("a", "i7", attempt=2, inconclusive=True), row("b", "i7")]
+        # c has two instances: it must not shrink the a/b table to them.
+        records += [row("c", "i1", correct=False), row("c", "i2")]
         doc = json.loads(cli_report.write_stats_report(grouped(records), tmp_path).read_text())
-        (pair,) = doc["pairwise"]
-        assert pair["pair"] == ["a", "b"]
-        assert (pair["n11"], pair["n10"], pair["n01"], pair["n00"]) == (1, 2, 1, 1)
-        assert doc["models"]["a"]["n"] == 6 and doc["models"]["a"]["correct"] == 4
-        assert doc["models"]["b"]["n"] == 5 and doc["models"]["b"]["correct"] == 2
-        assert doc["cochran_q"]["n"] == 5
+        pairs = {tuple(p["pair"]): (p["n11"], p["n10"], p["n01"], p["n00"])
+                 for p in doc["pairwise"]}
+        assert pairs == {("a", "b"): (1, 2, 1, 1), ("a", "c"): (1, 1, 0, 0),
+                         ("b", "c"): (0, 1, 1, 0)}
+        models = {name: (m["correct"], m["n"], m["left_out"]) for name, m in doc["models"].items()}
+        assert models == {"a": (4, 6, 1), "b": (3, 6, 1), "c": (1, 2, 0)}
+        assert doc["cochran_q"]["models"] == ["a", "b", "c"] and doc["cochran_q"]["n"] == 2
 
     def test_backend_without_conclusive_rows_is_left_out_of_the_comparison(
         self, tmp_path, caplog
     ):
+        # c has a conclusive row for each instance, but no instance whose
+        # every attempt is conclusive
         records = [row("a", "i1"), row("b", "i1", correct=False), row("a", "i2"),
-                   row("b", "i2"), row("c", "i1", inconclusive=True), row("c", "i2", attempt=2)]
+                   row("b", "i2"), row("c", "i1", inconclusive=True), row("c", "i1", attempt=2),
+                   row("c", "i2"), row("c", "i2", attempt=2, inconclusive=True)]
         doc = json.loads(cli_report.write_stats_report(grouped(records), tmp_path).read_text())
         assert "no stats for c" in caplog.text
         assert list(doc["models"]) == ["a", "b"]
@@ -967,15 +979,21 @@ class TestGroupedView:
         assert (b["latency_min_s"], b["latency_max_s"]) == (1.0, 3.0)
         assert (b["tokens_in"], b["tokens_out"], b["cost_total"]) == (10, 10, 0.25)
 
+    @pytest.mark.parametrize("extra, warning", [
+        ({"correct": False, "answer_label": assessor.SAID_YES},
+         "i1 has attempts [1, 1], not one each of 1..1"),
+        ({"attempt_index": 2}, "i2 has attempts [1], not one each of 1..2"),
+    ], ids=["duplicate", "missing-attempt"])
     def test_a_configuration_with_a_duplicate_row_is_left_out_of_every_report(
-        self, tmp_path, caplog
+        self, extra, warning, tmp_path, caplog
     ):
         rows = [{**row(name, inst), "schema": assessor.OUTCOME_SCHEMA, "ground_label": "CE",
                  "answer_label": assessor.SAID_CE, "refactoring_type": "Rename Method"}
                 for name in ("kept", "dup") for inst in ("i1", "i2")]
-        twice = {**rows[2], "correct": False, "answer_label": assessor.SAID_YES}
+        # a second attempt-1 row for dup's i1, or an attempt 2 that its i2 lacks
+        bad_row = {**rows[2], **extra}
         outputs = []
-        for order in ([twice] + rows, rows + [twice]):
+        for order in ([bad_row] + rows, rows + [bad_row]):
             outcomes = tmp_path / f"outcomes-{len(outputs)}.jsonl"
             outcomes.write_text("".join(json.dumps(r) + "\n" for r in order))
             out = tmp_path / f"out-{len(outputs)}"
@@ -988,7 +1006,7 @@ class TestGroupedView:
             "accuracy_by_model.csv", "failure_modes.csv", "heatmap_by_refactoring.csv",
             "metrics-kept.csv", "metrics-kept.json", "stats.json", "telemetry.csv"]
         assert not [name for name, content in outputs[0].items() if b"dup" in content]
-        assert "no reports for dup: i1 attempt 1 appears twice" in caplog.text
+        assert f"no reports for dup: {warning}" in caplog.text
 
     def test_write_csv_writes_header_then_rows(self, tmp_path):
         path = cli_report._write_csv(tmp_path / "t.csv", ["x", "y"], [[1, "a,b"], [2, ""]])
@@ -1032,7 +1050,8 @@ class TestCliEntry:
         code = main(["stats", "--outcomes", str(outcomes), "--out", str(tmp_path / "out")])
         assert code == 0
         printed = capsys.readouterr().out
-        assert printed == "no stats: no configuration has a conclusive first attempt\n"
+        assert printed == (
+            "no stats: no configuration has an instance whose every attempt is conclusive\n")
         assert not (tmp_path / "out" / "stats.json").exists()
 
     def test_metamorph_cli(self, mini_corpus_root, tmp_path, capsys):

@@ -3,9 +3,11 @@
 The inputs and the expected files are in tests/data/reports/ (see
 make_golden.py there). A difference means the metrics, stats or summary
 tables changed: regenerate the golden files only if that was intended.
-The same rows in another order must give the same bytes.
+The same rows in another order must give the same bytes, and every
+output must give one first-run accuracy per configuration.
 """
 
+import csv
 import json
 import random
 from pathlib import Path
@@ -67,3 +69,28 @@ def test_telemetry_matches_golden(source, tmp_path):
     records = assessor.read_outcomes(_outcomes(source, tmp_path))
     expected = (GOLDEN / "expected" / "telemetry.json").read_text("utf-8")
     assert json.dumps(telemetry_summary(_by_run(_runs(records))), indent=1) == expected
+
+
+@pytest.mark.parametrize("source", ["outcomes", "shuffled", "paired", "mixed"])
+def test_every_output_gives_one_first_run_accuracy(source, tmp_path):
+    outcomes = _outcomes(source, tmp_path)
+    out = tmp_path / "out"
+    for command in ("metrics", "stats", "summarize"):
+        assert main([command, "--outcomes", str(outcomes), "--out", str(out)]) == 0
+    metrics = {doc["backend"]: doc for doc in
+               (json.loads(p.read_text("utf-8")) for p in out.glob("metrics-*.json"))}
+    models = json.loads((out / "stats.json").read_text("utf-8"))["models"]
+    with (out / "accuracy_by_model.csv").open(newline="", encoding="utf-8") as fh:
+        table = {line["model"]: line for line in csv.DictReader(fh)}
+    assert metrics
+    assert sorted(metrics) == sorted(models) == sorted(
+        name for name, line in table.items() if line["n"] != "0")
+    for name, doc in metrics.items():
+        accuracy, n, left_out = (doc["per_attempt_accuracy"][0], doc["instances"],
+                                 doc["dropped_inconclusive"])
+        model = models[name]
+        assert (model["correct"] / model["n"], model["n"], model["left_out"]) == (
+            accuracy, n, left_out), name
+        line = table[name]
+        assert (line["overall"], line["n"], line["inconclusive"]) == (
+            f"{accuracy:.3f}", str(n), str(left_out)), name
