@@ -1,17 +1,17 @@
 """Accuracy and stability metrics over instance-by-attempt run matrices.
 
 A RunMatrix is an N-by-K grid of assessment cells for one model
-configuration. Rows containing inconclusive cells are dropped from every
-metric (numerator and denominator) and counted in the report, because
-they carry no information about the model.
+configuration. It holds the configuration's instance set from the report
+view (`cli_report.Run.conclusive`: the instances whose every attempt is
+conclusive, each with one row per attempt 1..K), so every metric reads
+every cell, and the report view alone decides which instances count.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -32,7 +32,6 @@ class KOutOfRange(AnalyticsError):
 class Cell:
     answer_label: str
     correct: bool
-    inconclusive: bool = False
 
 
 @dataclass(frozen=True)
@@ -45,89 +44,39 @@ class RunMatrix:
 
     def __post_init__(self) -> None:
         n = len(self.instance_ids)
+        if not n or self.attempts < 1:
+            raise EmptyMatrix(f"no instances or no attempts for {self.backend_name!r}")
         if len(self.labels) != n or len(self.cells) != n:
             raise AnalyticsError("instance_ids, labels and cells must align")
         for row in self.cells:
             if len(row) != self.attempts:
                 raise AnalyticsError("matrix is not rectangular")
 
-    @cached_property
-    def usable_rows(self) -> tuple[int, ...]:
-        """Row indices without inconclusive cells, found once per matrix."""
-        return tuple(
-            i
-            for i, row in enumerate(self.cells)
-            if not any(cell.inconclusive for cell in row)
+    @classmethod
+    def from_instances(cls, instances: list[list[dict]], name: str) -> RunMatrix:
+        """The matrix of an instance set under the report name `name`: one
+        list of outcome rows per instance, in attempt order."""
+        return cls(
+            backend_name=name,
+            instance_ids=tuple(rows[0]["instance_id"] for rows in instances),
+            labels=tuple(rows[0]["ground_label"] for rows in instances),
+            attempts=len(instances[0]) if instances else 0,
+            cells=tuple(tuple(Cell(r["answer_label"], bool(r["correct"])) for r in rows)
+                        for rows in instances),
         )
-
-    @property
-    def dropped_rows(self) -> int:
-        return len(self.instance_ids) - len(self.usable_rows)
-
-
-def matrix_from_outcomes(records: list[dict], name: str) -> RunMatrix:
-    """Assemble a matrix from the outcome records of one run
-    configuration, under the report name `name`."""
-    if not records:
-        raise EmptyMatrix(f"no outcomes for {name!r}")
-    by_instance: dict[str, dict[int, dict]] = {}
-    labels: dict[str, str] = {}
-    for r in records:
-        seen = by_instance.setdefault(r["instance_id"], {})
-        if r["attempt_index"] in seen:
-            raise AnalyticsError(
-                f"{r['instance_id']}: attempt {r['attempt_index']} twice for {name}"
-            )
-        seen[r["attempt_index"]] = r
-        labels[r["instance_id"]] = r["ground_label"]
-    attempts = max(max(atts) for atts in by_instance.values())
-    ids = tuple(sorted(by_instance))
-    rows = []
-    for instance_id in ids:
-        row = []
-        for k in range(1, attempts + 1):
-            rec = by_instance[instance_id].get(k)
-            if rec is None:
-                raise AnalyticsError(
-                    f"{instance_id}: missing attempt {k} for {name}"
-                )
-            row.append(
-                Cell(
-                    answer_label=rec["answer_label"],
-                    correct=bool(rec["correct"]),
-                    inconclusive=bool(rec.get("inconclusive", False)),
-                )
-            )
-        rows.append(tuple(row))
-    return RunMatrix(
-        backend_name=name,
-        instance_ids=ids,
-        labels=tuple(labels[i] for i in ids),
-        attempts=attempts,
-        cells=tuple(rows),
-    )
-
-
-def _usable(m: RunMatrix) -> tuple[int, ...]:
-    rows = m.usable_rows
-    if not rows or m.attempts < 1:
-        raise EmptyMatrix("no usable rows in matrix")
-    return rows
 
 
 def per_attempt_accuracy(m: RunMatrix, attempt: int) -> float:
-    """Fraction correct at one attempt (1-based) over usable rows."""
+    """Fraction correct at one attempt (1-based)."""
     if not 1 <= attempt <= m.attempts:
         raise KOutOfRange(f"attempt {attempt} outside 1..{m.attempts}")
-    rows = _usable(m)
-    return sum(1 for i in rows if m.cells[i][attempt - 1].correct) / len(rows)
+    return sum(1 for row in m.cells if row[attempt - 1].correct) / len(m.cells)
 
 
 def mean_accuracy(m: RunMatrix) -> float:
-    """Average of correct over all usable cells."""
-    rows = _usable(m)
-    total = sum(1 for i in rows for cell in m.cells[i] if cell.correct)
-    return total / (len(rows) * m.attempts)
+    """Average of correct over all cells."""
+    total = sum(1 for row in m.cells for cell in row if cell.correct)
+    return total / (len(m.cells) * m.attempts)
 
 
 def accuracy_spread(m: RunMatrix) -> float:
@@ -139,21 +88,17 @@ def accuracy_spread(m: RunMatrix) -> float:
 def acc_at(m: RunMatrix, k: int) -> float:
     """Fraction of instances solved at least once in the first k attempts."""
     _check_k(m, k)
-    rows = _usable(m)
-    hits = sum(1 for i in rows if _first_success(m.cells[i]) <= k)
-    return hits / len(rows)
+    return sum(1 for row in m.cells if _first_success(row) <= k) / len(m.cells)
 
 
 def tar_at(m: RunMatrix, k: int) -> float:
     """Fraction of instances whose first k answer labels are all identical."""
     _check_k(m, k)
-    rows = _usable(m)
     agree = 0
-    for i in rows:
-        first = m.cells[i][0].answer_label
-        if all(cell.answer_label == first for cell in m.cells[i][:k]):
+    for row in m.cells:
+        if all(cell.answer_label == row[0].answer_label for cell in row[:k]):
             agree += 1
-    return agree / len(rows)
+    return agree / len(m.cells)
 
 
 def cons_at(m: RunMatrix, k: int) -> float:
@@ -164,31 +109,29 @@ def cons_at(m: RunMatrix, k: int) -> float:
     ties score 0.
     """
     _check_k(m, k)
-    rows = _usable(m)
     score = 0
-    for i in rows:
+    for row in m.cells:
         counts: dict[str, int] = {}
         correct_of: dict[str, bool] = {}
-        for cell in m.cells[i][:k]:
+        for cell in row[:k]:
             counts[cell.answer_label] = counts.get(cell.answer_label, 0) + 1
             correct_of[cell.answer_label] = cell.correct
         label, top = max(counts.items(), key=lambda kv: kv[1])
         if top * 2 > k and correct_of[label]:
             score += 1
-    return score / len(rows)
+    return score / len(m.cells)
 
 
 def category_split(m: RunMatrix, k: int) -> tuple[float | None, float | None]:
     """(BC acc@k, CE acc@k); None when a category is absent."""
     _check_k(m, k)
-    rows = _usable(m)
     out = []
     for wanted in ("BC", "CE"):
-        subset = [i for i in rows if m.labels[i] == wanted]
+        subset = [row for row, label in zip(m.cells, m.labels) if label == wanted]
         if not subset:
             out.append(None)
             continue
-        hits = sum(1 for i in subset if _first_success(m.cells[i]) <= k)
+        hits = sum(1 for row in subset if _first_success(row) <= k)
         out.append(hits / len(subset))
     return out[0], out[1]
 
@@ -217,8 +160,8 @@ class MetricReport:
     acc_at: dict[int, float]
     tar_at: dict[int, float]
     cons_at: dict[int, float]
-    bc_at: dict[int, float] = field(default_factory=dict)
-    ce_at: dict[int, float] = field(default_factory=dict)
+    bc_at: dict[int, float]
+    ce_at: dict[int, float]
 
     def to_json(self) -> str:
         doc = {
@@ -256,7 +199,9 @@ class MetricReport:
                     writer.writerow([name, k, f"{v:.6f}"])
 
 
-def metric_report(m: RunMatrix) -> MetricReport:
+def metric_report(m: RunMatrix, left_out: int) -> MetricReport:
+    """Every metric of `m`, with `left_out`, the number of instances the
+    report view left out of its instance set."""
     ks = range(1, m.attempts + 1)
     bc_at: dict[int, float] = {}
     ce_at: dict[int, float] = {}
@@ -268,8 +213,8 @@ def metric_report(m: RunMatrix) -> MetricReport:
             ce_at[k] = ce
     return MetricReport(
         backend_name=m.backend_name,
-        instances=len(m.usable_rows),
-        dropped_inconclusive=m.dropped_rows,
+        instances=len(m.instance_ids),
+        dropped_inconclusive=left_out,
         attempts=m.attempts,
         mean_accuracy=mean_accuracy(m),
         accuracy_spread=accuracy_spread(m),

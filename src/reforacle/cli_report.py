@@ -83,16 +83,22 @@ def _runs(records: list[dict]) -> dict[RunKey, list[dict]]:
 
 class Run(NamedTuple):
     """One configuration in the report view: its rows in (instance, attempt)
-    order, the attempt-1 rows of the instances whose every attempt is
-    conclusive (the one instance set every accuracy reads), and how many
-    instances that set leaves out."""
+    order; the instance set every accuracy reads, the rows of each instance
+    whose every attempt is conclusive, one list per instance in attempt
+    order; and how many instances that set leaves out."""
 
     rows: list[dict]
-    first: list[dict]
+    conclusive: list[list[dict]]
     left_out: int
+
+    @property
+    def first(self) -> list[dict]:
+        """The attempt-1 rows of the instance set."""
+        return [attempts[0] for attempts in self.conclusive]
 
 
 _NO_INSTANCE_SET = "no instance has every attempt conclusive"
+_NO_CONFIGURATION = "no configuration has an instance whose every attempt is conclusive"
 
 
 def _by_run(runs: dict[RunKey, list[dict]]) -> dict[str, Run]:
@@ -110,7 +116,7 @@ def _by_run(runs: dict[RunKey, list[dict]]) -> dict[str, Run]:
                                           if value and len({peer[i] for peer in peers}) > 1)
         rows.sort(key=itemgetter("instance_id", "attempt_index"))
         want = list(range(1, max(r["attempt_index"] for r in rows) + 1))
-        first = []
+        conclusive = []
         for instance, group in itertools.groupby(rows, itemgetter("instance_id")):
             attempts = list(group)
             indices = [r["attempt_index"] for r in attempts]
@@ -119,9 +125,9 @@ def _by_run(runs: dict[RunKey, list[dict]]) -> dict[str, Run]:
                                name, instance, indices, len(want))
                 break
             if not any(r.get("inconclusive") for r in attempts):
-                first.append(attempts[0])
+                conclusive.append(attempts)
         else:  # one row per (instance, attempt): len(rows) // len(want) instances
-            named[name] = Run(rows, first, len(rows) // len(want) - len(first))
+            named[name] = Run(rows, conclusive, len(rows) // len(want) - len(conclusive))
     return dict(sorted(named.items()))
 
 
@@ -130,10 +136,11 @@ def write_metric_reports(view: dict[str, Run], out_dir: Path) -> list[Path]:
 
     paths = []
     for name, run in view.items():
-        if not run.first:
+        if not run.conclusive:
             logger.warning("no metrics for %s: %s", name, _NO_INSTANCE_SET)
             continue
-        report = analytics.metric_report(analytics.matrix_from_outcomes(run.rows, name))
+        matrix = analytics.RunMatrix.from_instances(run.conclusive, name)
+        report = analytics.metric_report(matrix, run.left_out)
         safe = name.replace("/", "_").replace("@", "_at_").replace("=", "")
         json_path = out_dir / f"metrics-{safe}.json"
         json_path.write_text(report.to_json(), "utf-8")
@@ -151,7 +158,7 @@ def write_stats_report(view: dict[str, Run], out_dir: Path) -> Path | None:
 
     per_model = {}
     for name, run in view.items():
-        if run.first:
+        if run.conclusive:
             per_model[name] = {r["instance_id"]: bool(r["correct"]) for r in run.first}
         else:  # it would leave the models no instance in common
             logger.warning("no stats for %s: %s", name, _NO_INSTANCE_SET)
@@ -236,10 +243,11 @@ def summarize(view: dict[str, Run], out_dir: Path) -> list[Path]:
     configuration's first-run instance set, failure modes, telemetry, and
     the UNKNOWN adjudication worksheet."""
     accuracy, heatmap, modes, unknowns = [], [], [], []
-    for name, (rows, first, left_out) in view.items():
+    for name, run in view.items():
+        rows, first = run.rows, run.first
         bc = [r for r in first if r["ground_label"] == "BC"]
         ce = [r for r in first if r["ground_label"] == "CE"]
-        accuracy.append([name, _rate(first), _rate(bc), _rate(ce), len(first), left_out])
+        accuracy.append([name, _rate(first), _rate(bc), _rate(ce), len(first), run.left_out])
         cells: dict[tuple[str, str], list[dict]] = {}
         for r in first:
             cells.setdefault((r["refactoring_type"], r["ground_label"]), []).append(r)
@@ -404,15 +412,17 @@ def _dispatch(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "metrics":
-        for path in write_metric_reports(view, out_dir):
+        paths = write_metric_reports(view, out_dir)
+        for path in paths:
             print(f"metrics: {path}")
+        if not paths:
+            print(f"no metrics: {_NO_CONFIGURATION}")
     elif args.command == "summarize":
         for path in summarize(view, out_dir):
             print(f"summary: {path}")
     else:
         path = write_stats_report(view, out_dir)
-        print(f"stats: {path}" if path else
-              "no stats: no configuration has an instance whose every attempt is conclusive")
+        print(f"stats: {path}" if path else f"no stats: {_NO_CONFIGURATION}")
     return 0
 
 

@@ -71,15 +71,26 @@ class BackendConfig:
     price_out_per_1k: float | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.temperature, float) or isinstance(self.temperature, int):
+        if _is_number(self.temperature):
             if not 0.0 <= float(self.temperature) <= 1.0:
                 raise ValueError(f"temperature {self.temperature} outside [0, 1]")
         elif self.temperature != PROVIDER_DEFAULT:
-            raise ValueError(f"temperature must be numeric or {PROVIDER_DEFAULT!r}")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_attempts_per_call < 1:
-            raise ValueError("max_attempts_per_call must be >= 1")
+            raise ValueError(f"temperature must be numeric or {PROVIDER_DEFAULT!r}, "
+                             f"not {self.temperature!r}")
+        if not _is_number(self.timeout_s) or self.timeout_s <= 0:
+            raise ValueError(f"timeout_s must be a positive number, not {self.timeout_s!r}")
+        attempts = self.max_attempts_per_call
+        if isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1:
+            raise ValueError(f"max_attempts_per_call must be an integer >= 1, not {attempts!r}")
+        for key in ("price_in_per_1k", "price_out_per_1k"):
+            value = getattr(self, key)
+            if value is not None and not _is_number(value):
+                raise ValueError(f"{key} must be a number or null, not {value!r}")
+
+
+def _is_number(value) -> bool:
+    """An int or a float, and not a bool, which JSON `true` becomes."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -238,10 +249,16 @@ class HttpChatBackend:
             raise TransportFailure(f"HTTP {http.status_code}: {http.text[:200]}")
         if http.status_code >= 400:
             raise ProviderRefusal(f"HTTP {http.status_code}: {http.text[:200]}")
-        doc = http.json()
-        usage = doc.get("usage", {})
+        try:  # a reply with no text is a failed call, logged and re-queried on resume
+            doc = http.json()
+            text = doc["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as err:
+            raise ProviderRefusal(f"malformed reply ({err!r}): {http.text[:200]}") from err
+        if not isinstance(text, str):
+            raise ProviderRefusal(f"reply content is {text!r}, not text: {http.text[:200]}")
+        usage = doc.get("usage") or {}  # absent, or null
         return BackendReply(
-            text=doc["choices"][0]["message"]["content"],
+            text=text,
             tokens_in=usage.get("prompt_tokens"),
             tokens_out=usage.get("completion_tokens"),
             tokens_reasoning=usage.get("reasoning_tokens"),

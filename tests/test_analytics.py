@@ -4,7 +4,6 @@ import pytest
 
 from reforacle import assessor
 from reforacle.analytics import (
-    AnalyticsError,
     Cell,
     EmptyMatrix,
     KOutOfRange,
@@ -13,7 +12,6 @@ from reforacle.analytics import (
     accuracy_spread,
     category_split,
     cons_at,
-    matrix_from_outcomes,
     mean_accuracy,
     metric_report,
     per_attempt_accuracy,
@@ -228,33 +226,16 @@ class TestDefinitionalCases:
         with pytest.raises(KOutOfRange):
             tar_at(m, 0)
 
-    def test_inconclusive_rows_dropped(self):
-        rows = (
-            (Cell("SAID_CE", True),),
-            (Cell("SAID_CE", False, inconclusive=True),),
-        )
-        m = RunMatrix(
-            backend_name="m",
-            instance_ids=("a", "b"),
-            labels=("CE", "CE"),
-            attempts=1,
-            cells=rows,
-        )
-        assert m.dropped_rows == 1
-        assert mean_accuracy(m) == 1.0
-        assert m.usable_rows == (0,) and m.usable_rows is m.usable_rows  # found once
-
-    def test_empty_matrix_raises(self):
-        rows = ((Cell("SAID_CE", True, inconclusive=True),),)
-        m = RunMatrix(
-            backend_name="m",
-            instance_ids=("a",),
-            labels=("CE",),
-            attempts=1,
-            cells=rows,
-        )
+    @pytest.mark.parametrize("ids, attempts, cells", [
+        ((), 1, ()),
+        (("a",), 0, ((),)),
+    ], ids=["no-instances", "no-attempts"])
+    def test_empty_matrix_raises(self, ids, attempts, cells):
         with pytest.raises(EmptyMatrix):
-            mean_accuracy(m)
+            RunMatrix(backend_name="m", instance_ids=ids, labels=("CE",) * len(ids),
+                      attempts=attempts, cells=cells)
+        with pytest.raises(EmptyMatrix):
+            RunMatrix.from_instances([], "m")
 
 
 class TestUnionCoverage:
@@ -292,8 +273,8 @@ class TestUnionCoverage:
         assert partial <= full
 
 
-class TestMatrixFromOutcomes:
-    def outcome(self, instance, attempt, correct, label="CE", backend="m", **kw):
+class TestMatrixFromInstances:
+    def outcome(self, instance, attempt, correct, label="CE", backend="m"):
         return {
             "backend_name": backend,
             "instance_id": instance,
@@ -301,42 +282,31 @@ class TestMatrixFromOutcomes:
             "answer_label": "SAID_CE" if correct else "SAID_YES",
             "correct": correct,
             "ground_label": label,
-            "variant_tag": kw.get("variant_tag", ""),
-            "temperature": kw.get("temperature", ""),
-            "inconclusive": kw.get("inconclusive", False),
         }
 
     def test_round_trip(self):
-        records = [
-            self.outcome("a", 1, True),
-            self.outcome("a", 2, False),
-            self.outcome("b", 1, False),
-            self.outcome("b", 2, True),
+        instances = [
+            [self.outcome("a", 1, True), self.outcome("a", 2, False)],
+            [self.outcome("b", 1, False, label="BC"), self.outcome("b", 2, True, label="BC")],
         ]
-        m = matrix_from_outcomes(records, "m")
+        m = RunMatrix.from_instances(instances, "m")
+        assert m.backend_name == "m"
         assert m.attempts == 2
         assert m.instance_ids == ("a", "b")
+        assert m.labels == ("CE", "BC")
+        assert m.cells[1] == (Cell("SAID_YES", False), Cell("SAID_CE", True))
         assert acc_at(m, 2) == 1.0
         assert acc_at(m, 1) == 0.5
 
-    def test_missing_attempt_raises(self):
-        records = [self.outcome("a", 1, True), self.outcome("a", 3, True)]
-        with pytest.raises(Exception):
-            matrix_from_outcomes(records, "m")
-
-    def test_duplicate_attempt_raises(self):
-        records = [self.outcome("a", 1, True), self.outcome("a", 1, False)]
-        with pytest.raises(AnalyticsError, match="attempt 1 twice"):
-            matrix_from_outcomes(records, "m")
-
     def test_metric_report_serializes(self, tmp_path):
-        records = [
-            self.outcome("a", 1, True, label="BC"),
-            self.outcome("b", 1, False),
+        instances = [
+            [self.outcome("a", 1, True, label="BC")],
+            [self.outcome("b", 1, False)],
         ]
-        m = matrix_from_outcomes(records, "m")
-        report = metric_report(m)
+        m = RunMatrix.from_instances(instances, "m")
+        report = metric_report(m, 3)
         assert report.mean_accuracy == 0.5
+        assert (report.instances, report.dropped_inconclusive) == (2, 3)
         assert "acc_at" in report.to_json()
         csv_path = tmp_path / "metrics.csv"
         report.write_csv(csv_path)

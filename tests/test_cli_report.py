@@ -921,8 +921,31 @@ class TestGroupedView:
             row("m", "i4", attempt=2),
         ]
         run = grouped(rows)["m"]
+        assert [[(r["instance_id"], r["attempt_index"]) for r in attempts]
+                for attempts in run.conclusive] == [[("i1", 1), ("i1", 2)], [("i4", 1), ("i4", 2)]]
         assert [(r["instance_id"], r["attempt_index"]) for r in run.first] == [("i1", 1), ("i4", 1)]
         assert run.left_out == 2
+
+    def test_metrics_read_the_instance_set_of_the_view(self, tmp_path, capsys):
+        # (correct, inconclusive) per attempt; i3's attempt 2 is inconclusive
+        attempts = {"i1": [(True, False), (True, False)], "i2": [(False, False), (True, False)],
+                    "i3": [(True, False), (False, True)], "i4": [(False, False), (False, False)]}
+        outcomes = tmp_path / "outcomes.jsonl"
+        outcomes.write_text("".join(
+            json.dumps({**row("m", inst, attempt=k, correct=ok, inconclusive=inconclusive),
+                        "schema": assessor.OUTCOME_SCHEMA, "ground_label": "CE",
+                        "answer_label": assessor.SAID_CE if ok else assessor.SAID_YES}) + "\n"
+            for inst, cells in attempts.items()
+            for k, (ok, inconclusive) in enumerate(cells, start=1)))
+        out = tmp_path / "out"
+        assert main(["metrics", "--outcomes", str(outcomes), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"metrics: {out / 'metrics-m.json'}", f"metrics: {out / 'metrics-m.csv'}"]
+        doc = json.loads((out / "metrics-m.json").read_text())
+        assert (doc["instances"], doc["dropped_inconclusive"], doc["attempts"]) == (3, 1, 2)
+        assert doc["per_attempt_accuracy"] == [1 / 3, 2 / 3]
+        assert doc["mean_accuracy"] == 0.5
+        assert doc["acc_at"] == {"1": 1 / 3, "2": 2 / 3}
 
     def test_mcnemar_cells_count_common_first_attempts(self, tmp_path):
         # a/b per instance: i1 TT, i2 TF, i3 TF, i4 FT, i5 FF; i6 only a has
@@ -1039,7 +1062,8 @@ class TestCliEntry:
         code = main(["stats", "--outcomes", str(out / "outcomes.jsonl"), "--out", str(out)])
         assert code == 0
 
-    def test_stats_without_a_conclusive_first_attempt(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["stats", "metrics"])
+    def test_stats_without_a_conclusive_first_attempt(self, command, tmp_path, capsys):
         outcome = assessor.AssessmentOutcome(
             instance_id="i1", attempt_index=1, backend_name="m", correct=False,
             answer_label=assessor.SAID_BC_TEST_NOT_DISCRIMINATING, ground_label="BC",
@@ -1047,12 +1071,12 @@ class TestCliEntry:
         )
         outcomes = tmp_path / "outcomes.jsonl"
         outcomes.write_text(outcome.to_json_line() + "\n")
-        code = main(["stats", "--outcomes", str(outcomes), "--out", str(tmp_path / "out")])
+        code = main([command, "--outcomes", str(outcomes), "--out", str(tmp_path / "out")])
         assert code == 0
         printed = capsys.readouterr().out
         assert printed == (
-            "no stats: no configuration has an instance whose every attempt is conclusive\n")
-        assert not (tmp_path / "out" / "stats.json").exists()
+            f"no {command}: no configuration has an instance whose every attempt is conclusive\n")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_metamorph_cli(self, mini_corpus_root, tmp_path, capsys):
         out = tmp_path / "variants"
@@ -1103,6 +1127,10 @@ class TestCliEntry:
         (json.dumps([{"name": "ok", "endpoint": "mock"}, "m"]), "entry 1 is a str, not an object"),
         ('[{"name": "ok", endpoint: "mock"}]', "not valid JSON: Expecting property name enclosed "
          "in double quotes: line 1 column 17 (char 16)"),
+        (json.dumps([{"name": "ok", "endpoint": "mock", "max_attempts_per_call": 2.5}]),
+         "entry 0: max_attempts_per_call must be an integer >= 1, not 2.5"),
+        (json.dumps([{"name": "ok", "endpoint": "mock", "temperature": True}]),
+         "entry 0: temperature must be numeric or 'provider-default', not True"),
     ])
     def test_a_malformed_backends_file_entry_is_a_config_error(
         self, text, message, mini_corpus_root, tmp_path, capsys

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import requests
 
 import java_fixtures
 from reforacle.model_client import (
@@ -43,6 +44,12 @@ class TestBackendConfig:
     def test_timeout_positive(self):
         with pytest.raises(ValueError):
             cfg(timeout_s=0)
+
+    @pytest.mark.parametrize("key", ["temperature", "timeout_s", "max_attempts_per_call",
+                                     "price_in_per_1k", "price_out_per_1k"])
+    def test_a_bool_is_not_a_number(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            cfg(**{key: True})
 
 
 class TestQuery:
@@ -107,6 +114,8 @@ class FakeHttpResponse:
         self.text = text
 
     def json(self):
+        if isinstance(self._doc, Exception):
+            raise self._doc
         return self._doc
 
 
@@ -155,10 +164,11 @@ class TestHttpWireProtocol:
 
     def test_provider_default_omits_temperature(self, monkeypatch):
         monkeypatch.setenv("TEST_TOKEN", "sekret")
-        doc = {"choices": [{"message": {"content": "x"}}]}
+        doc = {"choices": [{"message": {"content": "x"}}], "usage": None}
         seen = self.post_capture(monkeypatch, FakeHttpResponse(doc=doc))
         client = ModelClient(self.remote_cfg(), backend=HttpChatBackend())
-        client.query(prompt(), attempt_index=1)
+        response = client.query(prompt(), attempt_index=1)
+        assert (response.text, response.tokens_in, response.tokens_out) == ("x", None, None)
         assert "temperature" not in seen["body"]
         assert "reasoning_effort" not in seen["body"]
 
@@ -179,6 +189,26 @@ class TestHttpWireProtocol:
         )
         with pytest.raises(TransportFailure):
             client.query(prompt(), attempt_index=1)
+
+    @pytest.mark.parametrize("doc, text, message", [
+        ({"error": "busy"}, '{"error": "busy"}', "malformed reply (KeyError('choices'))"),
+        (requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0), "<html>",
+         "malformed reply (JSONDecodeError("),
+        ({"choices": [{"message": {"content": None}}]}, '{"choices": []}',
+         "reply content is None, not text"),
+    ], ids=["no-choices", "not-json", "null-content"])
+    def test_a_malformed_reply_is_a_failed_call(self, doc, text, message, monkeypatch):
+        from reforacle.model_client import ProviderRefusal
+
+        monkeypatch.setenv("TEST_TOKEN", "sekret")
+        calls = []
+        self.post_capture(monkeypatch, FakeHttpResponse(doc=doc, text=text))
+        client = ModelClient(self.remote_cfg(), backend=HttpChatBackend(),
+                             sleep=calls.append)
+        with pytest.raises(ProviderRefusal) as failed:
+            client.query(prompt(), attempt_index=1)
+        assert str(failed.value).startswith(message) and text in str(failed.value)
+        assert failed.value.key.instance_id == "inst-1" and calls == []  # not retried
 
     def test_rejected_credential_is_auth_error(self, monkeypatch):
         monkeypatch.setenv("TEST_TOKEN", "expired")
