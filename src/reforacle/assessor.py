@@ -4,7 +4,9 @@ A verdict is only as good as its evidence: a behavior-change claim
 counts as correct solely when the model's own JUnit test compiles
 against both program versions and passes on exactly one of them. The
 answer taxonomy distinguishes wrong verdicts from right verdicts with
-failed evidence, so error analyses can separate the two.
+failed evidence, so error analyses can separate the two. The parser has
+already checked the claim's test: a claim whose `verdict.test` is None
+had no usable test and runs no toolchain.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from . import java_executor, jsonl, verdict_parser
 from .dataset import BugInstance
@@ -123,9 +124,6 @@ def _base(inst: BugInstance, verdict, attempt_index: int, backend_name: str,
     }
 
 
-_SCAN = object()  # test_source default: _judge takes checked_test(verdict) itself
-
-
 def assess(
     inst: BugInstance,
     verdict: ModelVerdict | ParseFailure,
@@ -134,23 +132,20 @@ def assess(
     attempt_index: int = 1,
     backend_name: str = "",
     variant_tag: str = "",
-    test_source: str | None | object = _SCAN,
     provenance: Callable[[], dict] = dict,
 ) -> AssessmentOutcome:
     """Judge one attempt on a bug instance (ground truth BC or CE).
 
     A YES is always incorrect here: every instance is a confirmed bug.
-    A caller that has already taken `checked_test(verdict)` passes it as
-    `test_source`, so the test is not scanned again. `provenance` is
-    called once any claim is checked, and the fields it returns (prompt
-    hash, template and toolchain version, seed, temperature) go into the
-    outcome, so a slow lookup such as a toolchain version probe can
-    overlap the check.
+    `provenance` is called once any claim is checked, and the fields it
+    returns (prompt hash, template and toolchain version, seed,
+    temperature) go into the outcome, so a slow lookup such as a
+    toolchain version probe can overlap the check.
     """
     if inst.label not in ("BC", "CE"):
         raise ValueError(f"assess() expects a bug instance, got label {inst.label}")
     return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
-                  test_source, provenance)
+                  provenance)
 
 
 def assess_preserving(
@@ -161,19 +156,18 @@ def assess_preserving(
     attempt_index: int = 1,
     backend_name: str = "",
     variant_tag: str = "",
-    test_source: str | None | object = _SCAN,
     provenance: Callable[[], dict] = dict,
 ) -> AssessmentOutcome:
     """Judge one attempt on a behavior-preserving instance.
 
     Correct iff the model answers YES. NO verdicts are recorded with
-    their claimed category for false-positive analysis. `test_source`
-    and `provenance` are as for assess().
+    their claimed category for false-positive analysis. `provenance` is
+    as for assess().
     """
     if inst.label != "PRESERVING":
         raise ValueError(f"assess_preserving() expects PRESERVING, got {inst.label}")
     return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
-                  test_source, provenance)
+                  provenance)
 
 
 _CLAIM_LABELS = {
@@ -190,7 +184,6 @@ def _judge(
     attempt_index: int,
     backend_name: str,
     variant_tag: str,
-    test_source: str | None | object,
     provenance: Callable[[], dict],
 ) -> AssessmentOutcome:
     """Score one attempt against any ground truth.
@@ -208,10 +201,8 @@ def _judge(
     base["explanation"] = verdict.explanation
     evidence, reflective, inconclusive = None, False, False
     if verdict.category == verdict_parser.NO_BEHAVIOR_CHANGE:
-        if test_source is _SCAN:
-            test_source = checked_test(verdict)
         label, evidence, reflective, inconclusive = _validate_bc_claim(
-            inst, test_source, toolchain
+            inst, verdict.test, toolchain
         )
     else:
         label = _CLAIM_LABELS[verdict.category]
@@ -226,30 +217,17 @@ def _judge(
     )
 
 
-def checked_test(verdict: ModelVerdict | ParseFailure) -> str | None:
-    """The test a behavior-change claim is checked with, so scoring
-    `verdict` runs the toolchain exactly when this is not None. None for
-    any other verdict and for a claim whose test is missing or malformed
-    (not exactly one public class)."""
-    if isinstance(verdict, ParseFailure) or verdict.category != verdict_parser.NO_BEHAVIOR_CHANGE:
-        return None
-    try:
-        return verdict_parser.extract_test_source(verdict)
-    except verdict_parser.MalformedTest:
-        return None
-
-
 def _validate_bc_claim(
-    inst: BugInstance, test_source: str | None, toolchain: Toolchain
+    inst: BugInstance, test: str | None, toolchain: Toolchain
 ) -> tuple[str, DiscriminationResult | None, bool, bool]:
     """(answer_label, evidence, reflective, inconclusive) for a BC claim
-    checked with `test_source` (None: no usable test)."""
-    if test_source is None:
+    checked with `test` (None: no usable test)."""
+    if test is None:
         # a missing or malformed junit_test counts as absent evidence
         return SAID_BC_TEST_NOT_COMPILING, None, False, False
-    reflective = java_executor.uses_reflection(test_source)
+    reflective = java_executor.uses_reflection(test)
     try:
-        evidence = toolchain.check_discriminating(test_source, inst.original, inst.resulting)
+        evidence = toolchain.check_discriminating(test, inst.original, inst.resulting)
     except java_executor.ToolchainError as err:
         logger.warning("inconclusive assessment for %s: %s", inst.id, err)
         return SAID_BC_TEST_NOT_COMPILING, None, reflective, True
@@ -264,11 +242,6 @@ def _validate_bc_claim(
     return SAID_BC_TEST_NOT_DISCRIMINATING, evidence, False, False
 
 
-def write_outcomes(outcomes, out: str | Path | jsonl.Appender) -> None:
-    """Append outcomes to a JSON-lines results file, given by its path or
-    as an Appender the caller holds open."""
-    lines = [outcome.to_json_line() for outcome in outcomes]
-    if isinstance(out, jsonl.Appender):
-        out.write(lines)
-    else:
-        jsonl.append(out, lines)
+def write_outcomes(outcomes, out: jsonl.Appender) -> None:
+    """Append outcomes to the JSON-lines results file `out` holds open."""
+    out.write([outcome.to_json_line() for outcome in outcomes])

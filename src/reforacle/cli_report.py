@@ -169,7 +169,7 @@ def write_stats_report(view: dict[str, Run], out_dir: Path) -> Path | None:
     for name, outcomes in per_model.items():
         n = len(outcomes)
         successes = sum(outcomes.values())
-        low, high = stats.wilson_ci(successes, n, 0.95)
+        low, high = stats.wilson_ci(successes, n)
         doc["models"][name] = {
             "correct": successes,
             "n": n,

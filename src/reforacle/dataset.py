@@ -183,17 +183,17 @@ def load_instance(instance_dir: Path) -> BugInstance:
     original = _read_source_set(instance_dir / "original", instance_dir)
     resulting = _read_source_set(instance_dir / "resulting", instance_dir)
 
-    test_source: str | None = None
+    exposing_test: str | None = None
     test_dir = instance_dir / "test"
     if test_dir.is_dir():
         test_files = sorted(test_dir.glob("*.java"))
         if test_files:
-            test_source = test_files[0].read_text(encoding="utf-8")
+            exposing_test = test_files[0].read_text(encoding="utf-8")
 
-    if meta["label"] == "BC" and test_source is None:
+    if meta["label"] == "BC" and exposing_test is None:
         raise MissingTestForBC(f"{instance_dir}: label BC but no test/ directory")
     if meta["label"] != "BC":
-        test_source = None
+        exposing_test = None
 
     try:
         return BugInstance(
@@ -203,7 +203,7 @@ def load_instance(instance_dir: Path) -> BugInstance:
             label=meta["label"],
             original=original,
             resulting=resulting,
-            exposing_test=test_source,
+            exposing_test=exposing_test,
         )
     except MissingTestForBC:
         raise

@@ -106,9 +106,9 @@ class DiscriminationResult:
         return self.passing_side != ""
 
 
-def uses_reflection(test_source: str) -> bool:
+def uses_reflection(test: str) -> bool:
     """Lexical check; policy for flagged tests lives in the assessor."""
-    return REFLECTION_MARKER in test_source
+    return REFLECTION_MARKER in test
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,6 @@ class ToolchainConfig:
 
     javac_path: str = "javac"
     junit_classpath: tuple[str, ...] = ()
-    # a main class that runs the test class named as its one argument
-    runner_main: str = "org.junit.runner.JUnitCore"
 
 
 class Toolchain:
@@ -140,11 +138,11 @@ class Toolchain:
     def compile(self, src: SourceSet) -> CompileResult:
         raise NotImplementedError
 
-    def run_test(self, program: SourceSet, test_source: str) -> TestRunResult:
+    def run_test(self, program: SourceSet, test: str) -> TestRunResult:
         raise NotImplementedError
 
     def check_discriminating(
-        self, test_source: str, original: SourceSet, resulting: SourceSet
+        self, test: str, original: SourceSet, resulting: SourceSet
     ) -> DiscriminationResult:
         """Run the same test against both versions in disjoint workspaces.
 
@@ -158,7 +156,7 @@ class Toolchain:
         exception reaches the callers waiting on that run and is not
         kept, so the next check retries.
         """
-        test_hash = _text_hash(test_source)
+        test_hash = _text_hash(test)
         sides = [(p, (source_set_hash(p), test_hash)) for p in (original, resulting)]
         runs: dict[tuple[str, str], Future] = {}  # every side's run, wherever it is made
         ran: dict[tuple[str, str], TestRunResult] = {}  # the runs made by this call
@@ -173,7 +171,7 @@ class Toolchain:
             if not claimed:
                 continue
             try:
-                ran[key] = self.run_test(program, test_source)
+                ran[key] = self.run_test(program, test)
             except BaseException as err:
                 with self._runs_lock:
                     self._runs.pop(key, None)  # gone if a mock was re-scripted meanwhile
@@ -200,7 +198,7 @@ class NullToolchain(Toolchain):
     def compile(self, src: SourceSet) -> CompileResult:
         raise ToolchainUnavailable("no JDK configured")
 
-    def run_test(self, program: SourceSet, test_source: str) -> TestRunResult:
+    def run_test(self, program: SourceSet, test: str) -> TestRunResult:
         raise ToolchainUnavailable("no JDK configured")
 
 
@@ -354,22 +352,22 @@ class RealToolchain(Toolchain):
         for worker in workers:
             worker.close()
 
-    def run_test(self, program: SourceSet, test_source: str) -> TestRunResult:
+    def run_test(self, program: SourceSet, test: str) -> TestRunResult:
         """Compile program + test together, then run the single JUnit test."""
         if not self.config.junit_classpath:
             # the runner main can only come from the JUnit classpath
             raise ToolchainUnavailable("no JUnit classpath configured")
-        test_class = javalex.top_level_public_class(test_source)
+        test_class = javalex.top_level_public_class(test)
         if test_class is None:
             raise ToolchainError("test must declare exactly one public class")
         with self._workspace("test") as ws:
-            return self._run_test_in(program, test_source, test_class, ws)
+            return self._run_test_in(program, test, test_class, ws)
 
     def _run_test_in(
-        self, program: SourceSet, test_source: str, test_class: str, ws: Path
+        self, program: SourceSet, test: str, test_class: str, ws: Path
     ) -> TestRunResult:
-        test_rel = _test_relative_path(test_source, test_class)
-        combined = SourceSet(files=program.files + ((test_rel, test_source),))
+        test_rel = _test_relative_path(test, test_class)
+        combined = SourceSet(files=program.files + ((test_rel, test),))
         compile_result = self._compile_in(combined, ws)
         if not compile_result.success:
             return TestRunResult(
@@ -378,8 +376,8 @@ class RealToolchain(Toolchain):
                 elapsed_s=compile_result.elapsed_s,
             )
         classpath = _join_cp((str(ws / "classes"),) + self.config.junit_classpath)
-        qualified = _qualified_test_class(test_source, test_class)
-        cmd = [self.java, "-cp", classpath, self.config.runner_main, qualified]
+        qualified = _qualified_test_class(test, test_class)
+        cmd = [self.java, "-cp", classpath, "org.junit.runner.JUnitCore", qualified]
         start = time.monotonic()
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True, timeout=TEST_TIMEOUT_S)
@@ -530,11 +528,11 @@ class MockToolchain(Toolchain):
     def script_run(
         self,
         program: SourceSet,
-        test_source: str,
+        test: str,
         outcome: str,
         runner_output: str = "",
     ) -> None:
-        key = (source_set_hash(program), _text_hash(test_source))
+        key = (source_set_hash(program), _text_hash(test))
         self._run_table[key] = TestRunResult(
             outcome=outcome, runner_output=runner_output, elapsed_s=0.0
         )
@@ -550,7 +548,7 @@ class MockToolchain(Toolchain):
             elapsed_s=0.0,
         )
 
-    def run_test(self, program: SourceSet, test_source: str) -> TestRunResult:
+    def run_test(self, program: SourceSet, test: str) -> TestRunResult:
         compile_result = self.compile(program)
         if not compile_result.success:
             return TestRunResult(
@@ -558,7 +556,7 @@ class MockToolchain(Toolchain):
                 runner_output=compile_result.diagnostics,
                 elapsed_s=0.0,
             )
-        key = (source_set_hash(program), _text_hash(test_source))
+        key = (source_set_hash(program), _text_hash(test))
         if key in self._run_table:
             return self._run_table[key]
         return TestRunResult(outcome=self.default_run_outcome, runner_output="", elapsed_s=0.0)
@@ -584,15 +582,15 @@ _FAILURE_MARKER = "FAILURES!!!"
 _PACKAGE_RE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
 
 
-def _test_relative_path(test_source: str, test_class: str) -> str:
-    match = _PACKAGE_RE.search(test_source)
+def _test_relative_path(test: str, test_class: str) -> str:
+    match = _PACKAGE_RE.search(test)
     if match:
         return match.group(1).replace(".", "/") + f"/{test_class}.java"
     return f"{test_class}.java"
 
 
-def _qualified_test_class(test_source: str, test_class: str) -> str:
-    match = _PACKAGE_RE.search(test_source)
+def _qualified_test_class(test: str, test_class: str) -> str:
+    match = _PACKAGE_RE.search(test)
     if match:
         return f"{match.group(1)}.{test_class}"
     return test_class

@@ -19,21 +19,24 @@ logger = logging.getLogger(__name__)
 
 
 def records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, document) for each non-blank line."""
+    """(line number, object) for each non-blank line; a line that is not
+    a JSON object is a ValueError naming the file and line."""
     with Path(path).open(encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError:
+            except json.JSONDecodeError as err:
                 if line.endswith("\n"):
-                    raise
+                    raise ValueError(f"{path}:{n}: not JSON: {err}") from err
                 logger.warning(
                     "%s:%d: skipping a torn last line (%d characters); the next append cuts it",
                     path, n, len(line),
                 )
                 return
+            if not isinstance(doc, dict):
+                raise ValueError(f"{path}:{n}: not a JSON object")
             yield n, doc
 
 

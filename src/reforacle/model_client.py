@@ -128,6 +128,8 @@ class RawModelResponse:
     cost_estimate: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise ValueError(f"text must be a string, not {type(self.text).__name__}")
         if self.latency_s < 0:
             raise ValueError("latency must be >= 0")
         if self.attempt_index < 1:
@@ -146,9 +148,14 @@ class TranscriptStore:
 
     def _load(self) -> None:
         assert self.path is not None
-        for _, doc in jsonl.records(self.path):
-            key = RequestKey(**doc["key"])
-            self._records[key] = RawModelResponse(**doc["response"])
+        for n, doc in jsonl.records(self.path):
+            try:
+                key = RequestKey(**doc["key"])
+                self._records[key] = RawModelResponse(**doc["response"])
+            except (KeyError, TypeError, ValueError) as err:
+                raise ValueError(
+                    f"{self.path}:{n}: not a transcript record ({type(err).__name__}: {err})"
+                ) from err
 
     def __len__(self) -> int:
         return len(self._records)

@@ -63,6 +63,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ConfigError("attempts must be >= 1")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.mode == METAMORPHIC_MODE and self.master_seed is None:
@@ -258,7 +260,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
     write_lock = threading.Lock()
     call_errors = 0
 
-    def score(task: _Task, verdict: ModelVerdict | ParseFailure, test: str | None) -> None:
+    def score(task: _Task, verdict: ModelVerdict | ParseFailure) -> None:
         if task.instance.label == "PRESERVING":
             assess = assessor.assess_preserving
         else:
@@ -270,7 +272,6 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
             attempt_index=task.attempt,
             backend_name=task.key.backend_name,
             variant_tag=task.prompt.variant_tag,
-            test_source=test,
             provenance=lambda: {  # after the check, which overlaps the version probe
                 "prompt_hash": task.prompt.hash,
                 "template_version": task.prompt.template_version,
@@ -293,10 +294,10 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                          task.instance.id, task.attempt, err)
             return
         verdict = parse_response(response, task.prompt.kind)
-        score(task, verdict, assessor.checked_test(verdict))
+        score(task, verdict)
 
     with jsonl.Appender(outcomes_path) as outcomes:
-        if cfg.jobs <= 1:
+        if cfg.jobs == 1:
             for task in tasks:
                 run_task(task)
             return len(tasks) - call_errors, call_errors
@@ -313,11 +314,10 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                     continue
                 verdict = parse_response(client.query(task.prompt, task.attempt),
                                          task.prompt.kind)
-                test = assessor.checked_test(verdict)
-                if test is None:
-                    score(task, verdict, test)
+                if verdict.test is None:
+                    score(task, verdict)
                 else:
-                    pending.append(pool.submit(score, task, verdict, test))
+                    pending.append(pool.submit(score, task, verdict))
             for future in pending:
                 future.result()
         finally:  # on an error, drop the attempts no thread has started

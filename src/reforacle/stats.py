@@ -1,13 +1,11 @@
-"""Paired-binary statistics: Wilson intervals, exact McNemar, Cochran's Q,
-Holm correction.
+"""Paired-binary statistics: 95% Wilson intervals, exact McNemar,
+Cochran's Q, Holm correction.
 
-The chi-square tail and normal quantile are implemented here rather than
-imported, so results are bit-stable across platforms: the regularized
-incomplete gamma function uses the classic series expansion for
-x < a + 1 and a Lentz-style continued fraction otherwise, and the
-quantile uses Acklam's rational approximation (|error| < 1.2e-8, well
-inside the 1e-7 contract). The 95% two-sided quantile is pinned to
-1.959964.
+The chi-square tail is implemented here rather than imported, so results
+are bit-stable across platforms: the regularized incomplete gamma
+function uses the classic series expansion for x < a + 1 and a
+Lentz-style continued fraction otherwise. The 95% two-sided normal
+quantile is pinned to 1.959964.
 """
 
 from __future__ import annotations
@@ -53,15 +51,13 @@ class TestResult:
             raise DomainError(f"p-value {self.p_value} outside [0, 1]")
 
 
-def wilson_ci(successes: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Two-sided Wilson score interval, clamped to [0, 1]."""
+def wilson_ci(successes: int, n: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval, clamped to [0, 1]."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if not 0 <= successes <= n:
         raise DomainError("successes must lie in [0, n]")
-    if not 0.0 < confidence < 1.0:
-        raise DomainError("confidence must lie in (0, 1)")
-    z = Z_95 if confidence == 0.95 else normal_quantile(1.0 - (1.0 - confidence) / 2.0)
+    z = Z_95
     phat = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -199,58 +195,3 @@ def _regularized_gamma_q(a: float, x: float) -> float:
         return max(0.0, min(1.0, 1.0 - _regularized_gamma_p(a, x)))
     return max(0.0, min(1.0, _regularized_gamma_q_cf(a, x)))
 
-
-# Acklam's inverse normal CDF approximation coefficients.
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_P_LOW = 0.02425
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (Acklam), |error| < 1.2e-8."""
-    if not 0.0 < p < 1.0:
-        raise DomainError("quantile argument must lie in (0, 1)")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        return (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    q = math.sqrt(-2.0 * math.log(1.0 - p))
-    return -(
-        ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-    ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)

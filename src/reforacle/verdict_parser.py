@@ -6,6 +6,11 @@ kinds of noise are recoverable because small models emit them routinely:
 prose or markdown fences around the outermost JSON object, and a single
 missing/extra space around the verdict hyphen. Everything else is a
 ParseFailure value, never an exception: parsing is total.
+
+A behavior-change claim's junit_test is checked here, once: the verdict
+carries it as `test` only when it holds exactly one top-level public
+class, so scoring runs the toolchain exactly when `verdict.test` is not
+None.
 """
 
 from __future__ import annotations
@@ -39,16 +44,11 @@ ILLEGAL_UNKNOWN_IN_FULL_MODE = "IllegalUnknownInFullMode"
 _FENCE_RE = re.compile(r"^```[a-zA-Z]*\s*$")
 
 
-class MalformedTest(ValueError):
-    """junit_test does not contain exactly one top-level public class."""
-
-
 @dataclass(frozen=True)
 class ModelVerdict:
     category: str
     explanation: str
-    junit_test: str | None = None
-    noise_stripped: bool = False
+    test: str | None = None  # a behavior-change claim's well-formed test
     raw: RawModelResponse | None = None
 
 
@@ -57,6 +57,8 @@ class ParseFailure:
     reason: str
     excerpt: str
     raw: RawModelResponse | None = None
+
+    test = None  # a failure claims nothing, so no test is checked
 
 
 def parse_response(raw: RawModelResponse | str, mode: str = FULL_SOURCE) -> ModelVerdict | ParseFailure:
@@ -69,7 +71,7 @@ def parse_response(raw: RawModelResponse | str, mode: str = FULL_SOURCE) -> Mode
     def failure(reason: str) -> ParseFailure:
         return ParseFailure(reason=reason, excerpt=text[:200], raw=ref)
 
-    doc, stripped = _load_json_object(text)
+    doc = _load_json_object(text)
     if doc is None:
         return failure(NOT_JSON)
     if "verdict" not in doc or "explanation" not in doc:
@@ -83,18 +85,13 @@ def parse_response(raw: RawModelResponse | str, mode: str = FULL_SOURCE) -> Mode
     if category == UNKNOWN and mode != DIFF_ONLY:
         return failure(ILLEGAL_UNKNOWN_IN_FULL_MODE)
     junit_test = doc.get("junit_test")
-    if junit_test is not None and not isinstance(junit_test, str):
-        junit_test = None
+    test = None
+    if category == NO_BEHAVIOR_CHANGE and isinstance(junit_test, str):
+        test = extract_test_source(junit_test)
     explanation = doc["explanation"]
     if not isinstance(explanation, str):
         explanation = json.dumps(explanation)
-    return ModelVerdict(
-        category=category,
-        explanation=explanation,
-        junit_test=junit_test,
-        noise_stripped=stripped,
-        raw=ref,
-    )
+    return ModelVerdict(category=category, explanation=explanation, test=test, raw=ref)
 
 
 def _map_verdict(value: str) -> str | None:
@@ -107,16 +104,12 @@ def _map_verdict(value: str) -> str | None:
     return None
 
 
-def _load_json_object(text: str) -> tuple[dict | None, bool]:
+def _load_json_object(text: str) -> dict | None:
     """Parse the outermost JSON object, stripping recoverable noise.
-
-    Returns (object, noise_stripped). None when no object can be parsed.
-    """
+    None when no object can be parsed."""
     try:
         doc = json.loads(text)
-        if isinstance(doc, dict):
-            return doc, False
-        return None, False
+        return doc if isinstance(doc, dict) else None
     except json.JSONDecodeError:
         pass
     candidate = _strip_fences(text)
@@ -124,7 +117,7 @@ def _load_json_object(text: str) -> tuple[dict | None, bool]:
         try:
             doc = json.loads(candidate)
             if isinstance(doc, dict):
-                return doc, True
+                return doc
         except json.JSONDecodeError:
             pass
     start = text.find("{")
@@ -133,10 +126,10 @@ def _load_json_object(text: str) -> tuple[dict | None, bool]:
         try:
             doc = json.loads(text[start : end + 1])
             if isinstance(doc, dict):
-                return doc, True
+                return doc
         except json.JSONDecodeError:
             pass
-    return None, False
+    return None
 
 
 def _strip_fences(text: str) -> str:
@@ -145,28 +138,20 @@ def _strip_fences(text: str) -> str:
     return "\n".join(kept).strip()
 
 
-def extract_test_source(verdict: ModelVerdict) -> str | None:
-    """The verdict's JUnit test as plain Java, or None when absent.
+def extract_test_source(junit_test: str) -> str | None:
+    """A claim's JUnit test as plain Java, or None when it is malformed.
 
     Markdown fences inside the test are stripped (a rule models sometimes
-    violate). Raises MalformedTest unless exactly one top-level public
-    class remains; the caller records that and treats it as a
-    test-compilation failure.
+    violate). A test that is empty, does not scan, or does not hold
+    exactly one top-level public class is None; scoring counts that as
+    a test that does not compile.
     """
-    if verdict.junit_test is None:
-        return None
-    source = verdict.junit_test
-    lines = [ln for ln in source.split("\n") if not _FENCE_RE.match(ln.strip())]
+    lines = [ln for ln in junit_test.split("\n") if not _FENCE_RE.match(ln.strip())]
     source = "\n".join(lines).strip("\n")
     if not source.strip():
-        raise MalformedTest("test body is empty after stripping fences")
+        return None
     try:
         scan = javalex.scan_file(source)
-    except javalex.ScanError as err:
-        raise MalformedTest(f"test source does not scan: {err}") from err
-    public_classes = scan.public_class_names()
-    if len(public_classes) != 1:
-        raise MalformedTest(
-            f"expected exactly one top-level public class, found {len(public_classes)}"
-        )
-    return source
+    except javalex.ScanError:
+        return None
+    return source if len(scan.public_class_names()) == 1 else None

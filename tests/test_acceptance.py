@@ -66,7 +66,7 @@ def test_criterion_01_statistics_exact_values():
             225: (0.975, 0.999),
         }
         for successes, (lo, hi) in expected_ci.items():
-            low, high = stats.wilson_ci(successes, 226, 0.95)
+            low, high = stats.wilson_ci(successes, 226)
             assert abs(low - lo) <= 1e-3, (successes, low, lo)
             assert abs(high - hi) <= 1e-3, (successes, high, hi)
 
@@ -273,13 +273,9 @@ def test_criterion_07_assessor_truth_table():
             return parse_response(json.dumps(doc), mode)
 
         def make_toolchain(inst, discriminating):
-            from reforacle.verdict_parser import extract_test_source
-
             toolchain = MockToolchain()
             if discriminating:
-                claimed = extract_test_source(
-                    verdict("NO - BEHAVIOR CHANGE", java_fixtures.VACUOUS_TEST)
-                )
+                claimed = verdict("NO - BEHAVIOR CHANGE", java_fixtures.VACUOUS_TEST).test
                 toolchain.script_run(inst.original, claimed, PASS)
                 toolchain.script_run(inst.resulting, claimed, FAIL)
             return toolchain
@@ -446,7 +442,7 @@ def test_criterion_10_verdict_parser():
         bc = parse_response(SAMPLE_BC_OUTPUT, FULL_SOURCE)
         assert isinstance(bc, ModelVerdict)
         assert bc.category == "NO_BEHAVIOR_CHANGE"
-        assert bc.junit_test and "RefactoringBehaviorTest" in bc.junit_test
+        assert bc.test and "RefactoringBehaviorTest" in bc.test
 
         ce = parse_response(SAMPLE_CE_OUTPUT, FULL_SOURCE)
         assert isinstance(ce, ModelVerdict)

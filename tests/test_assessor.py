@@ -92,7 +92,7 @@ class TestBugAssessment:
 
     def test_bc_with_discriminating_test_correct(self):
         verdict = parse_response(raw(SAMPLE_BC_OUTPUT), FULL_SOURCE)
-        toolchain = discriminating_mock(BC_INSTANCE, verdict.junit_test)
+        toolchain = discriminating_mock(BC_INSTANCE, verdict.test)
         outcome = assess(BC_INSTANCE, verdict, toolchain)
         assert outcome.correct
         assert outcome.answer_label == SAID_BC_VALID
@@ -310,32 +310,24 @@ class TestNeedsToolchain:
              "test", "reflective-test"],
     )
     def test_true_exactly_when_scoring_checks_the_claim(self, verdict, needed):
-        test = assessor.checked_test(verdict)
-        assert (test is not None) is needed
+        assert (verdict.test is not None) is needed
         for inst in (BC_INSTANCE, CE_INSTANCE, PRESERVING_INSTANCE):
             judge = assess_preserving if inst.label == "PRESERVING" else assess
-            for given in ({}, {"test_source": test}):  # scanned by the judge, or handed in
-                toolchain = CountingToolchain()
-                judge(inst, verdict, toolchain, **given)
-                assert toolchain.checks == int(needed)
+            toolchain = CountingToolchain()
+            judge(inst, verdict, toolchain)
+            assert toolchain.checks == int(needed)
 
-    def test_a_handed_in_test_is_not_scanned_again(self, monkeypatch):
-        verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST)
-        test = assessor.checked_test(verdict)
-        scanned = assess(BC_INSTANCE, verdict, CountingToolchain())
 
-        def no_scan(verdict):
-            raise AssertionError("the checked test was scanned again")
-
-        monkeypatch.setattr(assessor.verdict_parser, "extract_test_source", no_scan)
-        assert assess(BC_INSTANCE, verdict, CountingToolchain(), test_source=test) == scanned
+def append(path, outcomes) -> None:
+    with jsonl.Appender(path) as out:
+        write_outcomes(outcomes, out)
 
 
 class TestOutcomePersistence:
     def test_round_trip(self, tmp_path):
         outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
         path = tmp_path / "outcomes.jsonl"
-        write_outcomes([outcome], path)
+        append(path, [outcome])
         rows = read_outcomes(path)
         assert len(rows) == 1
         assert rows[0]["schema"] == 1
@@ -359,13 +351,13 @@ class TestOutcomePersistence:
     def test_torn_last_line_is_skipped_then_cut(self, tmp_path, caplog):
         outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
         path = tmp_path / "outcomes.jsonl"
-        write_outcomes([outcome, outcome], path)
+        append(path, [outcome, outcome])
         whole = path.read_text()
         with path.open("a") as fh:
             fh.write(outcome.to_json_line()[:40])  # killed mid-write
         assert len(read_outcomes(path)) == 2
         assert "torn last line" in caplog.text
-        write_outcomes([outcome], path)
+        append(path, [outcome])
         assert path.read_text() == whole + outcome.to_json_line() + "\n"
         assert len(read_outcomes(path)) == 3
 
@@ -373,7 +365,7 @@ class TestOutcomePersistence:
         outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
         line = outcome.to_json_line() + "\n"
         path = tmp_path / "outcomes.jsonl"
-        write_outcomes([outcome], path)
+        append(path, [outcome])
         with path.open("a") as fh:
             fh.write(line[:40])  # killed mid-write
         with jsonl.Appender(path) as out:
@@ -393,7 +385,7 @@ class TestOutcomePersistence:
         path = tmp_path / "outcomes.jsonl"
         path.write_text(outcome.to_json_line())
         assert len(read_outcomes(path)) == 1
-        write_outcomes([outcome], path)
+        append(path, [outcome])
         assert path.read_text() == (outcome.to_json_line() + "\n") * 2
 
     def test_malformed_line_before_the_last_is_an_error(self, tmp_path):

@@ -340,6 +340,10 @@ class TestRunBenchmark:
                 mode=cli_report.METAMORPHIC_MODE,
                 out_dir=str(tmp_path),
             )
+        for jobs in (0, -3):
+            with pytest.raises(ConfigError, match="jobs must be >= 1"):
+                RunConfig(corpus_root=str(mini_corpus_root), backends=[BackendConfig(name="m")],
+                          out_dir=str(tmp_path), jobs=jobs)
 
 
 class CountingBackend(MockBackend):
@@ -1143,6 +1147,38 @@ class TestCliEntry:
         assert code == 2
         assert capsys.readouterr().err.strip() == f"error: {backends_file}: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"foo": 1}', "not a transcript record (KeyError: 'key')"),
+            ('{"key": {"backend_name": "mock"}, "response": {}}',
+             "not a transcript record (TypeError: "),
+        ],
+        ids=["no-key", "key-lacks-fields"],
+    )
+    def test_a_malformed_replay_record_is_an_error_naming_its_line(
+        self, line, message, mini_corpus_root, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: MockToolchain())
+        store, out = tmp_path / "store.jsonl", tmp_path / "out"
+        store.write_text(line + "\n")
+        code = main(["run", "--corpus", str(mini_corpus_root), "--backend", "mock",
+                     "--replay", str(store), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: {store}:1: {message}")
+        assert not (out / "outcomes.jsonl").exists()
+
+    def test_an_outcomes_line_that_is_not_an_object_is_an_error_naming_its_line(
+        self, tmp_path, capsys
+    ):
+        outcomes = tmp_path / "outcomes.jsonl"
+        outcomes.write_text(GOLDEN_OUTCOMES.read_text() + "[1,2]\n")
+        n = len(outcomes.read_text().splitlines())
+        code = main(["summarize", "--outcomes", str(outcomes), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {outcomes}:{n}: not a JSON object"
 
     def test_unknown_backend_is_config_error(self, mini_corpus_root, tmp_path):
         code = main(

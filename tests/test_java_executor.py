@@ -511,27 +511,17 @@ class TestCompileTimeout:
         assert "javac exceeded 0.5 s" in log
 
 
-# A test with its own main, run as the runner: a real check without JUnit.
-MAIN_TEST = """public class MainTest {
-  public static void main(String[] args) {
-    if (new C().m() != 10) System.exit(1);
-  }
-}
-"""
-
-
 @pytest.mark.usefixtures("jdk")
 class TestRealCheck:
-    def test_check_leaves_no_workspace(self, jdk, tmp_path, workspaces):
-        config = replace(
-            jdk.config, junit_classpath=(str(tmp_path / "no-junit"),), runner_main="MainTest"
-        )
-        toolchain = java_executor.RealToolchain(config)
+    def test_check_leaves_no_workspace(self, jdk, workspaces):
+        toolchain = java_executor.RealToolchain(jdk.config)
         try:
-            result = toolchain.check_discriminating(MAIN_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
+            result = toolchain.check_discriminating(
+                java_fixtures.BEHAVIOR_TEST, FIG1_ORIGINAL, FIG1_RESULTING
+            )
         finally:
             toolchain.close()
-        assert (result.on_original.outcome, result.on_resulting.outcome) == (PASS, ERROR)
+        assert (result.on_original.outcome, result.on_resulting.outcome) == (PASS, FAIL)
         assert result.discriminates
         assert list(workspaces.iterdir()) == []
 
@@ -543,7 +533,9 @@ class TestRealCheck:
         toolchain = java_executor.RealToolchain(config)
         monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.5)
         with pytest.raises(ToolchainError, match="workspace kept") as err:
-            toolchain.check_discriminating(MAIN_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
+            toolchain.check_discriminating(
+                java_fixtures.BEHAVIOR_TEST, FIG1_ORIGINAL, FIG1_RESULTING
+            )
         toolchain.close()
         (kept,) = workspaces.iterdir()
         assert str(kept) in str(err.value)
@@ -565,20 +557,22 @@ def wrapped_jdk(directory: Path, log: Path, java_body: str) -> Path:
 class TestOneJdk:
     """A toolchain starts every JVM from the java next to its javac."""
 
-    def test_workers_and_test_runs_use_the_java_beside_javac(self, tmp_path, workspaces):
+    def test_workers_and_test_runs_use_the_java_beside_javac(self, jdk, tmp_path, workspaces):
         log = tmp_path / "java.log"
         javac = wrapped_jdk(tmp_path / "jdk", log, 'exec "{real}/java" "$@"')
         toolchain = RealToolchain(java_executor.ToolchainConfig(
-            javac_path=str(javac), junit_classpath=(str(tmp_path / "no-junit"),),
-            runner_main="MainTest",
+            javac_path=str(javac), junit_classpath=jdk.config.junit_classpath,
         ))
         try:
-            result = toolchain.check_discriminating(MAIN_TEST, FIG1_ORIGINAL, FIG1_RESULTING)
+            result = toolchain.check_discriminating(
+                java_fixtures.BEHAVIOR_TEST, FIG1_ORIGINAL, FIG1_RESULTING
+            )
         finally:
             toolchain.close()
-        assert (result.on_original.outcome, result.on_resulting.outcome) == (PASS, ERROR)
+        assert (result.on_original.outcome, result.on_resulting.outcome) == (PASS, FAIL)
         launches = log.read_text().splitlines()
-        assert sum(line.endswith(" MainTest MainTest") for line in launches) == 2
+        runs = " org.junit.runner.JUnitCore RefactoringBehaviorTest"
+        assert sum(line.endswith(runs) for line in launches) == 2
         assert sum(line.endswith(str(java_executor.COMPILE_WORKER_SOURCE))
                    for line in launches) == 1
         assert len(launches) == 3

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 import requests
@@ -262,6 +263,35 @@ class TestTranscriptStore:
         whole = path.read_text()
         path.write_text(whole[:30] + "\n" + whole)
         with pytest.raises(ValueError):
+            TranscriptStore(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"foo": 1}', "not a transcript record (KeyError: 'key')"),
+            ('{"key": {"backend_name": "m"}, "response": {}}',
+             "not a transcript record (TypeError: "),
+            ("[1, 2]", "not a JSON object"),
+        ],
+        ids=["no-key", "key-lacks-fields", "not-an-object"],
+    )
+    def test_a_malformed_record_is_an_error_naming_its_line(self, line, message, tmp_path):
+        path = tmp_path / "t.jsonl"
+        TranscriptStore(path).put(self.key(), self.response())
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError) as err:
+            TranscriptStore(path)
+        assert str(err.value).startswith(f"{path}:2: {message}")
+
+    def test_a_record_whose_text_is_not_a_string_is_an_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        TranscriptStore(path).put(self.key(), self.response())
+        doc = json.loads(path.read_text())
+        doc["response"]["text"] = 5
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:1: not a transcript record (ValueError: text must be a string, not int)")):
             TranscriptStore(path)
 
     def test_duplicate_key_rejected(self):

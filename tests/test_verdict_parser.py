@@ -15,7 +15,6 @@ from reforacle.verdict_parser import (
     NOT_JSON,
     UNKNOWN,
     YES,
-    MalformedTest,
     ModelVerdict,
     ParseFailure,
     extract_test_source,
@@ -38,15 +37,14 @@ class TestParseSampleOutputs:
         verdict = parse_response(raw(SAMPLE_BC_OUTPUT), FULL_SOURCE)
         assert isinstance(verdict, ModelVerdict)
         assert verdict.category == NO_BEHAVIOR_CHANGE
-        assert verdict.junit_test is not None
-        assert "RefactoringBehaviorTest" in verdict.junit_test
-        assert not verdict.noise_stripped
+        assert verdict.test is not None
+        assert "RefactoringBehaviorTest" in verdict.test
 
     def test_compilation_error_sample(self):
         verdict = parse_response(raw(SAMPLE_CE_OUTPUT), FULL_SOURCE)
         assert isinstance(verdict, ModelVerdict)
         assert verdict.category == NO_COMPILATION_ERROR
-        assert verdict.junit_test is None
+        assert verdict.test is None
 
     def test_yes_sample(self):
         verdict = parse_response(raw(SAMPLE_YES_OUTPUT), FULL_SOURCE)
@@ -59,7 +57,15 @@ class TestParseSampleOutputs:
         )
         assert isinstance(verdict, ModelVerdict)
         assert verdict.category == YES
-        assert verdict.junit_test is None
+        assert verdict.test is None
+
+    def test_yes_with_a_well_formed_test_carries_none(self):
+        doc = json.loads(SAMPLE_BC_OUTPUT)
+        doc["verdict"] = "YES"
+        verdict = parse_response(raw(json.dumps(doc)), FULL_SOURCE)
+        assert isinstance(verdict, ModelVerdict)
+        assert verdict.category == YES
+        assert verdict.test is None
 
 
 class TestRecoverableNoise:
@@ -67,14 +73,15 @@ class TestRecoverableNoise:
         text = "```json\n" + SAMPLE_CE_OUTPUT + "\n```"
         verdict = parse_response(raw(text), FULL_SOURCE)
         assert isinstance(verdict, ModelVerdict)
-        assert verdict.noise_stripped
+        assert verdict.category == NO_COMPILATION_ERROR
+        assert verdict.explanation == json.loads(SAMPLE_CE_OUTPUT)["explanation"]
 
     def test_prose_around_json_stripped(self):
         text = "Sure, here is my answer:\n" + SAMPLE_CE_OUTPUT + "\nHope that helps!"
         verdict = parse_response(raw(text), FULL_SOURCE)
         assert isinstance(verdict, ModelVerdict)
         assert verdict.category == NO_COMPILATION_ERROR
-        assert verdict.noise_stripped
+        assert verdict.explanation == json.loads(SAMPLE_CE_OUTPUT)["explanation"]
 
     def test_free_prose_is_not_json(self):
         failure = parse_response(raw("I think the refactoring is fine."), FULL_SOURCE)
@@ -142,7 +149,7 @@ class TestMissingTestViolation:
             FULL_SOURCE,
         )
         assert isinstance(verdict, ModelVerdict)
-        assert verdict.category == NO_BEHAVIOR_CHANGE and verdict.junit_test is None
+        assert verdict.category == NO_BEHAVIOR_CHANGE and verdict.test is None
 
 
 class TestRoundTrip:
@@ -151,53 +158,38 @@ class TestRoundTrip:
         assert isinstance(original, ModelVerdict)
         canonical = json.dumps({"verdict": "NO - BEHAVIOR CHANGE",
                                 "explanation": original.explanation,
-                                "junit_test": original.junit_test})
+                                "junit_test": original.test})
         again = parse_response(raw(canonical), FULL_SOURCE)
         assert isinstance(again, ModelVerdict)
         assert again.category == original.category
         assert again.explanation == original.explanation
-        assert again.junit_test == original.junit_test
+        assert again.test == original.test
 
 
 class TestExtractTestSource:
+    SAMPLE_TEST = json.loads(SAMPLE_BC_OUTPUT)["junit_test"]
+
     def test_sample_test_extracts_one_class(self):
-        verdict = parse_response(raw(SAMPLE_BC_OUTPUT), FULL_SOURCE)
-        source = extract_test_source(verdict)
+        source = extract_test_source(self.SAMPLE_TEST)
         assert source is not None
         assert "public class RefactoringBehaviorTest" in source
         assert source.count("@Test") == 1
 
     def test_absent_on_yes_verdict(self):
         verdict = parse_response(raw(SAMPLE_YES_OUTPUT), FULL_SOURCE)
-        assert extract_test_source(verdict) is None
+        assert verdict.test is None
 
     def test_fenced_test_extracts_identically(self):
-        plain = parse_response(raw(SAMPLE_BC_OUTPUT), FULL_SOURCE)
-        plain_source = extract_test_source(plain)
-        doc = json.loads(SAMPLE_BC_OUTPUT)
-        doc["junit_test"] = "```java\n" + doc["junit_test"] + "\n```"
-        fenced = parse_response(raw(json.dumps(doc)), FULL_SOURCE)
-        assert extract_test_source(fenced) == plain_source
+        fenced = "```java\n" + self.SAMPLE_TEST + "\n```"
+        assert extract_test_source(fenced) == extract_test_source(self.SAMPLE_TEST)
+        doc = {**json.loads(SAMPLE_BC_OUTPUT), "junit_test": fenced}
+        assert parse_response(raw(json.dumps(doc)), FULL_SOURCE).test == extract_test_source(fenced)
 
     def test_two_public_classes_malformed(self):
-        doc = {
-            "verdict": "NO - BEHAVIOR CHANGE",
-            "explanation": "e",
-            "junit_test": "public class A { }\npublic class B { }",
-        }
-        verdict = parse_response(raw(json.dumps(doc)), FULL_SOURCE)
-        with pytest.raises(MalformedTest):
-            extract_test_source(verdict)
+        assert extract_test_source("public class A { }\npublic class B { }") is None
 
     def test_empty_test_malformed(self):
-        doc = {
-            "verdict": "NO - BEHAVIOR CHANGE",
-            "explanation": "e",
-            "junit_test": "```\n```",
-        }
-        verdict = parse_response(raw(json.dumps(doc)), FULL_SOURCE)
-        with pytest.raises(MalformedTest):
-            extract_test_source(verdict)
+        assert extract_test_source("```\n```") is None
 
 
 def mutate(rng: random.Random, text: str) -> str:
