@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Callable
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 from . import java_executor, jsonl, verdict_parser
@@ -132,20 +132,18 @@ def assess(
     attempt_index: int = 1,
     backend_name: str = "",
     variant_tag: str = "",
-    provenance: Callable[[], dict] = dict,
+    provenance: Mapping[str, object] | None = None,
 ) -> AssessmentOutcome:
     """Judge one attempt on a bug instance (ground truth BC or CE).
 
     A YES is always incorrect here: every instance is a confirmed bug.
-    `provenance` is called once any claim is checked, and the fields it
-    returns (prompt hash, template and toolchain version, seed,
-    temperature) go into the outcome, so a slow lookup such as a
-    toolchain version probe can overlap the check.
+    The `provenance` fields (prompt hash, template and toolchain version,
+    seed, temperature) go into the outcome as given.
     """
     if inst.label not in ("BC", "CE"):
         raise ValueError(f"assess() expects a bug instance, got label {inst.label}")
     return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
-                  provenance)
+                  provenance or {})
 
 
 def assess_preserving(
@@ -156,7 +154,7 @@ def assess_preserving(
     attempt_index: int = 1,
     backend_name: str = "",
     variant_tag: str = "",
-    provenance: Callable[[], dict] = dict,
+    provenance: Mapping[str, object] | None = None,
 ) -> AssessmentOutcome:
     """Judge one attempt on a behavior-preserving instance.
 
@@ -167,7 +165,7 @@ def assess_preserving(
     if inst.label != "PRESERVING":
         raise ValueError(f"assess_preserving() expects PRESERVING, got {inst.label}")
     return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
-                  provenance)
+                  provenance or {})
 
 
 _CLAIM_LABELS = {
@@ -184,7 +182,7 @@ def _judge(
     attempt_index: int,
     backend_name: str,
     variant_tag: str,
-    provenance: Callable[[], dict],
+    provenance: Mapping[str, object],
 ) -> AssessmentOutcome:
     """Score one attempt against any ground truth.
 
@@ -196,7 +194,7 @@ def _judge(
     if isinstance(verdict, ParseFailure):
         return AssessmentOutcome(
             correct=False, answer_label=PARSE_ERROR, parse_reason=verdict.reason, **base,
-            **provenance(),
+            **provenance,
         )
     base["explanation"] = verdict.explanation
     evidence, reflective, inconclusive = None, False, False
@@ -213,7 +211,7 @@ def _judge(
         reflective_test=reflective,
         inconclusive=inconclusive,
         **base,
-        **provenance(),
+        **provenance,
     )
 
 

@@ -205,8 +205,6 @@ def load_instance(instance_dir: Path) -> BugInstance:
             resulting=resulting,
             exposing_test=exposing_test,
         )
-    except MissingTestForBC:
-        raise
     except ValueError as err:
         raise MissingMetadata(f"{instance_dir}: {err}") from err
 

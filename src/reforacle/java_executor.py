@@ -213,8 +213,9 @@ class RealToolchain(Toolchain):
     instead; a compile that overruns COMPILE_TIMEOUT_S, in a worker or
     one-shot, raises ToolchainError at once. Each test still runs in a
     fresh JVM. The workers and the tests run on the java launcher next to
-    the resolved javac, so one JDK compiles and runs everything. Call
-    close() to stop the workers.
+    the resolved javac, so one JDK compiles and runs everything. Its
+    version comes from that JDK's release file, so building a toolchain
+    starts no process. Call close() to stop the workers.
     """
 
     def __init__(self, config: ToolchainConfig) -> None:
@@ -224,28 +225,20 @@ class RealToolchain(Toolchain):
         java = Path(javac).resolve().with_name("java")
         if not java.is_file():
             raise ToolchainUnavailable(f"no java launcher next to {javac}")
+        version = _jdk_version(java.parent.parent / "release")  # beside <home>/bin
         super().__init__()
         self.config = config
         self.java = str(java)
-        self._version: str | None = None
+        self._javac_version = f"javac {version}"
         self._workers_can_start = True  # False once a worker failed to start
         self._workers_lock = threading.Lock()
         self._workers: list[_CompileWorker] = []
         self._idle_workers: list[_CompileWorker] = []
 
     def version(self) -> str:
-        if self._version is None:
-            try:
-                proc = subprocess.run(
-                    [self.config.javac_path, "-version"],
-                    capture_output=True,
-                    text=True,
-                    timeout=60,
-                )
-            except (OSError, subprocess.TimeoutExpired) as err:
-                raise ToolchainUnavailable(f"{self.config.javac_path} -version: {err}") from err
-            self._version = (proc.stdout + proc.stderr).strip()
-        return self._version
+        """`javac <JAVA_VERSION>`, as `javac -version` prints it, read from
+        the JDK's release file when the toolchain was built."""
+        return self._javac_version
 
     @contextmanager
     def _workspace(self, tag: str):
@@ -400,6 +393,25 @@ class RealToolchain(Toolchain):
         else:
             outcome = ERROR
         return TestRunResult(outcome=outcome, runner_output=output, elapsed_s=elapsed)
+
+
+_JAVA_VERSION_RE = re.compile(r"^JAVA_VERSION=(.*)$", re.MULTILINE)
+
+
+def _jdk_version(release: Path) -> str:
+    """JAVA_VERSION from a JDK image's release file (`<home>/release`);
+    ToolchainUnavailable when the file or the key is missing."""
+    try:
+        text = release.read_text(encoding="utf-8", errors="replace")
+    except OSError as err:
+        raise ToolchainUnavailable(
+            f"cannot read the JDK release file {release}: {err.strerror or err}"
+        ) from err
+    match = _JAVA_VERSION_RE.search(text)
+    version = match.group(1).strip().strip('"') if match else ""
+    if not version:
+        raise ToolchainUnavailable(f"the JDK release file {release} has no JAVA_VERSION")
+    return version
 
 
 class _WorkerFailed(Exception):

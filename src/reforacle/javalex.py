@@ -4,9 +4,9 @@ Not a Java parser: a single character pass that tracks comments, string,
 char and text-block literals, and brace nesting, and classifies each
 opening brace as a type body, a method body, or other. That is enough
 structure to find safe line-based insertion points, collect the
-identifier set, and count top-level public classes. Anything ambiguous
-is classified conservatively (no insertion point rather than a wrong
-one).
+identifier set, and name a test's one top-level public class. Anything
+ambiguous is classified conservatively (no insertion point rather than a
+wrong one).
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ class FileScan:
     # Innermost open context right after each line's newline; None at depth 0.
     context_at_line_end: list[BraceContext | None] = field(default_factory=list)
     package_line: int | None = None
-
-    @property
-    def type_contexts(self) -> list[BraceContext]:
-        return [c for c in self.contexts if c.kind == TYPE_BODY]
-
-    @property
-    def method_contexts(self) -> list[BraceContext]:
-        return [c for c in self.contexts if c.kind == METHOD_BODY]
 
     def public_class_names(self) -> list[str]:
         return [
@@ -379,11 +371,6 @@ def _find_package_line(result: FileScan) -> None:
         if stripped.startswith("package ") and stripped.endswith(";"):
             result.package_line = idx
             return
-
-
-def count_top_level_public_classes(text: str) -> int:
-    """Number of `public class X` declarations at brace depth zero."""
-    return len(scan_file(text).public_class_names())
 
 
 def top_level_public_class(text: str) -> str | None:

@@ -20,7 +20,7 @@ import contextlib
 import json
 import logging
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -71,6 +71,12 @@ class RunConfig:
             raise ConfigError("metamorphic mode needs a master seed")
         if not self.backends:
             raise ConfigError("at least one backend required")
+        # a repeat would run, and query, every attempt of its rows twice
+        for what, values in (("backend", [b.name for b in self.backends]),
+                             ("temperature", [str(t) for t in self.temperatures])):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{what} {repeated[0]} is given more than once")
 
     @property
     def prompt_kind(self) -> str:
@@ -135,26 +141,6 @@ def _render(cfg: RunConfig, inst: BugInstance, variant_tag: str,
     )
 
 
-class _VersionProbe(ThreadPoolExecutor):
-    """toolchain.version() on a thread of its own, started at most once, as
-    soon as the run is known to have work, so its JVM starts during set-up.
-    result() waits for it and raises what it raised; leaving the `with`
-    block waits for it too, so no probe process outlives the run."""
-
-    def __init__(self, toolchain: java_executor.Toolchain) -> None:
-        super().__init__(max_workers=1)
-        self._toolchain = toolchain
-        self._version: Future | None = None
-
-    def start(self) -> None:
-        if self._version is None:
-            self._version = self.submit(self._toolchain.version)
-
-    def result(self) -> str:
-        self.start()
-        return self._version.result()
-
-
 def run_benchmark(
     cfg: RunConfig,
     backends_impl: dict[str, object] | None = None,
@@ -171,11 +157,7 @@ def run_benchmark(
     outcomes_path = out_dir / "outcomes.jsonl"
     rows = outcome_rows.read_outcomes(outcomes_path) if outcomes_path.exists() else []
     runs = cli_report._runs(rows)
-    with _VersionProbe(toolchain) as probe:
-        if not runs:  # every attempt is left to do
-            probe.start()
-        written, call_errors = _run_tasks(cfg, backends_impl, toolchain, probe, outcomes_path,
-                                          runs)
+    written, call_errors = _run_tasks(cfg, backends_impl, toolchain, outcomes_path, runs)
     if written:  # else the reports come from the rows grouped for the resume check
         runs = cli_report._runs(outcome_rows.read_outcomes(outcomes_path))
     if not runs:  # e.g. a run whose every call failed
@@ -196,12 +178,13 @@ def run_benchmark(
 
 
 def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
-               toolchain: java_executor.Toolchain, probe: _VersionProbe,
-               outcomes_path: Path, runs: dict[RunKey, list[dict]]) -> tuple[int, int]:
+               toolchain: java_executor.Toolchain, outcomes_path: Path,
+               runs: dict[RunKey, list[dict]]) -> tuple[int, int]:
     """Schedule every attempt not among `runs` (the rows already in
-    `outcomes_path`, grouped), run them and append one row each. The transcript
-    stores are opened only when an attempt is left to do. Returns (rows
-    appended, failed model calls); each attempt counts in one of them."""
+    `outcomes_path`, grouped), run them and append one row each. The toolchain
+    version is read and the transcript stores are opened only when an attempt
+    is left to do. Returns (rows appended, failed model calls); each attempt
+    counts in one of them."""
     corpus = load_corpus(cfg.corpus_root)
     outcomes_path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -234,7 +217,6 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
             for attempt in range(1, cfg.attempts + 1):
                 stored_hash = done_keys.get((run_key, inst.id, variant_tag, attempt))
                 if stored_hash is None:
-                    probe.start()
                     tasks.append(_Task(key=run_key, instance=inst, attempt=attempt, prompt=prompt))
                 elif stored_hash != fresh_hash:
                     raise ConfigError(
@@ -245,6 +227,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
     if not tasks:
         return 0, 0
 
+    toolchain_version = toolchain.version()
     replay_store = TranscriptStore(cfg.replay_path) if cfg.replay_path else None
     record_store = TranscriptStore(cfg.record_path) if cfg.record_path else None
     clients = {
@@ -272,10 +255,10 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
             attempt_index=task.attempt,
             backend_name=task.key.backend_name,
             variant_tag=task.prompt.variant_tag,
-            provenance=lambda: {  # after the check, which overlaps the version probe
+            provenance={
                 "prompt_hash": task.prompt.hash,
                 "template_version": task.prompt.template_version,
-                "toolchain_version": probe.result(),
+                "toolchain_version": toolchain_version,
                 "seed": cfg.master_seed,
                 "temperature": task.key.temperature,
             },

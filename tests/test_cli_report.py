@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import java_fixtures
+from jdk_image import JAVA_VERSION, stand_in_jdk
 from reforacle import (
     assessor,
     cli_report,
@@ -454,7 +455,7 @@ class TestRunKey:
             probes = 0
 
             def version(self):
-                Unversioned.probes += 1  # raised on the probe's thread, it would go unseen
+                Unversioned.probes += 1
                 raise AssertionError("version probed with nothing to run")
 
         out = tmp_path / "out"
@@ -750,59 +751,9 @@ class FailingProbe(MockToolchain):
         raise ToolchainUnavailable("javac -version: no such interpreter")
 
 
-class SlowProbe(MockToolchain):
-    """A version probe that takes a while and records the thread it ran on."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.probes = []
-
-    def version(self):
-        time.sleep(0.2)
-        self.probes.append(threading.current_thread())
-        return super().version()
-
-
 class TestVersionProbe:
-    """The toolchain's version probe overlaps set-up and never outlives the run."""
-
-    def test_a_fresh_out_probes_while_the_corpus_loads(self, mini_corpus_root, tmp_path,
-                                                        monkeypatch):
-        probing = threading.Event()
-
-        class SignallingProbe(MockToolchain):
-            def version(self):
-                probing.set()
-                return super().version()
-
-        load = pipeline.load_corpus
-
-        def load_after_the_probe_started(root):
-            assert probing.wait(10), "the corpus loaded before the version probe started"
-            return load(root)
-
-        monkeypatch.setattr(pipeline, "load_corpus", load_after_the_probe_started)
-        artifacts = run_benchmark(base_config(mini_corpus_root, tmp_path / "out"),
-                                  backends_impl={"mock": ce_backend()}, toolchain=SignallingProbe())
-        rows = assessor.read_outcomes(artifacts.outcomes_path)
-        assert {r["toolchain_version"] for r in rows} == {"mock-toolchain"}
-
-    def test_a_config_error_mid_scheduling_waits_for_the_probe(self, mini_corpus_root, tmp_path):
-        out = tmp_path / "out"
-        run_benchmark(base_config(mini_corpus_root, out), backends_impl={"mock": ce_backend()},
-                      toolchain=MockToolchain())
-        path = out / "outcomes.jsonl"
-        lines = path.read_text().splitlines()
-        last = {**json.loads(lines[-1]), "prompt_hash": "0" * 64}
-        # the first attempt is scheduled again, which starts the probe, and
-        # the last one was run with another prompt
-        path.write_text("\n".join(lines[1:-1] + [json.dumps(last)]) + "\n")
-        toolchain = SlowProbe()
-        with pytest.raises(ConfigError, match="another full_source_v1 prompt"):
-            run_benchmark(base_config(mini_corpus_root, out), backends_impl={"mock": ce_backend()},
-                          toolchain=toolchain)
-        assert len(toolchain.probes) == 1
-        assert toolchain.probes[0] is not threading.current_thread()
+    """A run with work reads its toolchain's version once, before any row
+    is written."""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_a_failing_probe_exits_2_and_writes_no_outcomes(
@@ -816,18 +767,42 @@ class TestVersionProbe:
         assert capsys.readouterr().err.strip() == "error: javac -version: no such interpreter"
         assert not (out / "outcomes.jsonl").exists()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_a_compiler_that_cannot_start_exits_2_and_writes_no_outcomes(
-        self, jobs, mini_corpus_root, tmp_path, capsys
+    def test_a_compiler_whose_jdk_has_no_release_file_exits_2_and_names_it(
+        self, mini_corpus_root, tmp_path, capsys
     ):
-        javac = java_fixtures.stand_in_jdk(tmp_path, f"#!{tmp_path / 'no-such-interpreter'}\n")
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 0\n", release=None)
         out = tmp_path / "out"
-        argv = ["run", "--corpus", str(mini_corpus_root), "--backend", "mock", "--jobs", jobs,
+        argv = ["run", "--corpus", str(mini_corpus_root), "--backend", "mock",
                 "--out", str(out), "--compiler", str(javac)]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {javac} -version: ") and "Traceback" not in err
-        assert not (out / "outcomes.jsonl").exists()
+        release = tmp_path / "jdk" / "release"
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read the JDK release file {release}: ")
+        assert not out.exists()
+
+    def test_a_run_starts_no_javac_or_java_unless_a_claim_is_checked(
+        self, mini_corpus_root, tmp_path
+    ):
+        store = tmp_path / "store.jsonl"
+        backend = BackendConfig(name="model", endpoint="local")
+        run_benchmark(base_config(mini_corpus_root, tmp_path / "record", backends=[backend],
+                                  record_path=str(store)),
+                      backends_impl={"model": MockBackend(YES_ANSWER)}, toolchain=MockToolchain())
+        backends_file = tmp_path / "backends.json"
+        backends_file.write_text(json.dumps([{"name": "model", "endpoint": "local"}]))
+        log = tmp_path / "launches.log"
+        logging_tool = f'#!/bin/sh\necho "$0 $*" >> "{log}"\n'
+        javac = stand_in_jdk(tmp_path / "jdk", logging_tool, java=logging_tool)
+        out = tmp_path / "out"
+        argv = ["run", "--corpus", str(mini_corpus_root), "--backend", "model",
+                "--backends-file", str(backends_file), "--replay", str(store),
+                "--out", str(out), "--compiler", str(javac), "--junit-cp", "junit.jar"]
+        assert main(argv) == 0
+        rows = assessor.read_outcomes(out / "outcomes.jsonl")
+        assert len(rows) == 10
+        assert {r["answer_label"] for r in rows} == {assessor.SAID_YES}
+        assert {r["toolchain_version"] for r in rows} == {f"javac {JAVA_VERSION}"}
+        assert not log.exists()
 
 
 def grouped(records: list[dict]) -> dict[str, cli_report.Run]:
@@ -1194,6 +1169,22 @@ class TestCliEntry:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("repeat, message", [
+        (["--backend", "mock", "--backend", "mock"], "backend mock is given more than once"),
+        (["--backend", "mock", "--temperature", "0.2,0.20"],
+         "temperature 0.2 is given more than once"),
+    ], ids=["backend", "temperature"])
+    def test_a_repeated_run_name_is_a_config_error(self, repeat, message, mini_corpus_root,
+                                                   tmp_path, monkeypatch, capsys):
+        def no_call(*args, **kwargs):
+            raise AssertionError("a model was called")
+
+        monkeypatch.setattr(MockBackend, "complete", no_call)
+        out = tmp_path / "out"
+        assert main(["run", "--corpus", str(mini_corpus_root), *repeat, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
     def test_missing_corpus_is_config_error(self, tmp_path):
         code = main(
             ["run", "--corpus", str(tmp_path / "nope"), "--backend", "mock", "--out", str(tmp_path)]
@@ -1289,10 +1280,7 @@ class TestToolchainLifetime:
     def test_a_compiler_with_no_java_beside_it_is_a_config_error(
         self, command, mini_corpus_root, tmp_path, capsys
     ):
-        javac = tmp_path / "jdk" / "javac"
-        javac.parent.mkdir()
-        javac.write_text("#!/bin/sh\nexit 0\n")
-        javac.chmod(0o755)
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 0\n", java=None)
         out = tmp_path / "out"
         argv = [command, "--corpus", str(mini_corpus_root), "--out", str(out),
                 "--compiler", str(javac)]
@@ -1362,15 +1350,14 @@ class TestExitContract:
         with pytest.raises(ConfigError, match=re.escape(f"compiler not found: {missing}")):
             cli_report._toolchain_from_args(args)
 
-    @pytest.mark.parametrize("compiler", ["cannot-start", "nonexistent"])
+    @pytest.mark.parametrize("compiler", ["no-release", "nonexistent"])
     def test_a_fresh_interpreter_exits_2_with_the_error(self, compiler, mini_corpus_root,
                                                         tmp_path):
         javac = tmp_path / compiler
-        if compiler == "cannot-start":  # a ToolchainError from the version probe
-            javac = java_fixtures.stand_in_jdk(tmp_path / compiler,
-                                               f"#!{tmp_path / 'no-such-interpreter'}\n")
-            message = f"error: {javac} -version: "
-        else:  # a ConfigError
+        if compiler == "no-release":  # a JDK image without its release file
+            javac = stand_in_jdk(tmp_path / compiler, "#!/bin/sh\nexit 0\n", release=None)
+            message = f"error: cannot read the JDK release file {tmp_path / compiler / 'release'}: "
+        else:  # no such javac
             message = f"error: compiler not found: {javac}"
         out = tmp_path / "out"
         proc, loaded = fresh_cli(tmp_path, "run", "--corpus", str(mini_corpus_root),
@@ -1385,10 +1372,9 @@ class TestExitContract:
     def test_sigterm_mid_compile_exits_143_and_leaves_nothing_behind(self, mini_corpus_root,
                                                                      tmp_path):
         started = tmp_path / "javac.pid"
-        javac = java_fixtures.stand_in_jdk(  # answers -version; a compile hangs
-            tmp_path,
+        javac = stand_in_jdk(  # a compile hangs
+            tmp_path / "jdk",
             "#!/bin/sh\n"
-            'if [ "$1" = -version ]; then echo "javac 0"; exit 0; fi\n'
             f"echo $$ > {started}.part && mv {started}.part {started}\n"
             "exec sleep 60\n",
         )

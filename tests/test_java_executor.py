@@ -1,5 +1,6 @@
 import fnmatch
 import importlib.resources
+import os
 import re
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import java_fixtures
+from jdk_image import JAVA_VERSION, stand_in_jdk
 from reforacle import assessor, java_executor
 from reforacle.dataset import SourceSet
 from reforacle.java_executor import (
@@ -330,8 +332,12 @@ class TestRealCompile:
         assert not jdk.compile(src(**java_fixtures.INLINE_VAR_RESULTING)).success
         assert list(workspaces.iterdir()) == []
 
-    def test_version_reported(self, jdk):
-        assert jdk.version()
+    def test_version_is_what_javac_prints(self, jdk):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("JAVA_TOOL_OPTIONS", "_JAVA_OPTIONS", "JDK_JAVA_OPTIONS")}
+        proc = subprocess.run([jdk.config.javac_path, "-version"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert RealToolchain(jdk.config).version() == (proc.stdout + proc.stderr).strip()
 
 
 @pytest.mark.usefixtures("jdk")
@@ -498,7 +504,7 @@ class TestCompileWorker:
 
 class TestCompileTimeout:
     def test_one_shot_timeout_is_a_toolchain_error(self, tmp_path, monkeypatch, workspaces):
-        javac = java_fixtures.stand_in_jdk(tmp_path, "#!/bin/sh\nexec sleep 30\n")
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexec sleep 30\n")
         config = java_executor.ToolchainConfig(javac_path=str(javac))
         toolchain = java_executor.RealToolchain(config)
         monkeypatch.setattr(java_executor, "COMPILE_TIMEOUT_S", 0.5)
@@ -526,7 +532,7 @@ class TestRealCheck:
         assert list(workspaces.iterdir()) == []
 
     def test_toolchain_error_keeps_the_workspace(self, tmp_path, monkeypatch, workspaces):
-        javac = java_fixtures.stand_in_jdk(tmp_path, "#!/bin/sh\nexec sleep 30\n")
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexec sleep 30\n")
         config = java_executor.ToolchainConfig(
             javac_path=str(javac), junit_classpath=("junit.jar",)
         )
@@ -543,10 +549,10 @@ class TestRealCheck:
 
 
 def wrapped_jdk(directory: Path, log: Path, java_body: str) -> Path:
-    """A stand-in JDK in `directory` whose javac runs the real javac and whose
+    """A stand-in JDK image under `directory` whose javac runs the real javac and whose
     java appends its arguments to `log`, then runs `java_body`."""
     real = Path(shutil.which("javac")).resolve().parent
-    return java_fixtures.stand_in_jdk(
+    return stand_in_jdk(
         directory,
         javac=f'#!/bin/sh\nexec "{real / "javac"}" "$@"\n',
         java=f'#!/bin/sh\necho "$*" >> "{log}"\n{java_body.format(real=real)}\n',
@@ -594,21 +600,29 @@ class TestOneJdk:
         assert toolchain._workers == []
 
 
-class TestVersionProbe:
-    @pytest.mark.parametrize(
-        "error", [FileNotFoundError(2, "No such file"), subprocess.TimeoutExpired(["javac"], 60)],
-        ids=["oserror", "timeout"])
-    def test_a_failed_probe_is_toolchain_unavailable(self, error, tmp_path, monkeypatch):
-        javac = java_fixtures.stand_in_jdk(tmp_path, "#!/bin/sh\nexit 0\n")
-        config = java_executor.ToolchainConfig(javac_path=str(javac))
-        toolchain = java_executor.RealToolchain(config)
+class TestReleaseFile:
+    """A toolchain's version is JAVA_VERSION from its JDK's release file,
+    read when the toolchain is built."""
 
-        def fail(*args, **kwargs):
-            raise error
+    def test_the_value_is_read(self, tmp_path):
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 1\n")
+        toolchain = RealToolchain(java_executor.ToolchainConfig(javac_path=str(javac)))
+        (tmp_path / "jdk" / "release").unlink()
+        assert toolchain.version() == f"javac {JAVA_VERSION}"
 
-        monkeypatch.setattr(java_executor.subprocess, "run", fail)
-        with pytest.raises(ToolchainUnavailable, match="-version"):
-            toolchain.version()
+    def test_a_missing_key_is_toolchain_unavailable(self, tmp_path):
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 0\n",
+                             release='JAVA_RUNTIME_VERSION="17.0.15+6"\nJAVA_VERSION=""\n')
+        release = tmp_path / "jdk" / "release"
+        with pytest.raises(ToolchainUnavailable, match=re.escape(f"{release} has no JAVA_VERSION")):
+            RealToolchain(java_executor.ToolchainConfig(javac_path=str(javac)))
+
+    def test_a_missing_file_is_toolchain_unavailable(self, tmp_path):
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 0\n", release=None)
+        release = tmp_path / "jdk" / "release"
+        with pytest.raises(ToolchainUnavailable,
+                           match=re.escape(f"cannot read the JDK release file {release}")):
+            RealToolchain(java_executor.ToolchainConfig(javac_path=str(javac)))
 
 
 class TestLaunchFailure:
@@ -618,7 +632,7 @@ class TestLaunchFailure:
     def toolchain(self, tmp_path, broken: str) -> RealToolchain:
         """Stand-in javac and java that exit 0, with `broken` made
         non-executable once the toolchain is built."""
-        javac = java_fixtures.stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 0\n")
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 0\n")
         toolchain = RealToolchain(
             java_executor.ToolchainConfig(javac_path=str(javac), junit_classpath=("junit.jar",))
         )
@@ -654,7 +668,7 @@ class TestLaunchFailure:
 
 class TestRunTestWithoutJUnit:
     def test_raises_before_compiling(self, tmp_path, workspaces):
-        javac = java_fixtures.stand_in_jdk(tmp_path, "#!/bin/sh\nexit 99\n")
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 99\n")
         config = java_executor.ToolchainConfig(javac_path=str(javac))
         toolchain = java_executor.RealToolchain(config)
         with pytest.raises(ToolchainUnavailable):

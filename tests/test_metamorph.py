@@ -49,8 +49,8 @@ NO_METHODS = source_set(**{
 class TestScanner:
     def test_smallest_class_spans(self):
         scan = javalex.scan_file("class A { int m() { return 1; } }\n")
-        types = scan.type_contexts
-        methods = scan.method_contexts
+        types = [c for c in scan.contexts if c.kind == javalex.TYPE_BODY]
+        methods = [c for c in scan.contexts if c.kind == javalex.METHOD_BODY]
         assert len(types) == 1 and types[0].name == "A"
         assert len(methods) == 1 and methods[0].name == "m"
 
@@ -60,16 +60,17 @@ class TestScanner:
         spans = [
             ctx
             for fs in index.files.values()
-            for ctx in fs.scan.type_contexts
-            if ctx.top_level
+            for ctx in fs.scan.contexts
+            if ctx.kind == javalex.TYPE_BODY and ctx.top_level
         ]
         assert len(spans) == 3
         assert {ctx.name for ctx in spans} == {"A", "B", "C"}
 
     def test_brace_inside_string_ignored(self):
         scan = javalex.scan_file('class A { String s = "{"; }\n')
-        assert len(scan.type_contexts) == 1
-        assert scan.type_contexts[0].close_line == 0
+        types = [c for c in scan.contexts if c.kind == javalex.TYPE_BODY]
+        assert len(types) == 1
+        assert types[0].close_line == 0
 
     def test_unbalanced_braces(self):
         with pytest.raises(javalex.UnbalancedBraces):
@@ -89,9 +90,10 @@ class TestScanner:
         assert inside  # the text block spans at least one line boundary
 
     def test_public_class_count(self):
-        assert javalex.count_top_level_public_classes(java_fixtures.BEHAVIOR_TEST) == 1
+        assert javalex.scan_file(java_fixtures.BEHAVIOR_TEST).public_class_names() == [
+            "RefactoringBehaviorTest"]
         two = "public class A { }\npublic class B { }\n"
-        assert javalex.count_top_level_public_classes(two) == 2
+        assert javalex.scan_file(two).public_class_names() == ["A", "B"]
 
 
 class TestInsertionPoints:
@@ -191,7 +193,7 @@ class N {
     def test_ic_nests_inside_type(self):
         variant = apply_operator(SMALL, IC, seed=17)
         scan = javalex.scan_file(variant.transformed_original.content("A.java"))
-        names = {ctx.name: ctx for ctx in scan.type_contexts}
+        names = {ctx.name: ctx for ctx in scan.contexts if ctx.kind == javalex.TYPE_BODY}
         inner = variant.manifest[0].name
         assert inner in names
         assert not names[inner].top_level
@@ -234,7 +236,7 @@ class TestVariantProperties:
             for name, content in {**fixture.original, **fixture.resulting}.items():
                 javalex.scan_file(content, name)
             if fixture.test is not None:
-                assert javalex.count_top_level_public_classes(fixture.test) == 1
+                assert len(javalex.scan_file(fixture.test).public_class_names()) == 1
 
     def test_determinism(self):
         for op in OPERATORS:
