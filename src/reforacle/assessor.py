@@ -7,6 +7,11 @@ answer taxonomy distinguishes wrong verdicts from right verdicts with
 failed evidence, so error analyses can separate the two. The parser has
 already checked the claim's test: a claim whose `verdict.test` is None
 had no usable test and runs no toolchain.
+
+The assessor names no attempt itself. A row is the instance's fields,
+the judgement, and the provenance mapping the pipeline builds for the
+attempt it asked: backend, attempt and variant, prompt, toolchain and
+seed, and the response's telemetry.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ class AssessmentOutcome:
     tokens_out: int | None = None
     tokens_reasoning: int | None = None
     cost_estimate: float | None = None
-    # provenance, filled by the pipeline
     prompt_hash: str = ""
     template_version: str = ""
     toolchain_version: str = ""
@@ -96,54 +100,22 @@ class AssessmentOutcome:
 _ROW_FIELDS = tuple(f.name for f in fields(AssessmentOutcome) if f.name != "evidence")
 
 
-def _telemetry(verdict: ModelVerdict | ParseFailure) -> dict:
-    raw = verdict.raw
-    if raw is None:
-        return {}
-    return {
-        "latency_s": raw.latency_s,
-        "tokens_in": raw.tokens_in,
-        "tokens_out": raw.tokens_out,
-        "tokens_reasoning": raw.tokens_reasoning,
-        "cost_estimate": raw.cost_estimate,
-    }
-
-
-def _base(inst: BugInstance, verdict, attempt_index: int, backend_name: str,
-          variant_tag: str) -> dict:
-    raw = verdict.raw
-    return {
-        "instance_id": inst.id,
-        "attempt_index": raw.attempt_index if raw is not None else attempt_index,
-        "backend_name": raw.backend_name if raw is not None else backend_name,
-        "variant_tag": variant_tag,
-        "ground_label": inst.label,
-        "refactoring_type": inst.refactoring_type,
-        "tool": inst.tool,
-        **_telemetry(verdict),
-    }
-
-
 def assess(
     inst: BugInstance,
     verdict: ModelVerdict | ParseFailure,
     toolchain: Toolchain,
     *,
-    attempt_index: int = 1,
-    backend_name: str = "",
-    variant_tag: str = "",
-    provenance: Mapping[str, object] | None = None,
+    provenance: Mapping[str, object],
 ) -> AssessmentOutcome:
     """Judge one attempt on a bug instance (ground truth BC or CE).
 
     A YES is always incorrect here: every instance is a confirmed bug.
-    The `provenance` fields (prompt hash, template and toolchain version,
-    seed, temperature) go into the outcome as given.
+    `provenance` holds every row field that the instance and the judgement
+    do not give (see _judge).
     """
     if inst.label not in ("BC", "CE"):
         raise ValueError(f"assess() expects a bug instance, got label {inst.label}")
-    return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
-                  provenance or {})
+    return _judge(inst, verdict, toolchain, provenance)
 
 
 def assess_preserving(
@@ -151,10 +123,7 @@ def assess_preserving(
     verdict: ModelVerdict | ParseFailure,
     toolchain: Toolchain,
     *,
-    attempt_index: int = 1,
-    backend_name: str = "",
-    variant_tag: str = "",
-    provenance: Mapping[str, object] | None = None,
+    provenance: Mapping[str, object],
 ) -> AssessmentOutcome:
     """Judge one attempt on a behavior-preserving instance.
 
@@ -164,8 +133,7 @@ def assess_preserving(
     """
     if inst.label != "PRESERVING":
         raise ValueError(f"assess_preserving() expects PRESERVING, got {inst.label}")
-    return _judge(inst, verdict, toolchain, attempt_index, backend_name, variant_tag,
-                  provenance or {})
+    return _judge(inst, verdict, toolchain, provenance)
 
 
 _CLAIM_LABELS = {
@@ -179,24 +147,23 @@ def _judge(
     inst: BugInstance,
     verdict: ModelVerdict | ParseFailure,
     toolchain: Toolchain,
-    attempt_index: int,
-    backend_name: str,
-    variant_tag: str,
     provenance: Mapping[str, object],
 ) -> AssessmentOutcome:
     """Score one attempt against any ground truth.
 
-    Behavior-change claims are validated mechanically through the model's
-    own test, whatever the ground truth; toolchain failures mark the
-    outcome inconclusive rather than wrong.
+    The row is the instance's fields, the judgement and `provenance`: the
+    attempt's name (backend, attempt, variant), its prompt, toolchain and
+    seed, and the response's telemetry. Behavior-change claims are
+    validated mechanically through the model's own test, whatever the
+    ground truth; toolchain failures mark the outcome inconclusive rather
+    than wrong.
     """
-    base = _base(inst, verdict, attempt_index, backend_name, variant_tag)
+    row = dict(instance_id=inst.id, ground_label=inst.label,
+               refactoring_type=inst.refactoring_type, tool=inst.tool, **provenance)
     if isinstance(verdict, ParseFailure):
         return AssessmentOutcome(
-            correct=False, answer_label=PARSE_ERROR, parse_reason=verdict.reason, **base,
-            **provenance,
+            correct=False, answer_label=PARSE_ERROR, parse_reason=verdict.reason, **row
         )
-    base["explanation"] = verdict.explanation
     evidence, reflective, inconclusive = None, False, False
     if verdict.category == verdict_parser.NO_BEHAVIOR_CHANGE:
         label, evidence, reflective, inconclusive = _validate_bc_claim(
@@ -207,11 +174,11 @@ def _judge(
     return AssessmentOutcome(
         correct=label == correct_answer_label(inst.label) and not inconclusive,
         answer_label=label,
+        explanation=verdict.explanation,
         evidence=evidence,
         reflective_test=reflective,
         inconclusive=inconclusive,
-        **base,
-        **provenance,
+        **row,
     )
 
 

@@ -263,26 +263,25 @@ class RealToolchain(Toolchain):
             if not keep:
                 shutil.rmtree(ws, ignore_errors=True)
 
-    def _write_sources(self, src: SourceSet, workspace: Path) -> list[Path]:
-        files = []
-        for rel, content in src.files:
-            path = workspace / "src" / rel
+    def _write_sources(self, files: tuple[tuple[str, str], ...], root: Path) -> list[Path]:
+        """Write each (relative path, content) under `root`."""
+        paths = []
+        for rel, content in files:
+            path = root / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(content, encoding="utf-8")
-            files.append(path)
-        return files
+            paths.append(path)
+        return paths
 
     def compile(self, src: SourceSet) -> CompileResult:
-        """Write all files and compile them together in one javac call.
-
-        The paths are absolute, because a warm worker's working directory
-        is fixed when it starts.
-        """
+        """Write all files and compile them together in one javac call."""
         with self._workspace("compile") as ws:
-            return self._compile_in(src, ws)
+            return self._compile_in(self._write_sources(src.files, ws / "src"), ws)
 
-    def _compile_in(self, src: SourceSet, ws: Path) -> CompileResult:
-        files = self._write_sources(src, ws)
+    def _compile_in(self, files: list[Path], ws: Path) -> CompileResult:
+        """Compile `files` into `<ws>/classes` in one javac call. The paths
+        are absolute, because a warm worker's working directory is fixed
+        when it starts."""
         out = ws / "classes"
         out.mkdir(exist_ok=True)
         cmd = [self.config.javac_path, "-d", str(out)]
@@ -299,7 +298,6 @@ class RealToolchain(Toolchain):
             raise
         returncode, diagnostics = result
         elapsed = time.monotonic() - start
-        _log_invocation(ws, cmd, diagnostics)
         return CompileResult(success=returncode == 0, diagnostics=diagnostics, elapsed_s=elapsed)
 
     def _compile_in_worker(self, javac_args: list[str]) -> tuple[int, str] | None:
@@ -359,9 +357,11 @@ class RealToolchain(Toolchain):
     def _run_test_in(
         self, program: SourceSet, test: str, test_class: str, ws: Path
     ) -> TestRunResult:
-        test_rel = _test_relative_path(test, test_class)
-        combined = SourceSet(files=program.files + ((test_rel, test),))
-        compile_result = self._compile_in(combined, ws)
+        # the test has a root of its own, so a test class that clashes with a
+        # program class is javac's "duplicate class", a test that does not compile
+        files = self._write_sources(program.files, ws / "src")
+        files += self._write_sources(((f"{test_class}.java", test),), ws / "test")
+        compile_result = self._compile_in(files, ws)
         if not compile_result.success:
             return TestRunResult(
                 outcome=DID_NOT_COMPILE,
@@ -377,7 +377,6 @@ class RealToolchain(Toolchain):
         except OSError as err:  # e.g. java lost its execute bit
             raise ToolchainUnavailable(f"{cmd[0]} did not start: {err}") from err
         except subprocess.TimeoutExpired as err:
-            _log_invocation(ws, cmd, "TIMEOUT")
             return TestRunResult(
                 outcome=TIMEOUT,
                 runner_output=str(err),
@@ -385,7 +384,6 @@ class RealToolchain(Toolchain):
             )
         elapsed = time.monotonic() - start
         output = proc.stdout + proc.stderr
-        _log_invocation(ws, cmd, output)
         if proc.returncode == 0:
             outcome = PASS
         elif _FAILURE_MARKER in output:
@@ -594,13 +592,6 @@ _FAILURE_MARKER = "FAILURES!!!"
 _PACKAGE_RE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
 
 
-def _test_relative_path(test: str, test_class: str) -> str:
-    match = _PACKAGE_RE.search(test)
-    if match:
-        return match.group(1).replace(".", "/") + f"/{test_class}.java"
-    return f"{test_class}.java"
-
-
 def _qualified_test_class(test: str, test_class: str) -> str:
     match = _PACKAGE_RE.search(test)
     if match:
@@ -613,7 +604,8 @@ def _join_cp(entries: tuple[str, ...]) -> str:
 
 
 def _log_invocation(workspace: Path, cmd: list[str], output: str) -> None:
-    """Verbatim record of every external invocation, per workspace."""
+    """Verbatim record of a javac call that raised ToolchainError; only
+    such a call's workspace can be kept (see _workspace)."""
     try:
         log = workspace / "invocations.log"
         with log.open("a", encoding="utf-8") as fh:

@@ -39,6 +39,7 @@ from .model_client import (
     BackendConfig,
     ModelClient,
     ModelClientError,
+    RawModelResponse,
     TranscriptStore,
 )
 from .verdict_parser import ModelVerdict, ParseFailure, parse_response
@@ -243,26 +244,30 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
     write_lock = threading.Lock()
     call_errors = 0
 
-    def score(task: _Task, verdict: ModelVerdict | ParseFailure) -> None:
+    def score(task: _Task, response: RawModelResponse,
+              verdict: ModelVerdict | ParseFailure) -> None:
         if task.instance.label == "PRESERVING":
             assess = assessor.assess_preserving
         else:
             assess = assessor.assess
-        outcome = assess(
-            task.instance,
-            verdict,
-            toolchain,
-            attempt_index=task.attempt,
-            backend_name=task.key.backend_name,
-            variant_tag=task.prompt.variant_tag,
-            provenance={
-                "prompt_hash": task.prompt.hash,
-                "template_version": task.prompt.template_version,
-                "toolchain_version": toolchain_version,
-                "seed": cfg.master_seed,
-                "temperature": task.key.temperature,
-            },
-        )
+        # every row field the instance and the judgement do not give: the
+        # task names the row, whatever the stored response says
+        provenance = {
+            "backend_name": task.key.backend_name,
+            "attempt_index": task.attempt,
+            "variant_tag": task.prompt.variant_tag,
+            "prompt_hash": task.prompt.hash,
+            "template_version": task.prompt.template_version,
+            "temperature": task.key.temperature,
+            "toolchain_version": toolchain_version,
+            "seed": cfg.master_seed,
+            "latency_s": response.latency_s,
+            "tokens_in": response.tokens_in,
+            "tokens_out": response.tokens_out,
+            "tokens_reasoning": response.tokens_reasoning,
+            "cost_estimate": response.cost_estimate,
+        }
+        outcome = assess(task.instance, verdict, toolchain, provenance=provenance)
         with write_lock:
             assessor.write_outcomes([outcome], outcomes)
 
@@ -276,8 +281,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
             logger.error("call failed (%s: %s attempt %d): %s", task.key.backend_name,
                          task.instance.id, task.attempt, err)
             return
-        verdict = parse_response(response, task.prompt.kind)
-        score(task, verdict)
+        score(task, response, parse_response(response.text, task.prompt.kind))
 
     with jsonl.Appender(outcomes_path) as outcomes:
         if cfg.jobs == 1:
@@ -295,12 +299,12 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                 if client.recorded(task.prompt, task.attempt) is None:
                     pending.append(pool.submit(run_task, task))
                     continue
-                verdict = parse_response(client.query(task.prompt, task.attempt),
-                                         task.prompt.kind)
+                response = client.query(task.prompt, task.attempt)
+                verdict = parse_response(response.text, task.prompt.kind)
                 if verdict.test is None:
-                    score(task, verdict)
+                    score(task, response, verdict)
                 else:
-                    pending.append(pool.submit(score, task, verdict))
+                    pending.append(pool.submit(score, task, response, verdict))
             for future in pending:
                 future.result()
         finally:  # on an error, drop the attempts no thread has started
@@ -310,8 +314,8 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
 
 def _read_backends_file(path: str) -> dict[str, BackendConfig]:
     """The backends a --backends-file defines, by name. A file that is not
-    JSON, or a malformed entry, is a ConfigError naming the file (and the
-    entry's index and the bad key)."""
+    JSON, a malformed entry or a name defined twice is a ConfigError naming
+    the file (and the entry's index and the bad key, or both indices)."""
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as err:
@@ -330,6 +334,9 @@ def _read_backends_file(path: str) -> dict[str, BackendConfig]:
             cfg = BackendConfig(**entry)
         except (TypeError, ValueError) as err:  # no name, or a value of the wrong type or range
             raise ConfigError(f"{path}: entry {i}: {err}") from err
+        if cfg.name in configs:  # every earlier entry is in `configs`, in order
+            first = list(configs).index(cfg.name)
+            raise ConfigError(f"{path}: entries {first} and {i} both define {cfg.name!r}")
         configs[cfg.name] = cfg
     return configs
 

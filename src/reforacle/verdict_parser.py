@@ -11,6 +11,10 @@ A behavior-change claim's junit_test is checked here, once: the verdict
 carries it as `test` only when it holds exactly one top-level public
 class, so scoring runs the toolchain exactly when `verdict.test` is not
 None.
+
+The parser reads the answer's text only. A verdict does not carry the
+response it came from: the pipeline names each attempt's row and copies
+the response's telemetry into it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import re
 from dataclasses import dataclass
 
 from . import javalex
-from .model_client import RawModelResponse
 from .prompting import DIFF_ONLY, FULL_SOURCE
 
 YES = "YES"
@@ -49,27 +52,22 @@ class ModelVerdict:
     category: str
     explanation: str
     test: str | None = None  # a behavior-change claim's well-formed test
-    raw: RawModelResponse | None = None
 
 
 @dataclass(frozen=True)
 class ParseFailure:
     reason: str
     excerpt: str
-    raw: RawModelResponse | None = None
 
     test = None  # a failure claims nothing, so no test is checked
 
 
-def parse_response(raw: RawModelResponse | str, mode: str = FULL_SOURCE) -> ModelVerdict | ParseFailure:
-    """Total mapping from raw output to exactly one verdict or failure."""
-    if isinstance(raw, str):
-        text, ref = raw, None
-    else:
-        text, ref = raw.text, raw
+def parse_response(text: str, mode: str = FULL_SOURCE) -> ModelVerdict | ParseFailure:
+    """Total mapping from a model's answer text to exactly one verdict or
+    failure."""
 
     def failure(reason: str) -> ParseFailure:
-        return ParseFailure(reason=reason, excerpt=text[:200], raw=ref)
+        return ParseFailure(reason=reason, excerpt=text[:200])
 
     doc = _load_json_object(text)
     if doc is None:
@@ -91,7 +89,7 @@ def parse_response(raw: RawModelResponse | str, mode: str = FULL_SOURCE) -> Mode
     explanation = doc["explanation"]
     if not isinstance(explanation, str):
         explanation = json.dumps(explanation)
-    return ModelVerdict(category=category, explanation=explanation, test=test, raw=ref)
+    return ModelVerdict(category=category, explanation=explanation, test=test)
 
 
 def _map_verdict(value: str) -> str | None:

@@ -265,6 +265,7 @@ def test_criterion_07_assessor_truth_table():
         bc = _instance(java_fixtures.BC_FIXTURES[0])
         ce = _instance(java_fixtures.CE_FIXTURES[0])
         preserving = _instance(java_fixtures.PRESERVING_FIXTURES[0])
+        row = {"backend_name": "m", "attempt_index": 1}
 
         def verdict(kind, test=None, mode=FULL_SOURCE):
             doc = {"verdict": kind, "explanation": "e"}
@@ -304,7 +305,7 @@ def test_criterion_07_assessor_truth_table():
                 (parse_response("garbage", FULL_SOURCE), MockToolchain(), assessor.PARSE_ERROR),
             ]
             for v, toolchain, expected_label in cases:
-                outcome = assessor.assess(inst, v, toolchain)
+                outcome = assessor.assess(inst, v, toolchain, provenance=row)
                 assert outcome.answer_label == expected_label
                 should_be_correct = expected_label == assessor.correct_answer_label(inst.label)
                 assert outcome.correct == should_be_correct, (inst.label, expected_label)
@@ -323,7 +324,7 @@ def test_criterion_07_assessor_truth_table():
             (parse_response("junk", FULL_SOURCE), assessor.PARSE_ERROR, False),
         ]
         for v, expected_label, expected_correct in preserving_cases:
-            outcome = assessor.assess_preserving(preserving, v, MockToolchain())
+            outcome = assessor.assess_preserving(preserving, v, MockToolchain(), provenance=row)
             assert outcome.answer_label == expected_label
             assert outcome.correct == expected_correct
 

@@ -23,7 +23,6 @@ from reforacle.assessor import (
 )
 from reforacle.dataset import BugInstance, SourceSet
 from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain
-from reforacle.model_client import RawModelResponse
 from reforacle.prompting import DIFF_ONLY, FULL_SOURCE
 from reforacle.verdict_parser import parse_response
 
@@ -49,21 +48,15 @@ CE_INSTANCE = instance(java_fixtures.CE_FIXTURES[0])  # Inline Variable pair
 PRESERVING_INSTANCE = instance(java_fixtures.PRESERVING_FIXTURES[0])
 
 
-def raw(text: str) -> RawModelResponse:
-    return RawModelResponse(
-        text=text,
-        latency_s=0.25,
-        attempt_index=1,
-        backend_name="m",
-        created_at="2026-01-01T00:00:00+00:00",
-    )
+# the row fields the pipeline gives for the attempt it asked
+ROW = {"backend_name": "m", "attempt_index": 1}
 
 
 def verdict_of(verdict: str, junit_test=None, mode=FULL_SOURCE):
     doc = {"verdict": verdict, "explanation": "because", "junit_test": junit_test}
     if mode == DIFF_ONLY:
         doc.pop("junit_test")
-    return parse_response(raw(json.dumps(doc)), mode)
+    return parse_response(json.dumps(doc), mode)
 
 
 def discriminating_mock(inst: BugInstance, test_source: str) -> MockToolchain:
@@ -75,38 +68,40 @@ def discriminating_mock(inst: BugInstance, test_source: str) -> MockToolchain:
 
 class TestBugAssessment:
     def test_ce_verdict_on_ce_instance_correct(self):
-        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain(),
+                         provenance=ROW)
         assert outcome.correct
         assert outcome.answer_label == SAID_CE
 
     def test_ce_verdict_on_bc_instance_incorrect(self):
-        outcome = assess(BC_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        outcome = assess(BC_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain(),
+                         provenance=ROW)
         assert not outcome.correct
         assert outcome.answer_label == SAID_CE
 
     def test_yes_always_incorrect_on_bugs(self):
         for inst in (BC_INSTANCE, CE_INSTANCE):
-            outcome = assess(inst, verdict_of("YES"), MockToolchain())
+            outcome = assess(inst, verdict_of("YES"), MockToolchain(), provenance=ROW)
             assert not outcome.correct
             assert outcome.answer_label == SAID_YES
 
     def test_bc_with_discriminating_test_correct(self):
-        verdict = parse_response(raw(SAMPLE_BC_OUTPUT), FULL_SOURCE)
+        verdict = parse_response(SAMPLE_BC_OUTPUT, FULL_SOURCE)
         toolchain = discriminating_mock(BC_INSTANCE, verdict.test)
-        outcome = assess(BC_INSTANCE, verdict, toolchain)
+        outcome = assess(BC_INSTANCE, verdict, toolchain, provenance=ROW)
         assert outcome.correct
         assert outcome.answer_label == SAID_BC_VALID
         assert outcome.evidence is not None and outcome.evidence.discriminates
 
     def test_bc_with_vacuous_test_not_discriminating(self):
         verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST)
-        outcome = assess(BC_INSTANCE, verdict, MockToolchain())  # passes on both
+        outcome = assess(BC_INSTANCE, verdict, MockToolchain(), provenance=ROW)  # passes on both
         assert not outcome.correct
         assert outcome.answer_label == SAID_BC_TEST_NOT_DISCRIMINATING
 
     def test_bc_with_missing_test_not_compiling(self):
         verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=None)
-        outcome = assess(BC_INSTANCE, verdict, MockToolchain())
+        outcome = assess(BC_INSTANCE, verdict, MockToolchain(), provenance=ROW)
         assert not outcome.correct
         assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
 
@@ -114,14 +109,14 @@ class TestBugAssessment:
         verdict = verdict_of(
             "NO - BEHAVIOR CHANGE", junit_test="public class A {}\npublic class B {}"
         )
-        outcome = assess(BC_INSTANCE, verdict, MockToolchain())
+        outcome = assess(BC_INSTANCE, verdict, MockToolchain(), provenance=ROW)
         assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
 
     def test_bc_claim_on_ce_instance_never_correct(self):
         verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST)
         toolchain = MockToolchain()
         toolchain.script_compile(CE_INSTANCE.resulting, success=False)
-        outcome = assess(CE_INSTANCE, verdict, toolchain)
+        outcome = assess(CE_INSTANCE, verdict, toolchain, provenance=ROW)
         assert not outcome.correct
         assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
 
@@ -131,21 +126,21 @@ class TestBugAssessment:
         toolchain = MockToolchain()
         toolchain.script_run(BC_INSTANCE.original, reflective, PASS)
         toolchain.script_run(BC_INSTANCE.resulting, reflective, FAIL)
-        outcome = assess(BC_INSTANCE, verdict, toolchain)
+        outcome = assess(BC_INSTANCE, verdict, toolchain, provenance=ROW)
         assert outcome.reflective_test
         assert outcome.answer_label == SAID_BC_TEST_NOT_DISCRIMINATING
         assert not outcome.correct
 
     def test_parse_failure_maps_to_parse_error(self):
-        failure = parse_response(raw("not json at all"), FULL_SOURCE)
-        outcome = assess(CE_INSTANCE, failure, MockToolchain())
+        failure = parse_response("not json at all", FULL_SOURCE)
+        outcome = assess(CE_INSTANCE, failure, MockToolchain(), provenance=ROW)
         assert outcome.answer_label == PARSE_ERROR
         assert outcome.parse_reason == "NotJson"
         assert not outcome.correct
 
     def test_unknown_in_diff_mode_tallied_separately(self):
         verdict = verdict_of("UNKNOWN", mode=DIFF_ONLY)
-        outcome = assess(CE_INSTANCE, verdict, MockToolchain())
+        outcome = assess(CE_INSTANCE, verdict, MockToolchain(), provenance=ROW)
         assert outcome.answer_label == SAID_UNKNOWN
         assert not outcome.correct
 
@@ -159,43 +154,46 @@ class TestBugAssessment:
             def check_discriminating(self, *a, **k):
                 raise java_executor.ToolchainUnavailable("no jdk")
 
-        outcome = assess(BC_INSTANCE, verdict, Broken())
+        outcome = assess(BC_INSTANCE, verdict, Broken(), provenance=ROW)
         assert outcome.inconclusive
         assert not outcome.correct
 
     def test_rejects_preserving_instances(self):
         with pytest.raises(ValueError):
-            assess(PRESERVING_INSTANCE, verdict_of("YES"), MockToolchain())
+            assess(PRESERVING_INSTANCE, verdict_of("YES"), MockToolchain(), provenance=ROW)
 
-    def test_telemetry_copied(self):
-        response = RawModelResponse(
-            text=json.dumps({"verdict": "YES", "explanation": "e", "junit_test": None}),
-            latency_s=3.5,
-            attempt_index=4,
-            backend_name="gpt-x",
-            created_at="2026-01-01T00:00:00+00:00",
-            tokens_in=1000,
-            tokens_out=50,
-            cost_estimate=0.01,
-        )
-        verdict = parse_response(response, FULL_SOURCE)
-        outcome = assess(CE_INSTANCE, verdict, MockToolchain())
-        assert outcome.latency_s == 3.5
-        assert outcome.attempt_index == 4
-        assert outcome.backend_name == "gpt-x"
-        assert outcome.tokens_in == 1000
-        assert outcome.cost_estimate == 0.01
+    def test_the_row_is_the_instance_the_judgement_and_the_provenance(self):
+        provenance = {
+            "backend_name": "gpt-x", "attempt_index": 4, "variant_tag": "mt-7-CO",
+            "prompt_hash": "h", "template_version": "fullsource-v1", "temperature": "0.2",
+            "toolchain_version": "javac 17", "seed": 7, "latency_s": 3.5, "tokens_in": 1000,
+            "tokens_out": 50, "tokens_reasoning": 20, "cost_estimate": 0.01,
+        }
+        outcome = assess(CE_INSTANCE, verdict_of("YES"), MockToolchain(), provenance=provenance)
+        row = json.loads(outcome.to_json_line())
+        assert {name: row[name] for name in provenance} == provenance
+        assert row["instance_id"] == CE_INSTANCE.id
+        assert row["ground_label"] == "CE"
+        assert row["refactoring_type"] == CE_INSTANCE.refactoring_type
+        assert row["tool"] == CE_INSTANCE.tool
+        assert row["answer_label"] == SAID_YES and row["explanation"] == "because"
+
+    def test_the_provenance_must_name_the_attempt(self):
+        with pytest.raises(TypeError):
+            assess(CE_INSTANCE, verdict_of("YES"), MockToolchain(), provenance={})
 
 
 class TestPreservingAssessment:
     def test_yes_is_correct(self):
-        outcome = assess_preserving(PRESERVING_INSTANCE, verdict_of("YES"), NullToolchain())
+        outcome = assess_preserving(PRESERVING_INSTANCE, verdict_of("YES"), NullToolchain(),
+                                    provenance=ROW)
         assert outcome.correct
         assert outcome.answer_label == SAID_YES
 
     def test_no_ce_claim_recorded(self):
         outcome = assess_preserving(
-            PRESERVING_INSTANCE, verdict_of("NO - COMPILATION ERROR"), NullToolchain()
+            PRESERVING_INSTANCE, verdict_of("NO - COMPILATION ERROR"), NullToolchain(),
+            provenance=ROW,
         )
         assert not outcome.correct
         assert outcome.answer_label == SAID_CE
@@ -204,19 +202,19 @@ class TestPreservingAssessment:
         verdict = verdict_of(
             "NO - BEHAVIOR CHANGE", junit_test=java_fixtures.REFLECTIVE_TEST
         )
-        outcome = assess_preserving(PRESERVING_INSTANCE, verdict, NullToolchain())
+        outcome = assess_preserving(PRESERVING_INSTANCE, verdict, NullToolchain(), provenance=ROW)
         assert not outcome.correct
         assert outcome.reflective_test
 
     def test_parse_failure(self):
-        failure = parse_response(raw("garbage"), FULL_SOURCE)
-        outcome = assess_preserving(PRESERVING_INSTANCE, failure, NullToolchain())
+        failure = parse_response("garbage", FULL_SOURCE)
+        outcome = assess_preserving(PRESERVING_INSTANCE, failure, NullToolchain(), provenance=ROW)
         assert outcome.answer_label == PARSE_ERROR
         assert not outcome.correct
 
     def test_with_toolchain_validates_evidence(self):
         verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST)
-        outcome = assess_preserving(PRESERVING_INSTANCE, verdict, MockToolchain())
+        outcome = assess_preserving(PRESERVING_INSTANCE, verdict, MockToolchain(), provenance=ROW)
         assert outcome.answer_label == SAID_BC_TEST_NOT_DISCRIMINATING
 
     @pytest.mark.parametrize(
@@ -226,14 +224,14 @@ class TestPreservingAssessment:
         verdict = verdict_of(
             "NO - BEHAVIOR CHANGE", junit_test="public class A {}\npublic class B {}"
         )
-        outcome = assess_preserving(PRESERVING_INSTANCE, verdict, toolchain)
+        outcome = assess_preserving(PRESERVING_INSTANCE, verdict, toolchain, provenance=ROW)
         assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
         assert not outcome.inconclusive
         assert not outcome.correct
 
     def test_rejects_bug_instances(self):
         with pytest.raises(ValueError):
-            assess_preserving(CE_INSTANCE, verdict_of("YES"), NullToolchain())
+            assess_preserving(CE_INSTANCE, verdict_of("YES"), NullToolchain(), provenance=ROW)
 
 
 class TestWithoutAJdk:
@@ -243,7 +241,7 @@ class TestWithoutAJdk:
     def test_every_bc_claim_is_inconclusive(self, inst):
         judge = assess_preserving if inst.label == "PRESERVING" else assess
         verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.BEHAVIOR_TEST)
-        outcome = judge(inst, verdict, NullToolchain())
+        outcome = judge(inst, verdict, NullToolchain(), provenance=ROW)
         assert outcome.inconclusive
         assert not outcome.correct
         assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
@@ -273,11 +271,11 @@ class TestInvariants:
             verdict_of("YES"),
             verdict_of("NO - COMPILATION ERROR"),
             verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST),
-            parse_response(raw("junk"), FULL_SOURCE),
+            parse_response("junk", FULL_SOURCE),
         ]
         for inst in (BC_INSTANCE, CE_INSTANCE):
             for verdict in verdicts:
-                outcome = assess(inst, verdict, toolchain)
+                outcome = assess(inst, verdict, toolchain, provenance=ROW)
                 assert outcome.answer_label in assessor.ANSWER_LABELS
 
 
@@ -298,7 +296,7 @@ class TestNeedsToolchain:
             (verdict_of("YES"), False),
             (verdict_of("NO - COMPILATION ERROR"), False),
             (verdict_of("UNKNOWN", mode=DIFF_ONLY), False),
-            (parse_response(raw("junk"), FULL_SOURCE), False),
+            (parse_response("junk", FULL_SOURCE), False),
             (verdict_of("NO - BEHAVIOR CHANGE"), False),
             (verdict_of("NO - BEHAVIOR CHANGE", junit_test="public class A {}\npublic class B {}"),
              False),
@@ -314,8 +312,13 @@ class TestNeedsToolchain:
         for inst in (BC_INSTANCE, CE_INSTANCE, PRESERVING_INSTANCE):
             judge = assess_preserving if inst.label == "PRESERVING" else assess
             toolchain = CountingToolchain()
-            judge(inst, verdict, toolchain)
+            judge(inst, verdict, toolchain, provenance=ROW)
             assert toolchain.checks == int(needed)
+
+
+def ce_outcome() -> AssessmentOutcome:
+    return assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain(),
+                  provenance=ROW)
 
 
 def append(path, outcomes) -> None:
@@ -325,7 +328,7 @@ def append(path, outcomes) -> None:
 
 class TestOutcomePersistence:
     def test_round_trip(self, tmp_path):
-        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        outcome = ce_outcome()
         path = tmp_path / "outcomes.jsonl"
         append(path, [outcome])
         rows = read_outcomes(path)
@@ -336,7 +339,7 @@ class TestOutcomePersistence:
         assert rows[0]["answer_label"] == SAID_CE
 
     def test_row_carries_every_field(self):
-        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        outcome = ce_outcome()
         row = json.loads(outcome.to_json_line())
         names = {f.name for f in dataclasses.fields(outcome)} - {"evidence"}
         assert set(row) == names | {"schema"}
@@ -349,7 +352,7 @@ class TestOutcomePersistence:
             read_outcomes(path)
 
     def test_torn_last_line_is_skipped_then_cut(self, tmp_path, caplog):
-        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        outcome = ce_outcome()
         path = tmp_path / "outcomes.jsonl"
         append(path, [outcome, outcome])
         whole = path.read_text()
@@ -362,7 +365,7 @@ class TestOutcomePersistence:
         assert len(read_outcomes(path)) == 3
 
     def test_an_appender_cuts_a_torn_line_at_its_first_write(self, tmp_path):
-        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        outcome = ce_outcome()
         line = outcome.to_json_line() + "\n"
         path = tmp_path / "outcomes.jsonl"
         append(path, [outcome])
@@ -381,7 +384,7 @@ class TestOutcomePersistence:
         assert not (tmp_path / "outcomes.jsonl").exists()
 
     def test_whole_last_line_without_newline_is_kept(self, tmp_path):
-        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        outcome = ce_outcome()
         path = tmp_path / "outcomes.jsonl"
         path.write_text(outcome.to_json_line())
         assert len(read_outcomes(path)) == 1
@@ -389,7 +392,7 @@ class TestOutcomePersistence:
         assert path.read_text() == (outcome.to_json_line() + "\n") * 2
 
     def test_malformed_line_before_the_last_is_an_error(self, tmp_path):
-        outcome = assess(CE_INSTANCE, verdict_of("NO - COMPILATION ERROR"), MockToolchain())
+        outcome = ce_outcome()
         path = tmp_path / "outcomes.jsonl"
         line = outcome.to_json_line()
         path.write_text(line[:40] + "\n" + line)

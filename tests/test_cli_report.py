@@ -30,6 +30,7 @@ from reforacle.cli_report import ConfigError, main, summarize
 from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain, ToolchainUnavailable
 from reforacle.model_client import BackendConfig, MockBackend, TranscriptStore
 from reforacle.pipeline import RunConfig, run_benchmark
+from replay_stores import write_replay_store
 
 CE_ANSWER = '{"verdict": "NO - COMPILATION ERROR", "explanation": "does not compile", "junit_test": null}'
 YES_ANSWER = '{"verdict": "YES", "explanation": "fine", "junit_test": null}'
@@ -561,6 +562,57 @@ class TestCompleteResume:
         assert artifacts.call_errors == 0
         assert (out / "outcomes.jsonl").read_bytes() == outcomes
         assert take_reports(out) == full
+
+
+class TestImportedAnswers:
+    """A replay store imported as the README shows (`manual_response` plus
+    `TranscriptStore.put`): a row is named by the attempt `run` asked, not
+    by the attempt the stored response names."""
+
+    def run_argv(self, corpus, store, out, *extra: str) -> list[str]:
+        backends_file = out.parent / "backends.json"
+        backends_file.write_text(json.dumps([{"name": "gpt", "endpoint": "local"}]))
+        return ["run", "--corpus", str(corpus), "--backend", "gpt", "--backends-file",
+                str(backends_file), "--replay", str(store), "--out", str(out), *extra]
+
+    def test_every_attempt_is_scored_once_and_resumed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: MockToolchain())
+        corpus = java_fixtures.write_corpus(tmp_path / "corpus", java_fixtures.CE_FIXTURES[:2])
+        out = tmp_path / "out"
+        cfg = base_config(corpus, out, backends=[BackendConfig(name="gpt")], attempts=2)
+        store = write_replay_store(tmp_path / "store.jsonl", cfg, lambda *_: CE_ANSWER)
+        argv = self.run_argv(corpus, store, out, "--attempts", "2")
+        assert main(argv) == 0
+        rows = assessor.read_outcomes(out / "outcomes.jsonl")
+        assert sorted((r["instance_id"], r["attempt_index"]) for r in rows) == [
+            (f.id, attempt) for f in java_fixtures.CE_FIXTURES[:2] for attempt in (1, 2)]
+        assert all(r["backend_name"] == "gpt" and r["correct"] for r in rows)
+        assert (out / "metrics-gpt.json").exists()
+        written = (out / "outcomes.jsonl").read_bytes()
+        assert main(argv) == 0  # complete: nothing is queried again
+        assert (out / "outcomes.jsonl").read_bytes() == written
+
+    def test_a_test_class_that_clashes_with_a_program_class_does_not_compile(
+        self, jdk, tmp_path, capsys
+    ):
+        fixture = java_fixtures.BC_FIXTURES[0]
+        assert "A.java" in fixture.original  # the program declares class A
+        clash = json.dumps({
+            "verdict": "NO - BEHAVIOR CHANGE", "explanation": "a test named A",
+            "junit_test": "import org.junit.Test;\n\npublic class A {\n"
+                          "  @Test public void t() {}\n}\n",
+        })
+        corpus = java_fixtures.write_corpus(tmp_path / "corpus", [fixture])
+        out = tmp_path / "out"
+        cfg = base_config(corpus, out, backends=[BackendConfig(name="gpt")])
+        store = write_replay_store(tmp_path / "store.jsonl", cfg, lambda *_: clash)
+        argv = self.run_argv(corpus, store, out, "--compiler", jdk.config.javac_path,
+                             "--junit-cp", os.pathsep.join(jdk.config.junit_classpath))
+        assert main(argv) == 0, capsys.readouterr().err
+        (row,) = assessor.read_outcomes(out / "outcomes.jsonl")
+        assert row["answer_label"] == assessor.SAID_BC_TEST_NOT_COMPILING
+        assert not row["inconclusive"] and not row["correct"]
+        assert row["evidence"]["on_original"] == java_executor.DID_NOT_COMPILE
 
 
 BC_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "runnable test",
@@ -1110,6 +1162,9 @@ class TestCliEntry:
          "entry 0: max_attempts_per_call must be an integer >= 1, not 2.5"),
         (json.dumps([{"name": "ok", "endpoint": "mock", "temperature": True}]),
          "entry 0: temperature must be numeric or 'provider-default', not True"),
+        (json.dumps([{"name": "ok", "endpoint": "mock"}, {"name": "m", "endpoint": "mock"},
+                     {"name": "ok", "endpoint": "local"}]),
+         "entries 0 and 2 both define 'ok'"),
     ])
     def test_a_malformed_backends_file_entry_is_a_config_error(
         self, text, message, mini_corpus_root, tmp_path, capsys

@@ -35,7 +35,7 @@ from reforacle.java_executor import (
     uses_reflection,
 )
 from reforacle.java_executor import TestRunResult as RunResult
-from test_assessor import BC_INSTANCE, verdict_of
+from test_assessor import BC_INSTANCE, ROW, verdict_of
 
 
 def src(**files) -> SourceSet:
@@ -381,16 +381,16 @@ class TestRealJUnit:
 
 def _fixture_source_sets():
     """(name, source set) for every fixture version, and program plus test
-    where the fixture has a test."""
+    where the fixture has a test. The test goes under `test/`, as a test
+    run writes it beside the program."""
     for fixture in java_fixtures.FIXTURES:
         for side, files in (("original", fixture.original), ("resulting", fixture.resulting)):
             program = src(**files)
             yield f"{fixture.id}-{side}", program
             if fixture.test is not None:
                 test_class = java_executor.javalex.top_level_public_class(fixture.test)
-                rel = java_executor._test_relative_path(fixture.test, test_class)
                 yield f"{fixture.id}-{side}+test", SourceSet(
-                    files=program.files + ((rel, fixture.test),)
+                    files=program.files + ((f"test/{test_class}.java", fixture.test),)
                 )
 
 
@@ -531,6 +531,15 @@ class TestRealCheck:
         assert result.discriminates
         assert list(workspaces.iterdir()) == []
 
+    def test_a_passing_check_writes_no_invocation_log(self, fresh_jdk, monkeypatch):
+        logged = []
+        monkeypatch.setattr(java_executor, "_log_invocation", lambda *args: logged.append(args))
+        result = fresh_jdk.check_discriminating(
+            java_fixtures.BEHAVIOR_TEST, FIG1_ORIGINAL, FIG1_RESULTING
+        )
+        assert result.discriminates
+        assert logged == []  # the workspaces are deleted, so a log would go unread
+
     def test_toolchain_error_keeps_the_workspace(self, tmp_path, monkeypatch, workspaces):
         javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexec sleep 30\n")
         config = java_executor.ToolchainConfig(
@@ -646,7 +655,7 @@ class TestLaunchFailure:
         with pytest.raises(ToolchainUnavailable, match=f"{broken} did not start"):
             toolchain.check_discriminating(java_fixtures.VACUOUS_TEST, FIG1_ORIGINAL,
                                            FIG1_RESULTING)
-        outcome = assessor.assess(BC_INSTANCE, verdict, toolchain)
+        outcome = assessor.assess(BC_INSTANCE, verdict, toolchain, provenance=ROW)
         toolchain.close()
         assert outcome.inconclusive and not outcome.correct
         assert outcome.answer_label == assessor.SAID_BC_TEST_NOT_COMPILING
