@@ -137,17 +137,17 @@ class RawModelResponse:
 
 
 class TranscriptStore:
-    """Keyed response store persisted as JSON lines, one record per line."""
+    """Keyed response store: a file of JSON lines, one record per line,
+    loaded when it exists and appended to by `put`."""
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
         self._records: dict[RequestKey, RawModelResponse] = {}
         self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        assert self.path is not None
         for n, doc in jsonl.records(self.path):
             try:
                 key = RequestKey(**doc["key"])
@@ -171,11 +171,8 @@ class TranscriptStore:
             if key in self._records and not overwrite:
                 raise DuplicateKey(f"record already present for {key}", key)
             self._records[key] = resp
-            if self.path is not None:
-                line = json.dumps(
-                    {"key": key.as_dict(), "response": asdict(resp)}, sort_keys=True
-                )
-                jsonl.append(self.path, [line])
+            line = json.dumps({"key": key.as_dict(), "response": asdict(resp)}, sort_keys=True)
+            jsonl.append(self.path, [line])
 
     def keys(self) -> list[RequestKey]:
         return list(self._records)

@@ -20,7 +20,7 @@ import contextlib
 import json
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.mode == METAMORPHIC_MODE and self.master_seed is None:
             raise ConfigError("metamorphic mode needs a master seed")
+        if self.mode != METAMORPHIC_MODE and self.master_seed is not None:
+            raise ConfigError(f"--seed draws metamorphic variants; {self.mode} mode takes none")
         if not self.backends:
             raise ConfigError("at least one backend required")
         # a repeat would run, and query, every attempt of its rows twice
@@ -198,28 +200,28 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
     done_keys = cli_report._completed_keys(runs)
     override_template = _load_override_template(cfg)
     family = f"mt-{cfg.master_seed}" if cfg.mode == METAMORPHIC_MODE else ""
+    # the prompt names no backend: one per instance serves every configuration
+    prompts: list[tuple[BugInstance, prompting.RenderedPrompt]] = []
+    for inst in corpus.instances:
+        variant_tag, override = "", None
+        if cfg.mode == METAMORPHIC_MODE:
+            variant = variants_by_id[inst.id]  # one per instance: CO always applies
+            override = variant.transformed_original
+            variant_tag = f"{family}-{variant.operator}"
+        try:
+            prompts.append((inst, _render(cfg, inst, variant_tag, override, override_template)))
+        except (prompting.EmptyDiff, prompting.NoChangeLines) as err:
+            logger.warning("skipping %s in diff mode: %s", inst.id, err)
     sweep = _sweep_configs(cfg)
     tasks: list[_Task] = []
     for run_name, backend_cfg in sweep:
-        for inst in corpus.instances:
-            variant_tag = ""
-            override = None
-            if cfg.mode == METAMORPHIC_MODE:
-                variant = variants_by_id[inst.id]  # one per instance: CO always applies
-                override = variant.transformed_original
-                variant_tag = f"{family}-{variant.operator}"
-            try:
-                prompt = _render(cfg, inst, variant_tag, override, override_template)
-            except (prompting.EmptyDiff, prompting.NoChangeLines) as err:
-                logger.warning("skipping %s in diff mode: %s", inst.id, err)
-                continue
+        for inst, prompt in prompts:
             run_key = RunKey(run_name, str(backend_cfg.temperature), prompt.template_version, family)
-            fresh_hash = prompt.hash
             for attempt in range(1, cfg.attempts + 1):
-                stored_hash = done_keys.get((run_key, inst.id, variant_tag, attempt))
+                stored_hash = done_keys.get((run_key, inst.id, prompt.variant_tag, attempt))
                 if stored_hash is None:
                     tasks.append(_Task(key=run_key, instance=inst, attempt=attempt, prompt=prompt))
-                elif stored_hash != fresh_hash:
+                elif stored_hash != prompt.hash:
                     raise ConfigError(
                         f"{outcomes_path}: {inst.id} attempt {attempt} of {run_name} was run "
                         f"with another {prompt.template_version} prompt; rename the edited "
@@ -227,6 +229,9 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                     )
     if not tasks:
         return 0, 0
+    # a missing store would replay nothing, and every attempt would go live
+    if cfg.replay_path and not cfg.record_path and not Path(cfg.replay_path).is_file():
+        raise ConfigError(f"--replay {cfg.replay_path}: not a file")
 
     toolchain_version = toolchain.version()
     replay_store = TranscriptStore(cfg.replay_path) if cfg.replay_path else None
@@ -271,40 +276,37 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
         with write_lock:
             assessor.write_outcomes([outcome], outcomes)
 
-    def run_task(task: _Task) -> None:
+    # Threads only overlap waiting: a live call (with the rest of its attempt) or a
+    # claim's check. At --jobs N the calling thread hands each wait to a pool of N
+    # threads and does all else itself; at --jobs 1 each wait runs inline, in order.
+    pool = ThreadPoolExecutor(max_workers=cfg.jobs)
+    pending: list[Future] = []
+
+    def attempt(task: _Task, inline: bool) -> None:
+        """Query, parse and score one attempt; `inline`: wait on this thread."""
         nonlocal call_errors
+        client = clients[task.key.backend_name]
+        if not inline and client.recorded(task.prompt, task.attempt) is None:
+            pending.append(pool.submit(attempt, task, True))
+            return
         try:
-            response = clients[task.key.backend_name].query(task.prompt, task.attempt)
+            response = client.query(task.prompt, task.attempt)
         except ModelClientError as err:
             with write_lock:
                 call_errors += 1
             logger.error("call failed (%s: %s attempt %d): %s", task.key.backend_name,
                          task.instance.id, task.attempt, err)
             return
-        score(task, response, parse_response(response.text, task.prompt.kind))
+        verdict = parse_response(response.text, task.prompt.kind)
+        if inline or verdict.test is None:
+            score(task, response, verdict)
+        else:
+            pending.append(pool.submit(score, task, response, verdict))
 
     with jsonl.Appender(outcomes_path) as outcomes:
-        if cfg.jobs == 1:
-            for task in tasks:
-                run_task(task)
-            return len(tasks) - call_errors, call_errors
-        # Threads only overlap waiting: an attempt that neither calls a
-        # model nor checks a claim is finished on this thread, and the pool
-        # gets the rest, so it never holds more than --jobs checks.
-        pool = ThreadPoolExecutor(max_workers=cfg.jobs)
         try:
-            pending = []
             for task in tasks:
-                client = clients[task.key.backend_name]
-                if client.recorded(task.prompt, task.attempt) is None:
-                    pending.append(pool.submit(run_task, task))
-                    continue
-                response = client.query(task.prompt, task.attempt)
-                verdict = parse_response(response.text, task.prompt.kind)
-                if verdict.test is None:
-                    score(task, response, verdict)
-                else:
-                    pending.append(pool.submit(score, task, response, verdict))
+                attempt(task, inline=cfg.jobs == 1)
             for future in pending:
                 future.result()
         finally:  # on an error, drop the attempts no thread has started

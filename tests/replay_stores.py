@@ -16,17 +16,18 @@ def write_replay_store(path: Path, cfg: pipeline.RunConfig,
                        answer: Callable[[str, BugInstance, int], str]) -> Path:
     """A replay store at `path` answering every request a `run` with `cfg`
     makes, outside metamorphic mode, with `answer(row name, instance,
-    attempt)`. Each prompt is rendered with `pipeline._render` and keyed
-    with `RequestKey.for_prompt`, as `run` does. Each response is
+    attempt)`. Each instance's prompt is rendered once with
+    `pipeline._render`, and keyed per row and attempt with
+    `RequestKey.for_prompt`, as `run` does. Each response is
     `manual_response(text, row name)`, so it says attempt 1 whatever
     attempt it answers."""
     assert cfg.mode != METAMORPHIC_MODE, "variants are not rendered here"
     template = pipeline._load_override_template(cfg)
-    instances = load_corpus(cfg.corpus_root).instances
+    rows = [row_name for row_name, _ in pipeline._sweep_configs(cfg)]
     store = TranscriptStore(path)
-    for row_name, _ in pipeline._sweep_configs(cfg):
-        for inst in instances:
-            prompt = pipeline._render(cfg, inst, "", template=template)
+    for inst in load_corpus(cfg.corpus_root).instances:
+        prompt = pipeline._render(cfg, inst, "", template=template)
+        for row_name in rows:
             for attempt in range(1, cfg.attempts + 1):
                 store.put(RequestKey.for_prompt(row_name, prompt, attempt),
                           manual_response(answer(row_name, inst, attempt), row_name))

@@ -346,6 +346,10 @@ class TestRunBenchmark:
             with pytest.raises(ConfigError, match="jobs must be >= 1"):
                 RunConfig(corpus_root=str(mini_corpus_root), backends=[BackendConfig(name="m")],
                           out_dir=str(tmp_path), jobs=jobs)
+        for mode in (cli_report.FULL_SOURCE_MODE, cli_report.DIFF_ONLY_MODE):
+            with pytest.raises(ConfigError, match=f"--seed draws metamorphic variants; {mode} "):
+                RunConfig(corpus_root=str(mini_corpus_root), backends=[BackendConfig(name="m")],
+                          out_dir=str(tmp_path), mode=mode, master_seed=5)
 
 
 class CountingBackend(MockBackend):
@@ -562,6 +566,48 @@ class TestCompleteResume:
         assert artifacts.call_errors == 0
         assert (out / "outcomes.jsonl").read_bytes() == outcomes
         assert take_reports(out) == full
+
+
+class TestReplayFile:
+    """A --replay store is a file. A run with work left fails before any
+    model call when the file is missing, unless --record writes it."""
+
+    def argv(self, corpus, out, *extra: str) -> list[str]:
+        return ["run", "--corpus", str(corpus), "--out", str(out), *extra]
+
+    @pytest.mark.parametrize("backend", ["mock", "replay"])
+    def test_a_missing_replay_file_exits_2_and_names_it(
+        self, backend, mini_corpus_root, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: MockToolchain())
+        for missing in (tmp_path / "nosuch.jsonl", tmp_path):  # absent, or not a file
+            out = tmp_path / "out"
+            assert main(self.argv(mini_corpus_root, out, "--backend", backend,
+                                  "--replay", str(missing))) == 2
+            assert capsys.readouterr().err.strip() == f"error: --replay {missing}: not a file"
+            assert not (out / "outcomes.jsonl").exists()
+        assert not (tmp_path / "nosuch.jsonl").exists()
+
+    def test_with_record_a_missing_replay_file_is_a_store_to_fill(
+        self, mini_corpus_root, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: MockToolchain())
+        store, out = tmp_path / "store.jsonl", tmp_path / "out"
+        assert main(self.argv(mini_corpus_root, out, "--backend", "mock", "--replay", str(store),
+                              "--record", str(store))) == 0
+        assert len(assessor.read_outcomes(out / "outcomes.jsonl")) == 10
+        assert len(TranscriptStore(store)) == 10
+
+    def test_a_complete_resume_needs_no_replay_file(
+        self, mini_corpus_root, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: MockToolchain())
+        out = tmp_path / "out"
+        assert main(self.argv(mini_corpus_root, out, "--backend", "mock")) == 0
+        written = (out / "outcomes.jsonl").read_bytes()
+        assert main(self.argv(mini_corpus_root, out, "--backend", "mock",
+                              "--replay", str(tmp_path / "nosuch.jsonl"))) == 0
+        assert (out / "outcomes.jsonl").read_bytes() == written
 
 
 class TestImportedAnswers:
@@ -796,6 +842,52 @@ class TestOncePerAttempt:
         assert len(extracted) == len(claims)
         assert opened == [artifacts.outcomes_path]
         assert writes == rows
+
+
+class TestOnePromptPerInstance:
+    """The prompt names no backend: a sweep renders each instance's prompt
+    once and schedules every configuration's attempts from it."""
+
+    BACKENDS = [BackendConfig(name="alpha"), BackendConfig(name="beta")]
+
+    @pytest.mark.parametrize("mode, seed, rows", [
+        (cli_report.FULL_SOURCE_MODE, None, 40),
+        (cli_report.DIFF_ONLY_MODE, None, 36),  # pr-identity has no diff
+        (cli_report.METAMORPHIC_MODE, 7, 40),
+    ])
+    def test_a_swept_run_renders_each_instance_once(
+        self, mode, seed, rows, mini_corpus_root, tmp_path, monkeypatch
+    ):
+        rendered = []
+        render = pipeline._render
+
+        def counting_render(cfg, inst, *args, **kwargs):
+            rendered.append(inst.id)
+            return render(cfg, inst, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_render", counting_render)
+        artifacts = run_benchmark(
+            base_config(mini_corpus_root, tmp_path / "out", backends=self.BACKENDS,
+                        temperatures=[0.0, 0.5], mode=mode, master_seed=seed),
+            backends_impl={b.name: ce_backend() for b in self.BACKENDS},
+            toolchain=scripted_toolchain(mini_corpus_root),
+        )
+        assert len(assessor.read_outcomes(artifacts.outcomes_path)) == rows
+        assert len(rendered) == len(set(rendered)) == 10
+
+    def test_a_swept_diff_run_warns_once_of_an_instance_it_skips(
+        self, corpus_root, tmp_path, caplog
+    ):
+        caplog.set_level("WARNING", logger="reforacle.pipeline")
+        artifacts = run_benchmark(
+            base_config(corpus_root, tmp_path / "out", backends=self.BACKENDS,
+                        temperatures=[0.0, 0.5], mode=cli_report.DIFF_ONLY_MODE),
+            backends_impl={b.name: ce_backend() for b in self.BACKENDS},
+            toolchain=scripted_toolchain(corpus_root),
+        )
+        assert len(assessor.read_outcomes(artifacts.outcomes_path)) == 19 * 4
+        skips = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+        assert skips == ["skipping pr-identity in diff mode: diff is empty"]
 
 
 class FailingProbe(MockToolchain):
@@ -1253,6 +1345,14 @@ class TestCliEntry:
             main(["run", "--corpus", str(mini_corpus_root), "--backend", "mock",
                   "--mode", mode, "--out", str(out)])
         assert exit_.value.code == 2
+        assert not out.exists()
+
+    def test_seed_outside_metamorphic_mode_exits_2(self, mini_corpus_root, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--corpus", str(mini_corpus_root), "--backend", "mock",
+                     "--seed", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: --seed draws metamorphic variants; fullsource mode takes none")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])

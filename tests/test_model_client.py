@@ -95,8 +95,9 @@ class TestQuery:
         assert exc.value.key is not None
         assert exc.value.key.instance_id == "inst-1"
 
-    def test_replay_miss_without_backend(self):
-        client = ModelClient(cfg(), backend=None, replay_store=TranscriptStore())
+    def test_replay_miss_without_backend(self, tmp_path):
+        client = ModelClient(cfg(), backend=None,
+                             replay_store=TranscriptStore(tmp_path / "t.jsonl"))
         with pytest.raises(ReplayMiss):
             client.query(prompt(), attempt_index=1)
 
@@ -294,14 +295,14 @@ class TestTranscriptStore:
                 f"{path}:1: not a transcript record (ValueError: text must be a string, not int)")):
             TranscriptStore(path)
 
-    def test_duplicate_key_rejected(self):
-        store = TranscriptStore()
+    def test_duplicate_key_rejected(self, tmp_path):
+        store = TranscriptStore(tmp_path / "t.jsonl")
         store.put(self.key(), self.response())
         with pytest.raises(DuplicateKey):
             store.put(self.key(), self.response("other"))
 
-    def test_overwrite_flag(self):
-        store = TranscriptStore()
+    def test_overwrite_flag(self, tmp_path):
+        store = TranscriptStore(tmp_path / "t.jsonl")
         store.put(self.key(), self.response())
         store.put(self.key(), self.response("other"), overwrite=True)
         assert store.get(self.key()).text == "other"
@@ -315,8 +316,8 @@ class TestTranscriptStore:
         second = replay.query(prompt(), attempt_index=1)
         assert second == first
 
-    def test_recorded_is_the_lookup_query_replays_from(self):
-        store = TranscriptStore()
+    def test_recorded_is_the_lookup_query_replays_from(self, tmp_path):
+        store = TranscriptStore(tmp_path / "t.jsonl")
         backend = MockBackend(FIXED_VERDICT)
         client = ModelClient(cfg(name="m"), backend=backend, replay_store=store)
         assert client.recorded(prompt(), attempt_index=1) is None
@@ -329,8 +330,8 @@ class TestTranscriptStore:
         assert backend.calls == 1
         assert ModelClient(cfg(), backend=backend).recorded(prompt(), 1) is None
 
-    def test_manual_import(self):
-        store = TranscriptStore()
+    def test_manual_import(self, tmp_path):
+        store = TranscriptStore(tmp_path / "t.jsonl")
         key = self.key()
         store.put(key, manual_response("pasted from a web UI", "m"))
         assert store.get(key).text == "pasted from a web UI"
