@@ -20,6 +20,8 @@ import json
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import ClassVar
 
 from . import java_executor, jsonl, verdict_parser
 from .dataset import BugInstance
@@ -74,6 +76,7 @@ class AssessmentOutcome:
     temperature: str = ""
     refactoring_type: str = ""
     tool: str = ""
+    schema: ClassVar[int] = OUTCOME_SCHEMA
 
     def __post_init__(self) -> None:
         if self.answer_label not in ANSWER_LABELS:
@@ -82,22 +85,32 @@ class AssessmentOutcome:
             if self.evidence is None or not self.evidence.discriminates:
                 raise ValueError("SAID_BC_VALID requires discriminating evidence")
 
-    def to_json_line(self) -> str:
-        doc = {name: getattr(self, name) for name in _ROW_FIELDS}
-        doc["schema"] = OUTCOME_SCHEMA
-        if self.evidence is not None:
+    @cached_property
+    def row(self) -> dict:
+        """The outcome row, equal to the dict its JSON line reads back as:
+        keys in the line's order and JSON values only. Every field but
+        `evidence` goes in as is; the evidence is flattened into its own
+        block, absent when there is none."""
+        doc = {name: getattr(self, name) for name in _ROW_KEYS}
+        if self.evidence is None:
+            del doc["evidence"]
+        else:
             doc["evidence"] = {
                 "discriminates": self.evidence.discriminates,
-                "passing_side": self.evidence.passing_side,
                 "on_original": self.evidence.on_original.outcome,
                 "on_resulting": self.evidence.on_resulting.outcome,
+                "passing_side": self.evidence.passing_side,
             }
-        return json.dumps(doc, sort_keys=True)
+        return doc
+
+    def to_json_line(self) -> str:
+        return _ENCODER.encode(self.row)
 
 
-# Every field but `evidence` goes into the outcome row as is; the evidence
-# is flattened into its own block.
-_ROW_FIELDS = tuple(f.name for f in fields(AssessmentOutcome) if f.name != "evidence")
+# The row's keys in the order its JSON line writes them: sorted.
+_ROW_KEYS = tuple(sorted([f.name for f in fields(AssessmentOutcome)] + ["schema"]))
+# One encoder for every row: the bytes of json.dumps(row, sort_keys=True).
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def assess(

@@ -350,7 +350,7 @@ class RealToolchain(Toolchain):
             raise ToolchainUnavailable("no JUnit classpath configured")
         test_class = javalex.top_level_public_class(test)
         if test_class is None:
-            raise ToolchainError("test must declare exactly one public class")
+            raise ToolchainError("test does not scan, or does not declare exactly one public class")
         with self._workspace("test") as ws:
             return self._run_test_in(program, test, test_class, ws)
 

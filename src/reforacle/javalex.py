@@ -1,6 +1,6 @@
 """Lexical, brace-aware scanning of Java source.
 
-Not a Java parser: a single character pass that tracks comments, string,
+Not a Java parser: a single left-to-right pass that tracks comments, string,
 char and text-block literals, and brace nesting, and classifies each
 opening brace as a type body, a method body, or other. That is enough
 structure to find safe line-based insertion points, collect the
@@ -11,6 +11,7 @@ wrong one).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "record"})
@@ -82,7 +83,15 @@ _TEXT_BLOCK = 5
 _IDENT_START = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
 )
-_IDENT_PART = _IDENT_START | frozenset("0123456789")
+# What the scan steps over in one match: an identifier, a run of blanks,
+# and the characters of a literal that neither end it nor escape.
+_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_BLANKS_RE = re.compile(r"[ \t\r]+")
+_LITERAL_BODY_RE = {
+    _STRING: re.compile(r'[^"\\\n]*'),
+    _CHAR: re.compile(r"[^'\\\n]*"),
+    _TEXT_BLOCK: re.compile(r'[^"\\\n]*'),
+}
 
 
 def scan_file(text: str, path: str = "<source>") -> FileScan:
@@ -96,7 +105,6 @@ def scan_file(text: str, path: str = "<source>") -> FileScan:
     line_no = 0
     stack: list[BraceContext] = []
     contexts: list[BraceContext] = []
-    token = ""
     prev_token = ""          # last completed identifier-ish token
     prev_sig_char = ""       # last significant punctuation seen in code state
     pending_type_kw = ""     # a type keyword awaiting its name
@@ -108,11 +116,9 @@ def scan_file(text: str, path: str = "<source>") -> FileScan:
     ident_before_paren = ""
     stmt_is_public = False
 
-    def close_token() -> None:
-        nonlocal token, prev_token, pending_type_kw, pending_type_name
+    def take_token(token: str) -> None:
+        nonlocal prev_token, pending_type_kw, pending_type_name
         nonlocal stmt_has_new, pending_type_public, stmt_is_public
-        if not token:
-            return
         result.identifiers.add(token)
         if token == "new":
             stmt_has_new = True
@@ -125,7 +131,6 @@ def scan_file(text: str, path: str = "<source>") -> FileScan:
         elif pending_type_kw and not pending_type_name and prev_sig_char != ".":
             pending_type_name = token
         prev_token = token
-        token = ""
 
     def end_statement() -> None:
         nonlocal stmt_has_assign, stmt_has_new, after_paren, stmt_is_public
@@ -143,78 +148,66 @@ def scan_file(text: str, path: str = "<source>") -> FileScan:
     i = 0
     n = len(text)
     while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-
         if state == _LINE_COMMENT:
-            if ch == "\n":
-                state = _CODE
-                end_line()
+            i = text.find("\n", i)
+            if i < 0:
+                break
+            state = _CODE
+            end_line()
             i += 1
             continue
 
         if state == _BLOCK_COMMENT:
-            if ch == "*" and nxt == "/":
-                state = _CODE
-                i += 2
-                continue
-            if ch == "\n":
+            close = text.find("*/", i)
+            for _ in range(text.count("\n", i, n if close < 0 else close)):
                 end_line()
-            i += 1
+            if close < 0:
+                break
+            state = _CODE
+            i = close + 2
             continue
 
-        if state == _STRING:
+        if state != _CODE:  # a string, char or text-block literal
+            i = _LITERAL_BODY_RE[state].match(text, i).end()
+            if i == n:
+                break
+            ch = text[i]
             if ch == "\\":
                 i += 2
-                continue
-            if ch == "\n":
-                raise UnterminatedLiteral(f"{path}:{line_no + 1}: string literal not closed")
-            if ch == '"':
+            elif ch == "\n":
+                if state == _STRING:
+                    raise UnterminatedLiteral(f"{path}:{line_no + 1}: string literal not closed")
+                if state == _CHAR:
+                    raise UnterminatedLiteral(f"{path}:{line_no + 1}: char literal not closed")
+                end_line()
+                i += 1
+            elif state != _TEXT_BLOCK:  # the closing quote
                 state = _CODE
-            i += 1
-            continue
-
-        if state == _CHAR:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == "\n":
-                raise UnterminatedLiteral(f"{path}:{line_no + 1}: char literal not closed")
-            if ch == "'":
-                state = _CODE
-            i += 1
-            continue
-
-        if state == _TEXT_BLOCK:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == '"' and text[i : i + 3] == '"""':
+                i += 1
+            elif text.startswith('"""', i):
                 state = _CODE
                 i += 3
-                continue
-            if ch == "\n":
-                end_line()
-            i += 1
+            else:
+                i += 1
             continue
 
-        # state == _CODE
-        if ch in _IDENT_PART and (token or ch in _IDENT_START):
-            token += ch
-            i += 1
+        ch = text[i]
+        if ch in _IDENT_START:
+            token = _IDENT_RE.match(text, i).group()
+            take_token(token)
+            i += len(token)
             continue
-        close_token()
 
-        if ch == "/" and nxt == "/":
+        if ch == "/" and text.startswith("//", i):
             state = _LINE_COMMENT
             i += 2
             continue
-        if ch == "/" and nxt == "*":
+        if ch == "/" and text.startswith("/*", i):
             state = _BLOCK_COMMENT
             i += 2
             continue
         if ch == '"':
-            if text[i : i + 3] == '"""':
+            if text.startswith('"""', i):
                 state = _TEXT_BLOCK
                 i += 3
             else:
@@ -235,7 +228,7 @@ def scan_file(text: str, path: str = "<source>") -> FileScan:
             i += 1
             continue
         if ch in " \t\r":
-            i += 1
+            i = _BLANKS_RE.match(text, i).end()
             continue
 
         if ch == "{":
@@ -305,7 +298,6 @@ def scan_file(text: str, path: str = "<source>") -> FileScan:
         prev_sig_char = ch
         i += 1
 
-    close_token()
     if state in (_STRING, _CHAR, _TEXT_BLOCK):
         raise UnterminatedLiteral(f"{path}: literal still open at end of file")
     if state == _BLOCK_COMMENT:
@@ -374,8 +366,10 @@ def _find_package_line(result: FileScan) -> None:
 
 
 def top_level_public_class(text: str) -> str | None:
-    """Name of the single top-level public class, or None if not exactly one."""
-    names = scan_file(text).public_class_names()
-    if len(names) == 1:
-        return names[0]
-    return None
+    """Name of the single top-level public class; None if there is not
+    exactly one or the text does not scan."""
+    try:
+        names = scan_file(text).public_class_names()
+    except ScanError:
+        return None
+    return names[0] if len(names) == 1 else None

@@ -152,10 +152,6 @@ def fresh_identifier(index: StructuralIndex, prefix: str, rng: CounterRng) -> st
             return name
 
 
-def operator_applicable(index: StructuralIndex, op: str) -> bool:
-    return bool(_TABLE[op].candidates(index))
-
-
 def apply_operator(
     src: SourceSet, op: str, seed: int, instance_id: str = ""
 ) -> MetamorphicVariant:

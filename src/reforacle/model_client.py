@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from . import jsonl
 from .prompting import RenderedPrompt
@@ -93,8 +93,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class RequestKey:
+class RequestKey(NamedTuple):
     backend_name: str
     instance_id: str
     variant_tag: str
@@ -102,7 +101,7 @@ class RequestKey:
     prompt_hash: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @staticmethod
     def for_prompt(backend_name: str, prompt: RenderedPrompt, attempt_index: int) -> "RequestKey":

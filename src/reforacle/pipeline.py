@@ -3,7 +3,8 @@
 `run` renders each attempt's prompt, queries the model (or a replay
 store), parses the verdict, assesses it with the Java toolchain and
 appends one outcome row per attempt to `outcomes.jsonl`, then writes the
-reports from the grouped rows (cli_report). Runs are resumable: a
+reports (cli_report) from the rows it read at the start plus the rows it
+appended, without reading the file again. Runs are resumable: a
 completed (run configuration, instance, variant, attempt) key is never
 re-queried. `validate` checks the corpus ground truth with a JDK, and
 `metamorph` persists seeded variants.
@@ -160,9 +161,9 @@ def run_benchmark(
     outcomes_path = out_dir / "outcomes.jsonl"
     rows = outcome_rows.read_outcomes(outcomes_path) if outcomes_path.exists() else []
     runs = cli_report._runs(rows)
-    written, call_errors = _run_tasks(cfg, backends_impl, toolchain, outcomes_path, runs)
-    if written:  # else the reports come from the rows grouped for the resume check
-        runs = cli_report._runs(outcome_rows.read_outcomes(outcomes_path))
+    appended, call_errors = _run_tasks(cfg, backends_impl, toolchain, outcomes_path, runs)
+    if appended:  # else the reports come from the rows grouped for the resume check
+        runs = cli_report._runs(rows + appended)
     if not runs:  # e.g. a run whose every call failed
         return RunArtifacts(outcomes_path=None, metrics_paths=[], stats_path=None,
                             telemetry={}, call_errors=call_errors)
@@ -182,12 +183,12 @@ def run_benchmark(
 
 def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                toolchain: java_executor.Toolchain, outcomes_path: Path,
-               runs: dict[RunKey, list[dict]]) -> tuple[int, int]:
+               runs: dict[RunKey, list[dict]]) -> tuple[list[dict], int]:
     """Schedule every attempt not among `runs` (the rows already in
     `outcomes_path`, grouped), run them and append one row each. The toolchain
     version is read and the transcript stores are opened only when an attempt
-    is left to do. Returns (rows appended, failed model calls); each attempt
-    counts in one of them."""
+    is left to do. Returns (the rows appended, in file order; failed model
+    calls); each attempt counts in one of them."""
     corpus = load_corpus(cfg.corpus_root)
     outcomes_path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -228,7 +229,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                         "template or use a new --out"
                     )
     if not tasks:
-        return 0, 0
+        return [], 0
     # a missing store would replay nothing, and every attempt would go live
     if cfg.replay_path and not cfg.record_path and not Path(cfg.replay_path).is_file():
         raise ConfigError(f"--replay {cfg.replay_path}: not a file")
@@ -247,6 +248,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
         for run_name, backend_cfg in sweep
     }
     write_lock = threading.Lock()
+    appended: list[dict] = []
     call_errors = 0
 
     def score(task: _Task, response: RawModelResponse,
@@ -275,6 +277,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
         outcome = assess(task.instance, verdict, toolchain, provenance=provenance)
         with write_lock:
             assessor.write_outcomes([outcome], outcomes)
+            appended.append(outcome.row)
 
     # Threads only overlap waiting: a live call (with the rest of its attempt) or a
     # claim's check. At --jobs N the calling thread hands each wait to a pool of N
@@ -311,7 +314,7 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                 future.result()
         finally:  # on an error, drop the attempts no thread has started
             pool.shutdown(cancel_futures=True)
-    return len(tasks) - call_errors, call_errors
+    return appended, call_errors
 
 
 def _read_backends_file(path: str) -> dict[str, BackendConfig]:

@@ -146,10 +146,4 @@ def extract_test_source(junit_test: str) -> str | None:
     """
     lines = [ln for ln in junit_test.split("\n") if not _FENCE_RE.match(ln.strip())]
     source = "\n".join(lines).strip("\n")
-    if not source.strip():
-        return None
-    try:
-        scan = javalex.scan_file(source)
-    except javalex.ScanError:
-        return None
-    return source if len(scan.public_class_names()) == 1 else None
+    return source if javalex.top_level_public_class(source) else None

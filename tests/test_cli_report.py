@@ -11,6 +11,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -509,7 +510,7 @@ class TestCompleteResume:
         outcomes.write_text("".join(outcomes.read_text().splitlines(keepends=True)[1:]))
         assert main(argv + [flag, str(store)]) == 2  # the store is read, and is malformed
 
-    def test_outcomes_are_read_once_unless_rows_are_appended(
+    def test_outcomes_are_read_at_most_once(
         self, mini_corpus_root, tmp_path, monkeypatch
     ):
         reads, groupings = [], []
@@ -534,17 +535,52 @@ class TestCompleteResume:
                           toolchain=scripted_toolchain(mini_corpus_root))
             return len(reads), len(groupings)
 
-        assert run() == (1, 2)  # fresh: the reports read and group what the run wrote
+        assert run() == (0, 2)  # fresh: nothing to read; the reports group the rows written
         assert run() == (1, 1)  # complete: the resume check's grouping feeds the reports
         outcomes = out / "outcomes.jsonl"
         outcomes.write_text("".join(outcomes.read_text().splitlines(keepends=True)[1:]))
-        assert run() == (2, 2)  # one row appended: read and grouped again for the reports
+        assert run() == (1, 2)  # one row appended: the rows read plus it, grouped again
         for command in ("metrics", "stats", "summarize"):
             reads.clear()
             groupings.clear()
             assert main([command, "--outcomes", str(outcomes),
                          "--out", str(tmp_path / command)]) == 0
             assert (len(reads), len(groupings)) == (1, 1), command
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_reports_equal_those_of_the_report_commands(self, jobs, mini_corpus_root,
+                                                            tmp_path):
+        """The rows a run keeps report as the rows `metrics` and `stats` read
+        back from its outcomes.jsonl: after a fresh run, and after a resume
+        that appends to rows read from the file."""
+        backends = [BackendConfig(name="alpha"), BackendConfig(name="beta")]
+        store = tmp_path / "store.jsonl"
+        run_benchmark(base_config(mini_corpus_root, tmp_path / "record", backends=backends,
+                                  attempts=2, temperatures=[0.0, 0.5], record_path=str(store)),
+                      backends_impl={b.name: cycling_backend() for b in backends},
+                      toolchain=MockToolchain())
+        out = tmp_path / "out"
+        outcomes = out / "outcomes.jsonl"
+        cfg = base_config(mini_corpus_root, out, backends=backends, attempts=2,
+                          temperatures=[0.0, 0.5], jobs=jobs, replay_path=str(store))
+        for kept in (None, 7):  # None: fresh; 7: resumed after the first 7 rows
+            if kept is not None:
+                outcomes.write_text("".join(outcomes.read_text().splitlines(keepends=True)[:kept]))
+            run_benchmark(cfg, backends_impl={}, toolchain=scripted_toolchain(mini_corpus_root))
+            rows = assessor.read_outcomes(outcomes)
+            assert len(rows) == 2 * 2 * 10 * 2
+            assert Counter(r["answer_label"] for r in rows).keys() == {
+                assessor.SAID_YES, assessor.SAID_CE, assessor.PARSE_ERROR,
+                assessor.SAID_BC_TEST_NOT_COMPILING, assessor.SAID_BC_TEST_NOT_DISCRIMINATING}
+            written = take_reports(out)
+            expected = {}
+            for command in ("metrics", "stats"):
+                reports = tmp_path / f"{command}-{kept}"
+                assert main([command, "--outcomes", str(outcomes), "--out", str(reports)]) == 0
+                expected.update((p.name, p.read_bytes()) for p in reports.iterdir())
+            assert len(expected) == 2 * 4 + 1
+            assert written == {**expected, "telemetry.json": json.dumps(
+                cli_report.telemetry_summary(read_view(outcomes)), indent=1).encode()}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_reports_equal_those_of_the_full_run(self, jobs, mini_corpus_root, tmp_path):
@@ -842,6 +878,23 @@ class TestOncePerAttempt:
         assert len(extracted) == len(claims)
         assert opened == [artifacts.outcomes_path]
         assert writes == rows
+
+
+class TestValidateCommand:
+    def test_an_exposing_test_that_does_not_scan_quarantines_only_its_instance(
+        self, jdk, tmp_path, capsys
+    ):
+        fixture = next(f for f in java_fixtures.BC_FIXTURES if f.id == "bc-fig-pushdown")
+        unmatched = replace(fixture, id="bc-fig-pushdown-unmatched", test=fixture.test + "}\n")
+        corpus = java_fixtures.write_corpus(tmp_path / "corpus", [fixture, unmatched])
+        out = tmp_path / "out"
+        assert main(["validate", "--corpus", str(corpus), "--out", str(out),
+                     "--compiler", jdk.config.javac_path,
+                     "--junit-cp", os.pathsep.join(jdk.config.junit_classpath)]) == 0
+        assert "validated 2 instances: 1 confirmed, 1 quarantined" in capsys.readouterr().out
+        rows = [json.loads(line) for line in (out / "validation.jsonl").read_text().splitlines()]
+        assert [(r["instance_id"], r["ground_truth_confirmed"], r["quarantined"])
+                for r in rows] == [(fixture.id, True, False), (unmatched.id, False, True)]
 
 
 class TestOnePromptPerInstance:

@@ -18,11 +18,15 @@ from reforacle.metamorph import (
     apply_operator,
     fresh_identifier,
     index_structure,
-    operator_applicable,
     remove_injected_lines,
     transform_corpus,
 )
 from reforacle.rng import CounterRng, derive_key
+
+
+def operator_applicable(index: metamorph.StructuralIndex, op: str) -> bool:
+    """The operator has a place to act in the indexed sources."""
+    return bool(metamorph._TABLE[op].candidates(index))
 
 
 def source_set(**files) -> SourceSet:
@@ -81,6 +85,32 @@ class TestScanner:
     def test_unterminated_literal(self):
         with pytest.raises(javalex.UnterminatedLiteral):
             javalex.scan_file('class A { String s = "oops\n}\n')
+
+    def test_comments_and_literals_hide_braces_quotes_and_names(self):
+        text = ('/* a { "\n * } */ public class A { // } "\n'
+                "  char c = '{'; String s = \"\\\"}\";\n"
+                '  String t = """\n    } \\""" {\n    """;\n'
+                "  int m(int x) { return x; } } // end")
+        scan = javalex.scan_file(text)
+        assert scan.line_end_in_code == [False, True, True, False, False, True, True]
+        assert [(c.kind, c.name, c.open_line, c.close_line) for c in scan.contexts] == [
+            (javalex.TYPE_BODY, "A", 1, 6), (javalex.METHOD_BODY, "m", 6, 6)]
+        assert scan.identifiers == {"A", "String", "c", "char", "class", "int", "m",
+                                    "public", "return", "s", "t", "x"}
+        assert javalex.top_level_public_class(text) == "A"
+
+    def test_scan_errors_name_the_line(self):
+        for text, error, message in [
+            ("class A { /* open\n", javalex.UnterminatedLiteral,
+             "<source>: block comment still open at end of file"),
+            ("class A { char c = '\n'; }", javalex.UnterminatedLiteral,
+             "<source>:1: char literal not closed"),
+            ("class A {\n int x; }\n}", javalex.UnbalancedBraces, "<source>:3: unmatched '}'"),
+        ]:
+            with pytest.raises(error) as raised:
+                javalex.scan_file(text)
+            assert str(raised.value) == message
+            assert javalex.top_level_public_class(text) is None
 
     def test_text_block_lines_not_safe(self):
         fixture = java_fixtures.PRESERVING_FIXTURES[-1]

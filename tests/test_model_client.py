@@ -272,9 +272,12 @@ class TestTranscriptStore:
             ('{"foo": 1}', "not a transcript record (KeyError: 'key')"),
             ('{"key": {"backend_name": "m"}, "response": {}}',
              "not a transcript record (TypeError: "),
+            ('{"key": {"backend_name": "m", "instance_id": "i", "variant_tag": "", '
+             '"attempt_index": 1, "prompt_hash": "h", "model": "m"}, "response": {}}',
+             "not a transcript record (TypeError: "),
             ("[1, 2]", "not a JSON object"),
         ],
-        ids=["no-key", "key-lacks-fields", "not-an-object"],
+        ids=["no-key", "key-lacks-fields", "key-has-an-unknown-field", "not-an-object"],
     )
     def test_a_malformed_record_is_an_error_naming_its_line(self, line, message, tmp_path):
         path = tmp_path / "t.jsonl"
