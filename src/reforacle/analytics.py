@@ -5,15 +5,13 @@ configuration. It holds the configuration's instance set from the report
 view (`cli_report.Run.conclusive`: the instances whose every attempt is
 conclusive, each with one row per attempt 1..K), so every metric reads
 every cell, and the report view alone decides which instances count.
+`metric_report` gathers every metric into the document that `cli_report`
+writes as `metrics-*.json` and `.csv`; this module does no I/O.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
-
 
 
 class AnalyticsError(ValueError):
@@ -122,18 +120,14 @@ def cons_at(m: RunMatrix, k: int) -> float:
     return score / len(m.cells)
 
 
-def category_split(m: RunMatrix, k: int) -> tuple[float | None, float | None]:
-    """(BC acc@k, CE acc@k); None when a category is absent."""
+def category_acc_at(m: RunMatrix, label: str, k: int) -> float | None:
+    """acc@k over the instances with ground label `label`; None when there
+    are none."""
     _check_k(m, k)
-    out = []
-    for wanted in ("BC", "CE"):
-        subset = [row for row, label in zip(m.cells, m.labels) if label == wanted]
-        if not subset:
-            out.append(None)
-            continue
-        hits = sum(1 for row in subset if _first_success(row) <= k)
-        out.append(hits / len(subset))
-    return out[0], out[1]
+    subset = [row for row, wanted in zip(m.cells, m.labels) if wanted == label]
+    if not subset:
+        return None
+    return sum(1 for row in subset if _first_success(row) <= k) / len(subset)
 
 
 def _first_success(row: tuple[Cell, ...]) -> int:
@@ -148,83 +142,28 @@ def _check_k(m: RunMatrix, k: int) -> None:
         raise KOutOfRange(f"k={k} outside 1..{m.attempts}")
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    backend_name: str
-    instances: int
-    dropped_inconclusive: int
-    attempts: int
-    mean_accuracy: float
-    accuracy_spread: float
-    per_attempt: tuple[float, ...]
-    acc_at: dict[int, float]
-    tar_at: dict[int, float]
-    cons_at: dict[int, float]
-    bc_at: dict[int, float]
-    ce_at: dict[int, float]
-
-    def to_json(self) -> str:
-        doc = {
-            "backend": self.backend_name,
-            "instances": self.instances,
-            "dropped_inconclusive": self.dropped_inconclusive,
-            "attempts": self.attempts,
-            "mean_accuracy": self.mean_accuracy,
-            "accuracy_spread": self.accuracy_spread,
-            "per_attempt_accuracy": list(self.per_attempt),
-            "acc_at": {str(k): v for k, v in self.acc_at.items()},
-            "tar_at": {str(k): v for k, v in self.tar_at.items()},
-            "cons_at": {str(k): v for k, v in self.cons_at.items()},
-            "bc_at": {str(k): v for k, v in self.bc_at.items()},
-            "ce_at": {str(k): v for k, v in self.ce_at.items()},
-        }
-        return json.dumps(doc, indent=1, sort_keys=True)
-
-    def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "k", "value"])
-            writer.writerow(["mean_accuracy", "", f"{self.mean_accuracy:.6f}"])
-            writer.writerow(["accuracy_spread", "", f"{self.accuracy_spread:.6f}"])
-            for j, acc in enumerate(self.per_attempt, start=1):
-                writer.writerow(["attempt_accuracy", j, f"{acc:.6f}"])
-            for name, table in (
-                ("acc_at", self.acc_at),
-                ("tar_at", self.tar_at),
-                ("cons_at", self.cons_at),
-                ("bc_at", self.bc_at),
-                ("ce_at", self.ce_at),
-            ):
-                for k, v in sorted(table.items()):
-                    writer.writerow([name, k, f"{v:.6f}"])
-
-
-def metric_report(m: RunMatrix, left_out: int) -> MetricReport:
+def metric_report(m: RunMatrix, left_out: int) -> dict:
     """Every metric of `m`, with `left_out`, the number of instances the
-    report view left out of its instance set."""
+    report view left out of its instance set: the document a metrics report
+    holds. Each per-k table is keyed by k as a string, in k order; the table
+    of a label no instance has is empty."""
     ks = range(1, m.attempts + 1)
-    bc_at: dict[int, float] = {}
-    ce_at: dict[int, float] = {}
-    for k in ks:
-        bc, ce = category_split(m, k)
-        if bc is not None:
-            bc_at[k] = bc
-        if ce is not None:
-            ce_at[k] = ce
-    return MetricReport(
-        backend_name=m.backend_name,
-        instances=len(m.instance_ids),
-        dropped_inconclusive=left_out,
-        attempts=m.attempts,
-        mean_accuracy=mean_accuracy(m),
-        accuracy_spread=accuracy_spread(m),
-        per_attempt=tuple(per_attempt_accuracy(m, k) for k in ks),
-        acc_at={k: acc_at(m, k) for k in ks},
-        tar_at={k: tar_at(m, k) for k in ks},
-        cons_at={k: cons_at(m, k) for k in ks},
-        bc_at=bc_at,
-        ce_at=ce_at,
-    )
+    doc = {
+        "backend": m.backend_name,
+        "instances": len(m.instance_ids),
+        "dropped_inconclusive": left_out,
+        "attempts": m.attempts,
+        "mean_accuracy": mean_accuracy(m),
+        "accuracy_spread": accuracy_spread(m),
+        "per_attempt_accuracy": [per_attempt_accuracy(m, k) for k in ks],
+        "acc_at": {str(k): acc_at(m, k) for k in ks},
+        "tar_at": {str(k): tar_at(m, k) for k in ks},
+        "cons_at": {str(k): cons_at(m, k) for k in ks},
+    }
+    for label in ("BC", "CE"):
+        doc[f"{label.lower()}_at"] = {str(k): category_acc_at(m, label, k) for k in ks
+                                      if label in m.labels}
+    return doc
 
 
 @dataclass(frozen=True)

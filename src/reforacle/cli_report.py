@@ -55,8 +55,6 @@ class RunKey(NamedTuple):
     family: str
 
 
-
-
 def _completed_keys(runs: dict[RunKey, list[dict]]) -> dict[tuple[RunKey, str, str, int], str]:
     """The stored prompt hash per done (RunKey, instance, variant, attempt)."""
     return {
@@ -132,6 +130,9 @@ def _by_run(runs: dict[RunKey, list[dict]]) -> dict[str, Run]:
 
 
 def write_metric_reports(view: dict[str, Run], out_dir: Path) -> list[Path]:
+    """`metrics-<name>.json` and `.csv` per configuration with an instance
+    set. The CSV has a row per metric and k: the means, the accuracy of each
+    attempt, then each per-k table of the document in its order."""
     from . import analytics
 
     paths = []
@@ -139,14 +140,20 @@ def write_metric_reports(view: dict[str, Run], out_dir: Path) -> list[Path]:
         if not run.conclusive:
             logger.warning("no metrics for %s: %s", name, _NO_INSTANCE_SET)
             continue
-        matrix = analytics.RunMatrix.from_instances(run.conclusive, name)
-        report = analytics.metric_report(matrix, run.left_out)
+        doc = analytics.metric_report(analytics.RunMatrix.from_instances(run.conclusive, name),
+                                      run.left_out)
+        rows = [["mean_accuracy", "", doc["mean_accuracy"]],
+                ["accuracy_spread", "", doc["accuracy_spread"]]]
+        rows += [["attempt_accuracy", k, v]
+                 for k, v in enumerate(doc["per_attempt_accuracy"], start=1)]
+        rows += [[metric, k, v]
+                 for metric, table in doc.items() if isinstance(table, dict)
+                 for k, v in table.items()]
         safe = name.replace("/", "_").replace("@", "_at_").replace("=", "")
         json_path = out_dir / f"metrics-{safe}.json"
-        json_path.write_text(report.to_json(), "utf-8")
-        csv_path = out_dir / f"metrics-{safe}.csv"
-        report.write_csv(csv_path)
-        paths += [json_path, csv_path]
+        json_path.write_text(json.dumps(doc, indent=1, sort_keys=True), "utf-8")
+        paths += [json_path, _write_csv(out_dir / f"metrics-{safe}.csv", ["metric", "k", "value"],
+                                        [[metric, k, f"{v:.6f}"] for metric, k, v in rows])]
     return paths
 
 

@@ -45,7 +45,6 @@ class BraceContext:
     name: str = ""           # type or method name when recognized
     is_constructor: bool = False
     is_public: bool = False
-    parent: "BraceContext | None" = None
     top_level: bool = False
 
 
@@ -172,6 +171,9 @@ def scan_file(text: str, path: str = "<source>") -> FileScan:
             if i == n:
                 break
             ch = text[i]
+            if ch == "\\" and text.startswith("\n", i + 1):
+                i += 1  # an escaped newline still ends the line
+                ch = "\n"
             if ch == "\\":
                 i += 2
             elif ch == "\n":
@@ -333,7 +335,6 @@ def _classify_brace(
             open_line=line_no,
             type_keyword=pending_type_kw,
             name=pending_type_name,
-            parent=parent,
             top_level=parent is None,
         )
     # Array initializers and annotation values open after '=', '(', ',' or '['.
@@ -351,9 +352,8 @@ def _classify_brace(
             open_line=line_no,
             name=ident_before_paren,
             is_constructor=ident_before_paren == parent.name,
-            parent=parent,
         )
-    return BraceContext(kind=OTHER_BLOCK, open_line=line_no, parent=parent)
+    return BraceContext(kind=OTHER_BLOCK, open_line=line_no)
 
 
 def _find_package_line(result: FileScan) -> None:

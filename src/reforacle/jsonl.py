@@ -70,12 +70,6 @@ class Appender:
         self.close()
 
 
-def append(path: str | Path, lines: Iterable[str]) -> None:
-    """Append each JSON line, once a torn last line is cut off."""
-    with Appender(path) as out:
-        out.write(lines)
-
-
 def _open_mended(path: str | Path):
     fh = open(path, "a+b", buffering=0)
     try:

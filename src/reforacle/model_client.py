@@ -137,12 +137,15 @@ class RawModelResponse:
 
 class TranscriptStore:
     """Keyed response store: a file of JSON lines, one record per line,
-    loaded when it exists and appended to by `put`."""
+    loaded when it exists and appended to by `put`. The file stays open
+    from the first `put` to `close()`; each record is on disk once `put`
+    returns, closed or not."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._records: dict[RequestKey, RawModelResponse] = {}
         self._lock = threading.Lock()
+        self._out = jsonl.Appender(self.path)
         if self.path.exists():
             self._load()
 
@@ -171,7 +174,11 @@ class TranscriptStore:
                 raise DuplicateKey(f"record already present for {key}", key)
             self._records[key] = resp
             line = json.dumps({"key": key.as_dict(), "response": asdict(resp)}, sort_keys=True)
-            jsonl.append(self.path, [line])
+            self._out.write([line])
+
+    def close(self) -> None:
+        with self._lock:
+            self._out.close()
 
     def keys(self) -> list[RequestKey]:
         return list(self._records)

@@ -289,7 +289,9 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
         """Query, parse and score one attempt; `inline`: wait on this thread."""
         nonlocal call_errors
         client = clients[task.key.backend_name]
-        if not inline and client.recorded(task.prompt, task.attempt) is None:
+        # with no live backend a miss fails at once, so only a live call can wait
+        live = client.backend is not None
+        if not inline and live and client.recorded(task.prompt, task.attempt) is None:
             pending.append(pool.submit(attempt, task, True))
             return
         try:
@@ -314,6 +316,8 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
                 future.result()
         finally:  # on an error, drop the attempts no thread has started
             pool.shutdown(cancel_futures=True)
+            if record_store is not None:
+                record_store.close()
     return appended, call_errors
 
 

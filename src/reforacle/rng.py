@@ -36,10 +36,6 @@ class CounterRng:
         self._key = key & _MASK64
         self._counter = 0
 
-    @property
-    def key(self) -> int:
-        return self._key
-
     def next_u64(self) -> int:
         self._counter = (self._counter + 1) & _MASK64
         z = (self._key + self._counter * _GAMMA) & _MASK64

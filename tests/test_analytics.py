@@ -10,7 +10,7 @@ from reforacle.analytics import (
     RunMatrix,
     acc_at,
     accuracy_spread,
-    category_split,
+    category_acc_at,
     cons_at,
     mean_accuracy,
     metric_report,
@@ -207,17 +207,15 @@ class TestDefinitionalCases:
         m = simple_matrix([[1, 0]])
         assert cons_at(m, 2) == 0.0
 
-    def test_category_split_restricted(self):
-        m = simple_matrix([[1], [0], [1]], labels=["BC", "CE", "CE"])
-        bc, ce = category_split(m, 1)
-        assert bc == 1.0
-        assert ce == 0.5
-
-    def test_all_ce_corpus_has_no_bc_rate(self):
-        m = simple_matrix([[1], [1]], labels=["CE", "CE"])
-        bc, ce = category_split(m, 1)
-        assert bc is None
-        assert ce == 1.0
+    @pytest.mark.parametrize("labels, label, expected", [
+        (["BC", "CE", "CE"], "BC", 1.0),
+        (["BC", "CE", "CE"], "CE", 0.5),
+        (["CE", "CE", "CE"], "BC", None),  # an all-CE corpus has no BC rate
+        (["CE", "CE", "CE"], "CE", 2 / 3),
+    ])
+    def test_category_acc_is_restricted_to_its_label(self, labels, label, expected):
+        m = simple_matrix([[1], [0], [1]], labels=labels)
+        assert category_acc_at(m, label, 1) == expected
 
     def test_k_out_of_range(self):
         m = simple_matrix([[1]])
@@ -298,18 +296,24 @@ class TestMatrixFromInstances:
         assert acc_at(m, 2) == 1.0
         assert acc_at(m, 1) == 0.5
 
-    def test_metric_report_serializes(self, tmp_path):
+    def test_metric_report_is_the_document(self):
         instances = [
-            [self.outcome("a", 1, True, label="BC")],
-            [self.outcome("b", 1, False)],
+            [self.outcome("a", 1, True, label="BC"), self.outcome("a", 2, True, label="BC")],
+            [self.outcome("b", 1, False), self.outcome("b", 2, True)],
         ]
-        m = RunMatrix.from_instances(instances, "m")
-        report = metric_report(m, 3)
-        assert report.mean_accuracy == 0.5
-        assert (report.instances, report.dropped_inconclusive) == (2, 3)
-        assert "acc_at" in report.to_json()
-        csv_path = tmp_path / "metrics.csv"
-        report.write_csv(csv_path)
-        text = csv_path.read_text()
-        assert text.splitlines()[0] == "metric,k,value"
-        assert "mean_accuracy" in text
+        doc = metric_report(RunMatrix.from_instances(instances, "m"), 3)
+        assert doc == {
+            "backend": "m",
+            "instances": 2,
+            "dropped_inconclusive": 3,
+            "attempts": 2,
+            "mean_accuracy": 0.75,
+            "accuracy_spread": 0.5,
+            "per_attempt_accuracy": [0.5, 1.0],
+            "acc_at": {"1": 0.5, "2": 1.0},
+            "tar_at": {"1": 1.0, "2": 0.5},
+            "cons_at": {"1": 0.5, "2": 0.5},
+            "bc_at": {"1": 1.0, "2": 1.0},
+            "ce_at": {"1": 0.0, "2": 1.0},
+        }
+        assert metric_report(RunMatrix.from_instances(instances[1:], "m"), 0)["bc_at"] == {}

@@ -830,8 +830,9 @@ class CountingFile:
 
 
 class TestOncePerAttempt:
-    """A replayed attempt hashes its prompt, scans its test and writes its
-    row once, whichever thread scores it."""
+    """A replayed attempt looks up its answer, hashes its prompt, scans its
+    test and writes its row once, whichever thread scores it; a recording
+    run opens its store once."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_per_attempt_step_runs_once(self, jobs, mini_corpus_root, tmp_path, monkeypatch):
@@ -840,9 +841,9 @@ class TestOncePerAttempt:
                                   record_path=str(store)),
                       backends_impl={"mock": cycling_backend()}, toolchain=MockToolchain())
 
-        rendered, hashed, extracted, opened, writes = [], [], [], [], []
+        rendered, hashed, extracted, opened, writes, looked_up = [], [], [], [], [], []
         render, sha256 = pipeline._render, hashlib.sha256
-        extract = verdict_parser.extract_test_source
+        extract, get = verdict_parser.extract_test_source, TranscriptStore.get
 
         def recording_render(*args, **kwargs):
             rendered.append(render(*args, **kwargs))
@@ -860,7 +861,12 @@ class TestOncePerAttempt:
             opened.append(Path(path))
             return CountingFile(open(path, *args, **kwargs), writes)
 
+        def recording_get(self, key):
+            looked_up.append(key)
+            return get(self, key)
+
         monkeypatch.setattr(pipeline, "_render", recording_render)
+        monkeypatch.setattr(TranscriptStore, "get", recording_get)
         monkeypatch.setattr(hashlib, "sha256", recording_sha256)
         monkeypatch.setattr(verdict_parser, "extract_test_source", recording_extract)
         monkeypatch.setattr(jsonl, "open", recording_open, raising=False)
@@ -878,6 +884,25 @@ class TestOncePerAttempt:
         assert len(extracted) == len(claims)
         assert opened == [artifacts.outcomes_path]
         assert writes == rows
+        assert len(looked_up) == len(set(looked_up)) == 20
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_recording_run_opens_its_store_once(self, jobs, mini_corpus_root, tmp_path,
+                                                  monkeypatch):
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(Path(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(jsonl, "open", recording_open, raising=False)
+        store = tmp_path / "store.jsonl"
+        artifacts = run_benchmark(
+            base_config(mini_corpus_root, tmp_path / "out", attempts=2, jobs=jobs,
+                        record_path=str(store)),
+            backends_impl={"mock": cycling_backend()}, toolchain=MockToolchain())
+        assert Counter(opened) == {artifacts.outcomes_path: 1, store: 1}
+        assert len(TranscriptStore(store)) == 20
 
 
 class TestValidateCommand:

@@ -42,6 +42,21 @@ SMALL = source_set(**{
 """
 })
 
+# a Java 15+ text block whose first line ends in a line continuation
+CONTINUED_TEXT_BLOCK = source_set(**{
+    "A.java": """class A {
+  String s = \"""
+    one \\
+    two
+    \""";
+  int x = 1;
+  void m() {
+    int y = 2;
+  }
+}
+"""
+})
+
 NO_METHODS = source_set(**{
     "B.java": """class B {
   int x = 1;
@@ -106,6 +121,8 @@ class TestScanner:
             ("class A { char c = '\n'; }", javalex.UnterminatedLiteral,
              "<source>:1: char literal not closed"),
             ("class A {\n int x; }\n}", javalex.UnbalancedBraces, "<source>:3: unmatched '}'"),
+            ('class A { String s = "a\\\nb"; }', javalex.UnterminatedLiteral,
+             "<source>:1: string literal not closed"),
         ]:
             with pytest.raises(error) as raised:
                 javalex.scan_file(text)
@@ -118,6 +135,13 @@ class TestScanner:
         scan = javalex.scan_file(content)
         inside = [i for i, ok in enumerate(scan.line_end_in_code) if not ok]
         assert inside  # the text block spans at least one line boundary
+
+    def test_a_text_block_line_continuation_still_ends_its_line(self):
+        scan = javalex.scan_file(CONTINUED_TEXT_BLOCK.content("A.java"))
+        assert scan.line_end_in_code == [True, False, False, False, True, True, True, True, True,
+                                         True]
+        assert [(c.kind, c.name, c.open_line, c.close_line) for c in scan.contexts] == [
+            (javalex.TYPE_BODY, "A", 0, 9), (javalex.METHOD_BODY, "m", 6, 8)]
 
     def test_public_class_count(self):
         assert javalex.scan_file(java_fixtures.BEHAVIOR_TEST).public_class_names() == [
@@ -211,6 +235,17 @@ class N {
             src = source_set(**fixture.original)
             index = index_structure(src)
             assert operator_applicable(index, CO), fixture.id
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_no_operator_writes_inside_a_continued_text_block(self, op):
+        original = CONTINUED_TEXT_BLOCK.content("A.java")
+        block = original[original.index('"""'):original.rindex('"""') + 3]
+        for seed in range(40):
+            try:
+                variant = apply_operator(CONTINUED_TEXT_BLOCK, op, seed=seed)
+            except NoInsertionPoint:
+                continue
+            assert block in variant.transformed_original.content("A.java"), (op, seed)
 
     def test_tlc_appends_class(self):
         variant = apply_operator(SMALL, TLC, seed=13)

@@ -5,6 +5,7 @@ import pytest
 import requests
 
 import java_fixtures
+from reforacle import jsonl
 from reforacle.model_client import (
     AuthMissing,
     BackendConfig,
@@ -257,6 +258,25 @@ class TestTranscriptStore:
         store.put(self.key(2), self.response())
         assert path.read_text().startswith(whole)
         assert TranscriptStore(path).keys() == [self.key(), self.key(2)]
+
+    def test_the_store_stays_open_from_its_first_put_to_close(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(jsonl, "open", recording_open, raising=False)
+        path = tmp_path / "t.jsonl"
+        store = TranscriptStore(path)
+        for attempt in (1, 2, 3):
+            store.put(self.key(attempt), self.response())
+            assert len(TranscriptStore(path)) == attempt  # on disk before close
+        store.close()
+        store.put(self.key(4), self.response())
+        store.close()
+        assert opened == [path, path]
+        assert TranscriptStore(path).keys() == [self.key(n) for n in (1, 2, 3, 4)]
 
     def test_malformed_line_before_the_last_is_an_error(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -8,6 +8,7 @@ output must give one first-run accuracy per configuration.
 """
 
 import csv
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -94,3 +95,44 @@ def test_every_output_gives_one_first_run_accuracy(source, tmp_path):
         line = table[name]
         assert (line["overall"], line["n"], line["inconclusive"]) == (
             f"{accuracy:.3f}", str(n), str(left_out)), name
+
+
+TWELVE_ATTEMPTS_SEED = 12
+# sha256 of the metrics pair of `_twelve_attempt_rows`. Keys "10"-"12" of
+# each per-k table sort after "1" in the JSON and after 9 in the CSV.
+TWELVE_ATTEMPTS_DIGESTS = {
+    "metrics-kappa.csv": "3f62ae8200f0fa881f658fa9c25eeaef85c9d79e56f03204fd2c1c2c3f7ce736",
+    "metrics-kappa.json": "1c4027caeae8c82ad5b6be6de6037395f20d8f467fb89244e17429d9fde4e53f",
+}
+
+
+def _twelve_attempt_rows() -> list[dict]:
+    """One configuration, 12 attempts of 7 BC and 9 CE instances, each
+    attempt right with a chance that differs per instance."""
+    rng = random.Random(TWELVE_ATTEMPTS_SEED)
+    rows = []
+    for i in range(16):
+        label, p = ("BC" if i < 7 else "CE"), rng.random()
+        for attempt in range(1, 13):
+            correct = rng.random() < p
+            rows.append({
+                "schema": assessor.OUTCOME_SCHEMA, "backend_name": "kappa",
+                "instance_id": f"inst-{i:02d}", "attempt_index": attempt, "ground_label": label,
+                "answer_label": assessor.correct_answer_label(label) if correct else rng.choice(
+                    [assessor.SAID_YES, assessor.SAID_UNKNOWN]),
+                "correct": correct, "inconclusive": False,
+            })
+    return rows
+
+
+def test_a_twelve_attempt_metrics_pair_keeps_its_bytes(tmp_path):
+    outcomes = tmp_path / "outcomes.jsonl"
+    outcomes.write_text("".join(json.dumps(r) + "\n" for r in _twelve_attempt_rows()), "utf-8")
+    out = tmp_path / "out"
+    assert main(["metrics", "--outcomes", str(outcomes), "--out", str(out)]) == 0
+    files = _files(out)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == \
+        TWELVE_ATTEMPTS_DIGESTS
+    doc = json.loads(files["metrics-kappa.json"])
+    assert (doc["attempts"], doc["instances"]) == (12, 16)
+    assert list(doc["bc_at"]) == ["1", "10", "11", "12", *map(str, range(2, 10))]
