@@ -72,6 +72,7 @@ class AssessmentOutcome:
     prompt_hash: str = ""
     template_version: str = ""
     toolchain_version: str = ""
+    toolchain_error: str | None = None
     seed: int | None = None
     temperature: str = ""
     refactoring_type: str = ""
@@ -89,9 +90,13 @@ class AssessmentOutcome:
     def row(self) -> dict:
         """The outcome row, equal to the dict its JSON line reads back as:
         keys in the line's order and JSON values only. Every field but
-        `evidence` goes in as is; the evidence is flattened into its own
-        block, absent when there is none."""
+        `evidence` and `toolchain_error` goes in as is; the evidence is
+        flattened into its own block. Each of the two is absent when there
+        is none, so a row whose check did not raise has no
+        `toolchain_error` key."""
         doc = {name: getattr(self, name) for name in _ROW_KEYS}
+        if self.toolchain_error is None:
+            del doc["toolchain_error"]
         if self.evidence is None:
             del doc["evidence"]
         else:
@@ -168,8 +173,10 @@ def _judge(
     attempt's name (backend, attempt, variant), its prompt, toolchain and
     seed, and the response's telemetry. Behavior-change claims are
     validated mechanically through the model's own test, whatever the
-    ground truth; toolchain failures mark the outcome inconclusive rather
-    than wrong.
+    ground truth. A toolchain failure is recorded on the row; it makes the
+    outcome inconclusive only on a BC instance, the one label where the
+    evidence decides `correct`. On any other label the claim is wrong
+    whatever its test does.
     """
     row = dict(instance_id=inst.id, ground_label=inst.label,
                refactoring_type=inst.refactoring_type, tool=inst.tool, **provenance)
@@ -177,13 +184,12 @@ def _judge(
         return AssessmentOutcome(
             correct=False, answer_label=PARSE_ERROR, parse_reason=verdict.reason, **row
         )
-    evidence, reflective, inconclusive = None, False, False
+    evidence, reflective, error = None, False, None
     if verdict.category == verdict_parser.NO_BEHAVIOR_CHANGE:
-        label, evidence, reflective, inconclusive = _validate_bc_claim(
-            inst, verdict.test, toolchain
-        )
+        label, evidence, reflective, error = _validate_bc_claim(inst, verdict.test, toolchain)
     else:
         label = _CLAIM_LABELS[verdict.category]
+    inconclusive = error is not None and inst.label == "BC"
     return AssessmentOutcome(
         correct=label == correct_answer_label(inst.label) and not inconclusive,
         answer_label=label,
@@ -191,33 +197,35 @@ def _judge(
         evidence=evidence,
         reflective_test=reflective,
         inconclusive=inconclusive,
+        toolchain_error=error,
         **row,
     )
 
 
 def _validate_bc_claim(
     inst: BugInstance, test: str | None, toolchain: Toolchain
-) -> tuple[str, DiscriminationResult | None, bool, bool]:
-    """(answer_label, evidence, reflective, inconclusive) for a BC claim
-    checked with `test` (None: no usable test)."""
+) -> tuple[str, DiscriminationResult | None, bool, str | None]:
+    """(answer_label, evidence, reflective, toolchain_error) for a BC claim
+    checked with `test` (None: no usable test). The error is
+    `<class>: <message>` of a check that raised, else None."""
     if test is None:
         # a missing or malformed junit_test counts as absent evidence
-        return SAID_BC_TEST_NOT_COMPILING, None, False, False
+        return SAID_BC_TEST_NOT_COMPILING, None, False, None
     reflective = java_executor.uses_reflection(test)
     try:
         evidence = toolchain.check_discriminating(test, inst.original, inst.resulting)
     except java_executor.ToolchainError as err:
-        logger.warning("inconclusive assessment for %s: %s", inst.id, err)
-        return SAID_BC_TEST_NOT_COMPILING, None, reflective, True
+        logger.warning("no evidence for the claim on %s: %s", inst.id, err)
+        return SAID_BC_TEST_NOT_COMPILING, None, reflective, f"{type(err).__name__}: {err.reason}"
     if not evidence.compiled:
-        return SAID_BC_TEST_NOT_COMPILING, evidence, reflective, False
+        return SAID_BC_TEST_NOT_COMPILING, evidence, reflective, None
     if reflective:
         # reflective tests step outside the client-observable equivalence
         # notion; their evidence never counts as discriminating
-        return SAID_BC_TEST_NOT_DISCRIMINATING, evidence, True, False
+        return SAID_BC_TEST_NOT_DISCRIMINATING, evidence, True, None
     if evidence.discriminates:
-        return SAID_BC_VALID, evidence, False, False
-    return SAID_BC_TEST_NOT_DISCRIMINATING, evidence, False, False
+        return SAID_BC_VALID, evidence, False, None
+    return SAID_BC_TEST_NOT_DISCRIMINATING, evidence, False, None
 
 
 def write_outcomes(outcomes, out: jsonl.Appender) -> None:

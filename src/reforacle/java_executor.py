@@ -47,8 +47,10 @@ COMPILE_TIMEOUT_S = 300.0
 # The warm compiler run by RealToolchain, started with the JDK's
 # source-file launcher so it needs no build step.
 COMPILE_WORKER_SOURCE = Path(__file__).with_name("java") / "CompileWorker.java"
-# A small serial-GC heap and C1 only keep a worker's peak RSS below that
-# of one-shot javac (about 75 MB against 78 MB on OpenJDK 17).
+# A small serial-GC heap and C1 only bound the worker's peak RSS. On
+# OpenJDK 17 one worker that does every compile peaks at about 72 MB over
+# a benchmark run's 40 compiles and about 80 MB over the 452 compiles of
+# the 226-instance synthetic corpus, against 73-75 MB for one-shot javac.
 COMPILE_WORKER_JVM_FLAGS = (
     "-XX:+UseSerialGC",
     "-Xms8m",
@@ -59,7 +61,19 @@ COMPILE_WORKER_JVM_FLAGS = (
 
 
 class ToolchainError(RuntimeError):
-    pass
+    """No evidence from the toolchain. A call whose workspace is kept for
+    its invocations.log sets `workspace`, and str() names it."""
+
+    workspace: Path | None = None
+
+    @property
+    def reason(self) -> str:
+        """The message without the kept workspace, which is machine-local."""
+        return super().__str__()
+
+    def __str__(self) -> str:
+        kept = f" (workspace kept: {self.workspace})" if self.workspace else ""
+        return self.reason + kept
 
 
 class ToolchainUnavailable(ToolchainError):
@@ -205,17 +219,18 @@ class NullToolchain(Toolchain):
 class RealToolchain(Toolchain):
     """One JDK's javac and java; one fresh workspace per compile or run.
 
-    Compiles go to a pool of warm compiler JVMs (CompileWorker.java) that
-    run javac in process with the argv one-shot javac would get. A worker
-    starts on the first compile that finds none idle, so the pool never
-    outgrows the number of concurrent callers. A worker that cannot
-    start or dies is dropped and that compile runs one-shot javac
-    instead; a compile that overruns COMPILE_TIMEOUT_S, in a worker or
-    one-shot, raises ToolchainError at once. Each test still runs in a
-    fresh JVM. The workers and the tests run on the java launcher next to
-    the resolved javac, so one JDK compiles and runs everything. Its
-    version comes from that JDK's release file, so building a toolchain
-    starts no process. Call close() to stop the workers.
+    Compiles go to one warm compiler JVM (CompileWorker.java) that runs
+    javac in process with the argv one-shot javac would get. It starts at
+    the first compile, and concurrent callers take turns on it. A worker
+    that cannot start is never retried, and every compile then runs
+    one-shot javac; a worker that dies is dropped, that compile runs
+    one-shot javac and the next one starts a new worker. A compile that
+    overruns COMPILE_TIMEOUT_S, in the worker or one-shot, raises
+    ToolchainError at once. Each test still runs in a fresh JVM. The
+    worker and the tests run on the java launcher next to the resolved
+    javac, so one JDK compiles and runs everything. Its version comes from
+    that JDK's release file, so building a toolchain starts no process.
+    Call close() to stop the worker.
     """
 
     def __init__(self, config: ToolchainConfig) -> None:
@@ -230,10 +245,10 @@ class RealToolchain(Toolchain):
         self.config = config
         self.java = str(java)
         self._javac_version = f"javac {version}"
-        self._workers_can_start = True  # False once a worker failed to start
-        self._workers_lock = threading.Lock()
-        self._workers: list[_CompileWorker] = []
-        self._idle_workers: list[_CompileWorker] = []
+        # the one compile worker, held by whichever thread compiles
+        self._worker_lock = threading.Lock()
+        self._worker: _CompileWorker | None = None
+        self._worker_can_start = True  # False once a worker failed to start
 
     def version(self) -> str:
         """`javac <JAVA_VERSION>`, as `javac -version` prints it, read from
@@ -257,7 +272,7 @@ class RealToolchain(Toolchain):
         except ToolchainError as err:
             keep = not isinstance(err, ToolchainUnavailable)
             if keep:
-                err.args = (f"{err} (workspace kept: {ws})",)
+                err.workspace = ws
             raise
         finally:
             if not keep:
@@ -301,61 +316,56 @@ class RealToolchain(Toolchain):
         return CompileResult(success=returncode == 0, diagnostics=diagnostics, elapsed_s=elapsed)
 
     def _compile_in_worker(self, javac_args: list[str]) -> tuple[int, str] | None:
-        """(exit code, diagnostics) from a warm worker, or None when this
+        """(exit code, diagnostics) from the warm worker, or None when this
         compile has to run one-shot javac. A worker that overruns the
         compile limit raises ToolchainError: a retry would get the same
         budget again."""
         if any("\n" in arg for arg in javac_args):  # a request is one line
             return None
-        with self._workers_lock:
-            worker = self._idle_workers.pop() if self._idle_workers else None
-            can_start = self._workers_can_start
-        if worker is None:
-            if not can_start:
-                return None
+        with self._worker_lock:
+            if self._worker is None:
+                if not self._worker_can_start:
+                    return None
+                try:
+                    self._worker = _CompileWorker(self.java)
+                except _WorkerFailed as err:
+                    self._worker_can_start = False
+                    logger.warning("compile worker did not start (%s); using one-shot javac", err)
+                    return None
             try:
-                worker = _CompileWorker(self.java)
-            except _WorkerFailed as err:
-                with self._workers_lock:
-                    self._workers_can_start = False
-                logger.warning("compile worker did not start (%s); using one-shot javac", err)
+                return self._worker.compile(javac_args)
+            except BaseException as err:
+                # a worker cut off mid-exchange is out of step with its pipes
+                self._worker.kill()
+                self._worker = None
+                if isinstance(err, _WorkerTimedOut):
+                    raise ToolchainError(f"javac {err}") from err
+                if not isinstance(err, _WorkerFailed):
+                    raise
+                logger.warning("compile worker failed (%s); this compile uses one-shot javac", err)
                 return None
-            with self._workers_lock:
-                self._workers.append(worker)
-        try:
-            result = worker.compile(javac_args)
-        except _WorkerFailed as err:
-            worker.kill()
-            with self._workers_lock:
-                self._workers.remove(worker)
-            if isinstance(err, _WorkerTimedOut):
-                raise ToolchainError(f"javac {err}") from err
-            logger.warning("compile worker failed (%s); this compile uses one-shot javac", err)
-            return None
-        with self._workers_lock:
-            self._idle_workers.append(worker)
-        return result
 
     def close(self) -> None:
-        """Stop the compile workers: end their input and wait for them."""
-        with self._workers_lock:
-            workers, self._workers, self._idle_workers = self._workers, [], []
-        for worker in workers:
-            worker.close()
+        """Stop the compile worker once it is idle: end its input and wait
+        for it."""
+        with self._worker_lock:
+            if self._worker is not None:
+                self._worker.close()
+                self._worker = None
 
     def run_test(self, program: SourceSet, test: str) -> TestRunResult:
         """Compile program + test together, then run the single JUnit test."""
         if not self.config.junit_classpath:
             # the runner main can only come from the JUnit classpath
             raise ToolchainUnavailable("no JUnit classpath configured")
-        test_class = javalex.top_level_public_class(test)
-        if test_class is None:
+        names = javalex.qualified_public_class(test)
+        if names is None:
             raise ToolchainError("test does not scan, or does not declare exactly one public class")
         with self._workspace("test") as ws:
-            return self._run_test_in(program, test, test_class, ws)
+            return self._run_test_in(program, test, *names, ws)
 
     def _run_test_in(
-        self, program: SourceSet, test: str, test_class: str, ws: Path
+        self, program: SourceSet, test: str, test_class: str, qualified: str, ws: Path
     ) -> TestRunResult:
         # the test has a root of its own, so a test class that clashes with a
         # program class is javac's "duplicate class", a test that does not compile
@@ -369,7 +379,6 @@ class RealToolchain(Toolchain):
                 elapsed_s=compile_result.elapsed_s,
             )
         classpath = _join_cp((str(ws / "classes"),) + self.config.junit_classpath)
-        qualified = _qualified_test_class(test, test_class)
         cmd = [self.java, "-cp", classpath, "org.junit.runner.JUnitCore", qualified]
         start = time.monotonic()
         try:
@@ -588,16 +597,6 @@ def _text_hash(text: str) -> str:
 
 # the JUnit 4 runner's summary when a test failed
 _FAILURE_MARKER = "FAILURES!!!"
-
-_PACKAGE_RE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
-
-
-def _qualified_test_class(test: str, test_class: str) -> str:
-    match = _PACKAGE_RE.search(test)
-    if match:
-        return f"{match.group(1)}.{test_class}"
-    return test_class
-
 
 def _join_cp(entries: tuple[str, ...]) -> str:
     return os.pathsep.join(entries)

@@ -62,6 +62,7 @@ class FileScan:
     # Innermost open context right after each line's newline; None at depth 0.
     context_at_line_end: list[BraceContext | None] = field(default_factory=list)
     package_line: int | None = None
+    package_name: str = ""  # the package line's name; "" without one
 
     def public_class_names(self) -> list[str]:
         return [
@@ -356,20 +357,40 @@ def _classify_brace(
     return BraceContext(kind=OTHER_BLOCK, open_line=line_no)
 
 
+_PACKAGE_RE = re.compile(r"package\s+([\w.]+)\s*;")
+
+
 def _find_package_line(result: FileScan) -> None:
-    """Locate the package line textually; it is line-oriented in practice."""
+    """Locate the package line: the first line that starts in code with a
+    package declaration, so none inside a block comment or a text block
+    counts. It is line-oriented in practice."""
     for idx, line in enumerate(result.lines):
-        stripped = line.strip()
-        if stripped.startswith("package ") and stripped.endswith(";"):
+        if idx and not result.line_end_in_code[idx - 1]:
+            continue
+        match = _PACKAGE_RE.match(line.strip())
+        if match:
             result.package_line = idx
+            result.package_name = match.group(1)
             return
 
 
 def top_level_public_class(text: str) -> str | None:
     """Name of the single top-level public class; None if there is not
     exactly one or the text does not scan."""
+    names = qualified_public_class(text)
+    return names[0] if names else None
+
+
+def qualified_public_class(text: str) -> tuple[str, str] | None:
+    """(simple name, name qualified by the package line) of the single
+    top-level public class, from one scan; None as for
+    top_level_public_class."""
     try:
-        names = scan_file(text).public_class_names()
+        scan = scan_file(text)
     except ScanError:
         return None
-    return names[0] if len(names) == 1 else None
+    names = scan.public_class_names()
+    if len(names) != 1:
+        return None
+    package = scan.package_name
+    return names[0], f"{package}.{names[0]}" if package else names[0]

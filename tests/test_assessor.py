@@ -238,14 +238,62 @@ class TestWithoutAJdk:
     @pytest.mark.parametrize(
         "inst", [BC_INSTANCE, CE_INSTANCE, PRESERVING_INSTANCE], ids=lambda i: i.label
     )
-    def test_every_bc_claim_is_inconclusive(self, inst):
+    def test_a_bc_claim_is_inconclusive_only_on_a_bc_instance(self, inst):
         judge = assess_preserving if inst.label == "PRESERVING" else assess
         verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.BEHAVIOR_TEST)
         outcome = judge(inst, verdict, NullToolchain(), provenance=ROW)
-        assert outcome.inconclusive
+        assert outcome.inconclusive == (inst.label == "BC")
         assert not outcome.correct
         assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
         assert outcome.evidence is None
+        assert outcome.toolchain_error == "ToolchainUnavailable: no JDK configured"
+
+
+class RaisingToolchain(MockToolchain):
+    """A scripted toolchain whose every test run raises, as a compile over
+    its limit does; the error names a kept workspace."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.checks = 0
+
+    def run_test(self, program, test_source):
+        self.checks += 1
+        err = java_executor.ToolchainError("javac exceeded 300 s")
+        err.workspace = "reforacle-test-kept"
+        raise err
+
+
+class TestAToolchainError:
+    """A check that raises leaves a claim out only where its evidence
+    decides the answer: on a BC instance."""
+
+    verdict = verdict_of("NO - BEHAVIOR CHANGE", junit_test=java_fixtures.VACUOUS_TEST)
+
+    @pytest.mark.parametrize("inst", [PRESERVING_INSTANCE, CE_INSTANCE], ids=lambda i: i.label)
+    def test_a_claim_on_any_other_instance_is_conclusive_and_wrong(self, inst):
+        judge = assess_preserving if inst.label == "PRESERVING" else assess
+        toolchain = RaisingToolchain()
+        outcome = judge(inst, self.verdict, toolchain, provenance=ROW)
+        assert toolchain.checks == 1  # the check still runs
+        assert not outcome.inconclusive and not outcome.correct
+        assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
+        assert outcome.row["toolchain_error"] == "ToolchainError: javac exceeded 300 s"
+
+    def test_a_claim_on_a_bc_instance_is_inconclusive(self):
+        outcome = assess(BC_INSTANCE, self.verdict, RaisingToolchain(), provenance=ROW)
+        assert outcome.inconclusive and not outcome.correct
+        assert outcome.answer_label == SAID_BC_TEST_NOT_COMPILING
+        row = json.loads(outcome.to_json_line())
+        assert row["toolchain_error"] == "ToolchainError: javac exceeded 300 s"
+        assert "reforacle-test-kept" not in outcome.to_json_line()
+
+    def test_a_row_whose_check_did_not_raise_has_no_error_key(self):
+        for toolchain in (MockToolchain(), discriminating_mock(BC_INSTANCE,
+                                                               java_fixtures.VACUOUS_TEST)):
+            outcome = assess(BC_INSTANCE, self.verdict, toolchain, provenance=ROW)
+            assert "toolchain_error" not in json.loads(outcome.to_json_line())
+            assert outcome.row == json.loads(outcome.to_json_line())
 
 
 class TestInvariants:
@@ -341,7 +389,8 @@ class TestOutcomePersistence:
     def test_row_carries_every_field(self):
         outcome = ce_outcome()
         row = json.loads(outcome.to_json_line())
-        names = {f.name for f in dataclasses.fields(outcome)} - {"evidence"}
+        # the two fields a row carries only when they are set
+        names = {f.name for f in dataclasses.fields(outcome)} - {"evidence", "toolchain_error"}
         assert set(row) == names | {"schema"}
         assert all(row[name] == getattr(outcome, name) for name in names)
 

@@ -255,7 +255,7 @@ class TestRunBenchmark:
         assert record["template_version"] == "full_source_v1"
         assert record["toolchain_version"] == "mock-toolchain"
 
-    def test_without_toolchain_bc_claims_are_inconclusive(
+    def test_without_toolchain_only_bc_claims_on_bc_instances_are_inconclusive(
         self, mini_corpus_root, tmp_path
     ):
         bc_answer = json.dumps(
@@ -270,9 +270,13 @@ class TestRunBenchmark:
             cfg, backends_impl={"mock": MockBackend(bc_answer)}, toolchain=NullToolchain()
         )
         records = assessor.read_outcomes(artifacts.outcomes_path)
-        # PRESERVING rows too: a missing JDK never makes an answer wrong
+        # only on a BC instance can the evidence make the claim right; on a CE
+        # or PRESERVING instance it is wrong whatever its test does
         assert {r["ground_label"] for r in records} == {"BC", "CE", "PRESERVING"}
-        assert all(r["inconclusive"] and not r["correct"] for r in records)
+        assert all(r["inconclusive"] == (r["ground_label"] == "BC") for r in records)
+        assert not any(r["correct"] for r in records)
+        assert {r["toolchain_error"] for r in records} == {
+            "ToolchainUnavailable: no JDK configured"}
         assert {r["toolchain_version"] for r in records} == {"none"}
 
     def test_telemetry_totals_match_outcomes(self, mini_corpus_root, tmp_path):
@@ -695,6 +699,68 @@ class TestImportedAnswers:
         assert row["answer_label"] == assessor.SAID_BC_TEST_NOT_COMPILING
         assert not row["inconclusive"] and not row["correct"]
         assert row["evidence"]["on_original"] == java_executor.DID_NOT_COMPILE
+
+
+def claim(test: str | None) -> str:
+    return json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "a claim",
+                       "junit_test": test})
+
+
+class TestRealJdkRuns:
+    """`run` through `main` on the real JDK, with a replayed model."""
+
+    def run_argv(self, corpus, out, tmp_path, backends, answer, *extra: str) -> list[str]:
+        backends_file = tmp_path / "backends.json"
+        backends_file.write_text(json.dumps([{"name": b, "endpoint": "local"} for b in backends]))
+        cfg = base_config(corpus, out, backends=[BackendConfig(name=b) for b in backends])
+        store = write_replay_store(tmp_path / "store.jsonl", cfg, answer)
+        return ["run", "--corpus", str(corpus), *(a for b in backends for a in ("--backend", b)),
+                "--backends-file", str(backends_file), "--replay", str(store),
+                "--out", str(out), *extra]
+
+    def test_a_wrong_answer_is_never_left_out(self, jdk, tmp_path, capsys):
+        # Without JUnit every claim check raises. A BC claim on a CE or
+        # PRESERVING instance is wrong whatever its test does, so only a
+        # claim on a BC instance is left out.
+        def answer(backend, inst, attempt):
+            if inst.label == "CE":
+                return CE_ANSWER
+            return claim(None if backend == "honest" else java_fixtures.VACUOUS_TEST)
+
+        corpus = java_fixtures.write_corpus(tmp_path / "corpus")
+        out = tmp_path / "out"
+        argv = self.run_argv(corpus, out, tmp_path, ["honest", "mixed"], answer,
+                             "--compiler", jdk.config.javac_path)
+        assert main(argv) == 0, capsys.readouterr().err
+        models = json.loads((out / "stats.json").read_text())["models"]
+        assert {name: (m["correct"], m["n"], m["left_out"]) for name, m in models.items()} == {
+            "honest": (8, 20, 0), "mixed": (8, 14, 6)}
+        rows = assessor.read_outcomes(out / "outcomes.jsonl")
+        raised = [r for r in rows if "toolchain_error" in r]
+        assert {r["toolchain_error"] for r in raised} == {
+            "ToolchainUnavailable: no JUnit classpath configured"}
+        assert Counter((r["ground_label"], r["inconclusive"]) for r in raised) == {
+            ("BC", True): 6, ("PRESERVING", False): 6}
+        assert all(r["backend_name"] == "mixed" for r in raised)
+
+    def test_parallel_claim_checks_share_one_compile_worker(self, jdk, tmp_path, capsys):
+        from test_java_executor import worker_launches, wrapped_jdk
+
+        fixtures = java_fixtures.BC_FIXTURES[:4]
+        corpus = java_fixtures.write_corpus(tmp_path / "corpus", fixtures)
+        log = tmp_path / "java.log"
+        javac = wrapped_jdk(tmp_path / "jdk", log, 'exec "{real}/java" "$@"')
+        out = tmp_path / "out"
+        argv = self.run_argv(corpus, out, tmp_path, ["gpt"],
+                             lambda backend, inst, attempt: claim(inst.exposing_test),
+                             "--compiler", str(javac), "--jobs", "2",
+                             "--junit-cp", os.pathsep.join(jdk.config.junit_classpath))
+        assert main(argv) == 0, capsys.readouterr().err
+        rows = assessor.read_outcomes(out / "outcomes.jsonl")
+        assert [r["answer_label"] for r in rows] == [assessor.SAID_BC_VALID] * 4
+        assert worker_launches(log) == 1
+        assert sum(" org.junit.runner.JUnitCore " in line
+                   for line in log.read_text().splitlines()) == 8  # one fresh JVM per test run
 
 
 BC_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "runnable test",

@@ -357,6 +357,12 @@ class TestRealJUnit:
         assert result.discriminates
         assert result.passing_side == "original"
 
+    def test_a_package_line_in_a_block_comment_names_no_package(self, jdk):
+        # JUnit is asked for the class the test declares, not com.example's
+        test = "/*\npackage com.example;\n*/\n" + java_fixtures.BEHAVIOR_TEST
+        result = jdk.check_discriminating(test, FIG1_ORIGINAL, FIG1_RESULTING)
+        assert (result.on_original.outcome, result.on_resulting.outcome) == (PASS, FAIL)
+
     def test_vacuous_test_does_not_discriminate(self, jdk):
         result = jdk.check_discriminating(
             java_fixtures.VACUOUS_TEST, FIG1_ORIGINAL, FIG1_RESULTING
@@ -409,10 +415,43 @@ def _one_shot(toolchain, monkeypatch):
 
 @pytest.fixture
 def fresh_jdk(jdk):
-    """A toolchain of its own, so its workers can be inspected and killed."""
+    """A toolchain of its own, so its worker can be inspected and killed."""
     toolchain = java_executor.RealToolchain(jdk.config)
     yield toolchain
     toolchain.close()
+
+
+@pytest.fixture
+def logged_jdk(jdk, tmp_path):
+    """A toolchain on the real JDK whose every java launch is logged, and the
+    log's path; see wrapped_jdk."""
+    log = tmp_path / "java.log"
+    javac = wrapped_jdk(tmp_path / "jdk", log, 'exec "{real}/java" "$@"')
+    toolchain = RealToolchain(java_executor.ToolchainConfig(
+        javac_path=str(javac), junit_classpath=jdk.config.junit_classpath,
+    ))
+    yield toolchain, log
+    toolchain.close()
+
+
+def worker_launches(log: Path) -> int:
+    """The launches of CompileWorker.java that a wrapped_jdk log records."""
+    if not log.exists():
+        return 0
+    source = str(java_executor.COMPILE_WORKER_SOURCE)
+    return sum(line.endswith(source) for line in log.read_text().splitlines())
+
+
+def compile_together(toolchain, sources) -> list:
+    """Compile each source set on a thread of its own, all released at once."""
+    barrier = threading.Barrier(len(sources))
+
+    def compile_one(source_set):
+        barrier.wait(timeout=60)
+        return toolchain.compile(source_set)
+
+    with ThreadPoolExecutor(max_workers=len(sources)) as pool:
+        return list(pool.map(compile_one, sources, timeout=240))
 
 
 @pytest.mark.usefixtures("jdk")
@@ -423,7 +462,7 @@ class TestCompileWorker:
     def test_worker_matches_one_shot_javac(self, jdk, source_set, workspaces, monkeypatch,
                                            caplog):
         warm = jdk.compile(source_set)
-        assert jdk._workers, "the compile did not reach a worker"
+        assert jdk._worker is not None, "the compile did not reach a worker"
         assert "one-shot" not in caplog.text
         cold = _one_shot(java_executor.RealToolchain(jdk.config), monkeypatch).compile(source_set)
         assert warm.success == cold.success
@@ -431,34 +470,95 @@ class TestCompileWorker:
             cold.diagnostics, workspaces
         )
 
-    def test_killed_worker_falls_back_to_one_shot(self, fresh_jdk, caplog):
-        assert fresh_jdk.compile(FIG1_ORIGINAL).success
-        (worker,) = fresh_jdk._workers
+    def test_concurrent_compiles_share_one_worker(self, logged_jdk, workspaces, monkeypatch,
+                                                  caplog):
+        toolchain, log = logged_jdk
+        sources = [FIG1_ORIGINAL, src(**java_fixtures.INLINE_VAR_RESULTING)]
+        warm = compile_together(toolchain, sources)
+        assert worker_launches(log) == 1
+        assert "one-shot" not in caplog.text
+        cold = _one_shot(java_executor.RealToolchain(toolchain.config), monkeypatch)
+        for source_set, result in zip(sources, warm):
+            expected = cold.compile(source_set)
+            assert result.success == expected.success
+            assert _normalised(result.diagnostics, workspaces) == _normalised(
+                expected.diagnostics, workspaces
+            )
+        assert [r.success for r in warm] == [True, False]
+
+    def test_compiles_take_turns_under_contention(self, logged_jdk):
+        toolchain, log = logged_jdk
+        sources = [
+            src(**{f"C{i}.java": f"public class C{i} {{ int v() {{ return {i}; }} }}\n"})
+            for i in range(12)
+        ] + [src(**java_fixtures.INLINE_VAR_RESULTING)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results = list(pool.map(toolchain.compile, sources, timeout=240))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.success for r in results] == [True] * 12 + [False]
+        assert worker_launches(log) == 1
+        assert toolchain._worker is not None
+
+    def test_killed_worker_falls_back_to_one_shot(self, logged_jdk, caplog):
+        toolchain, log = logged_jdk
+        assert toolchain.compile(FIG1_ORIGINAL).success
+        worker = toolchain._worker
         worker.proc.kill()
         worker.proc.wait(timeout=10)
-        result = fresh_jdk.compile(src(**java_fixtures.INLINE_VAR_RESULTING))
+        result = toolchain.compile(src(**java_fixtures.INLINE_VAR_RESULTING))
         assert not result.success
         assert "int" in result.diagnostics
         assert "compile worker failed" in caplog.text
-        # the dead worker is dropped; the next compile starts a new one
-        assert fresh_jdk.compile(FIG1_ORIGINAL).success
-        (replacement,) = fresh_jdk._workers
-        assert replacement is not worker
+        assert toolchain._worker is None
+        assert worker_launches(log) == 1  # that compile ran one-shot
+        # the next compile starts exactly one new worker, which the one after reuses
+        assert toolchain.compile(FIG1_ORIGINAL).success
+        assert toolchain.compile(FIG1_RESULTING).success
+        assert worker_launches(log) == 2
+        assert toolchain._worker is not worker
 
-    def test_close_stops_every_worker(self, fresh_jdk):
-        barrier = threading.Barrier(2)
+    def test_a_worker_that_cannot_start_is_tried_once(self, tmp_path, caplog):
+        log = tmp_path / "java.log"
+        javac = wrapped_jdk(tmp_path / "jdk", log, "exit 1")
+        toolchain = RealToolchain(java_executor.ToolchainConfig(javac_path=str(javac)))
+        try:
+            results = compile_together(toolchain, [FIG1_ORIGINAL, FIG1_RESULTING])
+            results.append(toolchain.compile(src(**java_fixtures.INLINE_VAR_RESULTING)))
+        finally:
+            toolchain.close()
+        assert [r.success for r in results] == [True, True, False]
+        assert "int" in results[2].diagnostics
+        assert worker_launches(log) == 1
+        assert caplog.text.count("compile worker did not start") == 1
+        assert toolchain._worker is None
 
-        def compile_together(_):
-            barrier.wait(timeout=60)
-            return fresh_jdk.compile(FIG1_ORIGINAL).success
+    def test_an_interrupted_compile_drops_the_worker(self, logged_jdk, monkeypatch):
+        toolchain, log = logged_jdk
+        assert toolchain.compile(FIG1_ORIGINAL).success
+        worker = toolchain._worker
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert all(pool.map(compile_together, range(2)))
-        procs = [worker.proc for worker in fresh_jdk._workers]
-        assert 1 <= len(procs) <= 2
+        def interrupted(javac_args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(worker, "compile", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            toolchain.compile(FIG1_RESULTING)
+        # its reply may still be on the way, so it must never answer another compile
+        assert worker.proc.poll() is not None
+        assert toolchain._worker is None
+        assert toolchain.compile(FIG1_RESULTING).success
+        assert worker_launches(log) == 2
+
+    def test_close_stops_the_worker(self, fresh_jdk):
+        assert all(r.success for r in compile_together(fresh_jdk, [FIG1_ORIGINAL] * 2))
+        proc = fresh_jdk._worker.proc
         fresh_jdk.close()
-        assert all(proc.poll() is not None for proc in procs)
-        assert not fresh_jdk._workers
+        assert proc.poll() is not None
+        assert fresh_jdk._worker is None
 
     def test_no_jvm_before_first_compile(self, jdk, monkeypatch):
         def no_process(*args, **kwargs):
@@ -468,26 +568,9 @@ class TestCompileWorker:
         toolchain = java_executor.RealToolchain(jdk.config)
         toolchain.close()
 
-    def test_pool_stays_consistent_under_contention(self, fresh_jdk):
-        sources = [
-            src(**{f"C{i}.java": f"public class C{i} {{ int v() {{ return {i}; }} }}\n"})
-            for i in range(12)
-        ] + [src(**java_fixtures.INLINE_VAR_RESULTING)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                results = list(pool.map(fresh_jdk.compile, sources, timeout=240))
-        finally:
-            sys.setswitchinterval(interval)
-        assert [r.success for r in results] == [True] * 12 + [False]
-        # every started worker is either idle or was dropped, never lost
-        assert 1 <= len(fresh_jdk._workers) <= 3
-        assert sorted(map(id, fresh_jdk._idle_workers)) == sorted(map(id, fresh_jdk._workers))
-
     def test_worker_timeout_is_a_toolchain_error(self, fresh_jdk, monkeypatch, workspaces):
         assert fresh_jdk.compile(FIG1_ORIGINAL).success
-        (worker,) = fresh_jdk._workers
+        worker = fresh_jdk._worker
 
         def no_retry(cmd):
             raise AssertionError("a timed-out compile was retried one-shot")
@@ -497,7 +580,7 @@ class TestCompileWorker:
         with pytest.raises(java_executor.ToolchainError, match="exceeded"):
             fresh_jdk.compile(FIG1_RESULTING)
         assert worker.proc.poll() is not None
-        assert fresh_jdk._workers == []
+        assert fresh_jdk._worker is None
         (kept,) = workspaces.iterdir()
         assert "javac exceeded" in (kept / "invocations.log").read_text()
 
@@ -591,22 +674,6 @@ class TestOneJdk:
         assert sum(line.endswith(str(java_executor.COMPILE_WORKER_SOURCE))
                    for line in launches) == 1
         assert len(launches) == 3
-
-    def test_a_java_that_starts_no_worker_leaves_compiles_to_javac(self, tmp_path, caplog):
-        log = tmp_path / "java.log"
-        javac = wrapped_jdk(tmp_path / "jdk", log, "exit 1")
-        toolchain = RealToolchain(java_executor.ToolchainConfig(javac_path=str(javac)))
-        try:
-            assert toolchain.compile(FIG1_ORIGINAL).success
-            assert len(log.read_text().splitlines()) == 1
-            result = toolchain.compile(src(**java_fixtures.INLINE_VAR_RESULTING))
-        finally:
-            toolchain.close()
-        assert not result.success
-        assert "int" in result.diagnostics
-        assert caplog.text.count("compile worker did not start") == 1
-        assert len(log.read_text().splitlines()) == 1  # no second start attempt
-        assert toolchain._workers == []
 
 
 class TestReleaseFile:

@@ -143,6 +143,26 @@ class TestScanner:
         assert [(c.kind, c.name, c.open_line, c.close_line) for c in scan.contexts] == [
             (javalex.TYPE_BODY, "A", 0, 9), (javalex.METHOD_BODY, "m", 6, 8)]
 
+    @pytest.mark.parametrize("text, line, name", [
+        ("package a.b;\npublic class T { }\n", 0, "a.b"),
+        ("// header\npackage a.b ; // trailing\npublic class T { }\n", 1, "a.b"),
+        ("/*\npackage x.y;\n*/\npublic class T { }\n", None, ""),
+        ("/*\npackage x.y;\n*/\npackage a.b;\npublic class T { }\n", 3, "a.b"),
+        ('class S {\n String s = """\npackage x.y;\n""";\n}\n', None, ""),
+        ("public class T { }\n", None, ""),
+    ], ids=["first-line", "after-a-line-comment", "in-a-block-comment", "after-a-block-comment",
+            "in-a-text-block", "none"])
+    def test_a_package_line_starts_in_code(self, text, line, name):
+        scan = javalex.scan_file(text)
+        assert (scan.package_line, scan.package_name) == (line, name)
+
+    def test_a_qualified_public_class_reads_the_package_line(self):
+        assert javalex.qualified_public_class("package a.b;\npublic class T { }\n") == (
+            "T", "a.b.T")
+        commented = "/*\npackage a.b;\n*/\npublic class T { }\n"
+        assert javalex.qualified_public_class(commented) == ("T", "T")
+        assert javalex.qualified_public_class("public class A { }\npublic class B { }\n") is None
+
     def test_public_class_count(self):
         assert javalex.scan_file(java_fixtures.BEHAVIOR_TEST).public_class_names() == [
             "RefactoringBehaviorTest"]
