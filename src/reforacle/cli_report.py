@@ -55,6 +55,11 @@ class RunKey(NamedTuple):
     family: str
 
 
+def _family(variant_tag: str) -> str:
+    """A variant tag's RunKey family: the tag less its operator (`mt-7-CO`: `mt-7`)."""
+    return variant_tag.rsplit("-", 1)[0] if variant_tag else ""
+
+
 def _completed_keys(runs: dict[RunKey, list[dict]]) -> dict[tuple[RunKey, str, str, int], str]:
     """The stored prompt hash per done (RunKey, instance, variant, attempt)."""
     return {
@@ -74,8 +79,7 @@ def _runs(records: list[dict]) -> dict[RunKey, list[dict]]:
         by_fields.setdefault(fields, []).append(r)
     groups: dict[RunKey, list[dict]] = {}
     for (name, temperature, template, tag), rows in by_fields.items():
-        family = tag.rsplit("-", 1)[0] if tag else ""
-        groups.setdefault(RunKey(name, temperature, template, family), []).extend(rows)
+        groups.setdefault(RunKey(name, temperature, template, _family(tag)), []).extend(rows)
     return groups
 
 

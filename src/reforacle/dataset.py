@@ -2,7 +2,8 @@
 
 On-disk layout, one directory per instance:
 
-    <root>/instances/<id>/meta          key=value lines: id, tool, refactoring, label
+    <root>/instances/<id>/meta          key=value lines: id, tool, refactoring, label,
+                                        and on a variant its tag (variant) and seed
     <root>/instances/<id>/original/**.java
     <root>/instances/<id>/resulting/**.java
     <root>/instances/<id>/test/Test.java   only when label=BC
@@ -88,6 +89,8 @@ class BugInstance:
     original: SourceSet
     resulting: SourceSet
     exposing_test: str | None = None
+    variant_tag: str = ""    # `mt-<seed>-<operator>` on a metamorphic variant
+    seed: int | None = None  # the variant's master seed
 
     def __post_init__(self) -> None:
         if self.label not in LABELS:
@@ -119,12 +122,6 @@ class BugCorpus:
     @property
     def n_preserving(self) -> int:
         return sum(1 for i in self.instances if i.label == "PRESERVING")
-
-    def by_id(self, instance_id: str) -> BugInstance:
-        for inst in self.instances:
-            if inst.id == instance_id:
-                return inst
-        raise KeyError(instance_id)
 
 
 @dataclass
@@ -194,6 +191,10 @@ def load_instance(instance_dir: Path) -> BugInstance:
         raise MissingTestForBC(f"{instance_dir}: label BC but no test/ directory")
     if meta["label"] != "BC":
         exposing_test = None
+    try:
+        seed = int(meta["seed"]) if "seed" in meta else None
+    except ValueError:
+        raise MissingMetadata(f"{instance_dir}: seed {meta['seed']!r} is not an integer") from None
 
     try:
         return BugInstance(
@@ -204,6 +205,8 @@ def load_instance(instance_dir: Path) -> BugInstance:
             original=original,
             resulting=resulting,
             exposing_test=exposing_test,
+            variant_tag=meta.get("variant", ""),
+            seed=seed,
         )
     except ValueError as err:
         raise MissingMetadata(f"{instance_dir}: {err}") from err

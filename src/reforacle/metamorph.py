@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -357,32 +357,35 @@ def remove_injected_lines(content: str, elements: list[InjectedElement]) -> str:
 # --------------------------------------------------------------- persistence
 
 
-def persist_variants(
-    variants: list[MetamorphicVariant],
-    corpus: BugCorpus,
-    root: str | Path,
-    master_seed: int,
-) -> Path:
-    """Write variants under <root>/variants/<master_seed>/<id>/ as a loadable corpus."""
+def variant_corpus(corpus: BugCorpus, master_seed: int,
+                   variants: list[MetamorphicVariant] | None = None) -> BugCorpus:
+    """The corpus `run` scores: each instance, in corpus order, with its
+    variant's original (of `variants`, else drawn here), tag
+    `mt-<master_seed>-<operator>` and seed `master_seed`."""
+    if variants is None:
+        variants = transform_corpus(corpus, master_seed)
+    return BugCorpus(tuple(
+        replace(inst, original=variant.transformed_original,
+                variant_tag=f"mt-{master_seed}-{variant.operator}", seed=master_seed)
+        for inst, variant in zip(corpus.instances, variants, strict=True)))
+
+
+def persist_variants(variants: list[MetamorphicVariant], corpus: BugCorpus, root: str | Path,
+                     master_seed: int) -> Path:
+    """Write `variant_corpus`'s instances as a loadable corpus at <root>/variants/<master_seed>/."""
     base = Path(root) / "variants" / str(master_seed)
-    for variant in variants:
-        inst = corpus.by_id(variant.base_instance_id)
+    for inst, variant in zip(variant_corpus(corpus, master_seed, variants).instances, variants):
         inst_dir = base / "instances" / inst.id
-        (inst_dir / "original").mkdir(parents=True, exist_ok=True)
-        (inst_dir / "resulting").mkdir(parents=True, exist_ok=True)
+        for side in ("original", "resulting"):
+            for rel, content in getattr(inst, side).files:
+                path = inst_dir / side / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(content, encoding="utf-8")
         (inst_dir / "meta").write_text(
             f"id={inst.id}\ntool={inst.tool}\nrefactoring={inst.refactoring_type}\n"
-            f"label={inst.label}\n",
+            f"label={inst.label}\nvariant={inst.variant_tag}\nseed={inst.seed}\n",
             encoding="utf-8",
         )
-        for rel, content in variant.transformed_original.files:
-            path = inst_dir / "original" / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(content, encoding="utf-8")
-        for rel, content in inst.resulting.files:
-            path = inst_dir / "resulting" / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(content, encoding="utf-8")
         if inst.exposing_test is not None:
             (inst_dir / "test").mkdir(exist_ok=True)
             (inst_dir / "test" / "Test.java").write_text(inst.exposing_test, "utf-8")

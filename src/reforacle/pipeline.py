@@ -128,20 +128,18 @@ def _load_override_template(cfg: RunConfig) -> prompting.PromptTemplate | None:
     return prompting.load_template(cfg.template_path, cfg.prompt_kind)
 
 
-def _render(cfg: RunConfig, inst: BugInstance, variant_tag: str,
-            original_override=None, template=None) -> prompting.RenderedPrompt:
-    original = original_override if original_override is not None else inst.original
+def _render(cfg: RunConfig, inst: BugInstance, template=None) -> prompting.RenderedPrompt:
     if cfg.prompt_kind == prompting.DIFF_ONLY:
-        diff = diffs.unified_source_diff(original, inst.resulting)
+        diff = diffs.unified_source_diff(inst.original, inst.resulting)
         return prompting.render_diff_prompt(
-            diff, template=template, instance_id=inst.id, variant_tag=variant_tag
+            diff, template=template, instance_id=inst.id, variant_tag=inst.variant_tag
         )
     return prompting.render_full_prompt(
-        original.concatenated(),
+        inst.original.concatenated(),
         inst.resulting.concatenated(),
         template=template,
         instance_id=inst.id,
-        variant_tag=variant_tag,
+        variant_tag=inst.variant_tag,
     )
 
 
@@ -191,42 +189,34 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
     calls); each attempt counts in one of them."""
     corpus = load_corpus(cfg.corpus_root)
     outcomes_path.parent.mkdir(parents=True, exist_ok=True)
-
-    variants_by_id: dict[str, metamorph.MetamorphicVariant] = {}
     if cfg.mode == METAMORPHIC_MODE:
-        assert cfg.master_seed is not None
-        for variant in metamorph.transform_corpus(corpus, cfg.master_seed):
-            variants_by_id[variant.base_instance_id] = variant
+        corpus = metamorph.variant_corpus(corpus, cfg.master_seed)
 
     done_keys = cli_report._completed_keys(runs)
     override_template = _load_override_template(cfg)
-    family = f"mt-{cfg.master_seed}" if cfg.mode == METAMORPHIC_MODE else ""
     # the prompt names no backend: one per instance serves every configuration
     prompts: list[tuple[BugInstance, prompting.RenderedPrompt]] = []
     for inst in corpus.instances:
-        variant_tag, override = "", None
-        if cfg.mode == METAMORPHIC_MODE:
-            variant = variants_by_id[inst.id]  # one per instance: CO always applies
-            override = variant.transformed_original
-            variant_tag = f"{family}-{variant.operator}"
         try:
-            prompts.append((inst, _render(cfg, inst, variant_tag, override, override_template)))
+            prompts.append((inst, _render(cfg, inst, override_template)))
         except (prompting.EmptyDiff, prompting.NoChangeLines) as err:
             logger.warning("skipping %s in diff mode: %s", inst.id, err)
     sweep = _sweep_configs(cfg)
     tasks: list[_Task] = []
     for run_name, backend_cfg in sweep:
         for inst, prompt in prompts:
-            run_key = RunKey(run_name, str(backend_cfg.temperature), prompt.template_version, family)
+            run_key = RunKey(run_name, str(backend_cfg.temperature), prompt.template_version,
+                             cli_report._family(inst.variant_tag))
             for attempt in range(1, cfg.attempts + 1):
-                stored_hash = done_keys.get((run_key, inst.id, prompt.variant_tag, attempt))
+                stored_hash = done_keys.get((run_key, inst.id, inst.variant_tag, attempt))
                 if stored_hash is None:
                     tasks.append(_Task(key=run_key, instance=inst, attempt=attempt, prompt=prompt))
                 elif stored_hash != prompt.hash:
                     raise ConfigError(
-                        f"{outcomes_path}: {inst.id} attempt {attempt} of {run_name} was run "
-                        f"with another {prompt.template_version} prompt; rename the edited "
-                        "template or use a new --out"
+                        f"{outcomes_path}: the prompt of {inst.id} attempt {attempt} of "
+                        f"{run_name} changed since it was run (an edited "
+                        f"{prompt.template_version} template or an edited corpus); rename "
+                        "the edited template or use a new --out"
                     )
     if not tasks:
         return [], 0
@@ -262,12 +252,12 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
         provenance = {
             "backend_name": task.key.backend_name,
             "attempt_index": task.attempt,
-            "variant_tag": task.prompt.variant_tag,
+            "variant_tag": task.instance.variant_tag,
             "prompt_hash": task.prompt.hash,
             "template_version": task.prompt.template_version,
             "temperature": task.key.temperature,
             "toolchain_version": toolchain_version,
-            "seed": cfg.master_seed,
+            "seed": task.instance.seed,
             "latency_s": response.latency_s,
             "tokens_in": response.tokens_in,
             "tokens_out": response.tokens_out,

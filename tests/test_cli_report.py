@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -23,11 +24,13 @@ from reforacle import (
     cli_report,
     java_executor,
     jsonl,
+    metamorph,
     outcome_rows,
     pipeline,
     verdict_parser,
 )
 from reforacle.cli_report import ConfigError, main, summarize
+from reforacle.dataset import load_corpus
 from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain, ToolchainUnavailable
 from reforacle.model_client import BackendConfig, MockBackend, TranscriptStore
 from reforacle.pipeline import RunConfig, run_benchmark
@@ -761,6 +764,103 @@ class TestRealJdkRuns:
         assert worker_launches(log) == 1
         assert sum(" org.junit.runner.JUnitCore " in line
                    for line in log.read_text().splitlines()) == 8  # one fresh JVM per test run
+
+
+class SpyToolchain(MockToolchain):
+    """The healthy mock, remembering the original each claim is checked against."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.originals = []
+
+    def check_discriminating(self, test_source, original, resulting):
+        self.originals.append(original)
+        return super().check_discriminating(test_source, original, resulting)
+
+
+def variant_answer(backend, inst, attempt) -> str:
+    """A CE verdict on CE instances, else a claim with a test that runs."""
+    return CE_ANSWER if inst.label == "CE" else claim(java_fixtures.VACUOUS_TEST)
+
+
+class TestVariantCorpus:
+    """A variant is an instance: `run --mode metamorphic --seed S` scores the
+    corpus `metamorph --seed S` persists, and judges each claim against the
+    variant the model saw."""
+
+    def argv(self, corpus, store, out, *extra: str) -> list[str]:
+        backends_file = out.parent / "backends.json"
+        backends_file.write_text(json.dumps([{"name": "gpt", "endpoint": "local"}]))
+        return ["run", "--corpus", str(corpus), "--backend", "gpt", "--backends-file",
+                str(backends_file), "--replay", str(store), "--out", str(out), *extra]
+
+    def test_a_persisted_variant_corpus_runs_as_metamorphic_mode(self, corpus_root, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: MockToolchain())
+        cfg = base_config(corpus_root, tmp_path / "mt", backends=[BackendConfig(name="gpt")],
+                          mode=cli_report.METAMORPHIC_MODE, master_seed=7)
+        store = write_replay_store(tmp_path / "store.jsonl", cfg, variant_answer)
+        mt, persisted = tmp_path / "mt", tmp_path / "persisted"
+        assert main(self.argv(corpus_root, store, mt, "--mode", "metamorphic", "--seed", "7")) == 0
+        assert main(["metamorph", "--corpus", str(corpus_root), "--seed", "7",
+                     "--out", str(tmp_path / "variants")]) == 0
+        variants = tmp_path / "variants" / "variants" / "7"
+        assert main(self.argv(variants, store, persisted)) == 0
+        written = (mt / "outcomes.jsonl").read_bytes()
+        assert (persisted / "outcomes.jsonl").read_bytes() == written
+        rows = assessor.read_outcomes(mt / "outcomes.jsonl")
+        assert len(rows) == 20 and all(r["variant_tag"].startswith("mt-7-") and r["seed"] == 7
+                                       for r in rows)
+        assert take_reports(persisted) == take_reports(mt)
+        # the variant rows are a configuration of their own beside the base rows
+        base_cfg = replace(cfg, mode=cli_report.FULL_SOURCE_MODE, master_seed=None)
+        write_replay_store(store, base_cfg, variant_answer)
+        assert main(self.argv(corpus_root, store, persisted)) == 0
+        assert (persisted / "outcomes.jsonl").read_bytes().startswith(written)
+        assert sorted(p.name for p in persisted.glob("metrics-*.json")) == [
+            "metrics-gpt#mt-7.json", "metrics-gpt.json"]
+
+    def test_a_variant_corpus_runs_in_diff_mode(self, corpus_root, tmp_path):
+        corpus = load_corpus(corpus_root)
+        variants = metamorph.persist_variants(metamorph.transform_corpus(corpus, 7), corpus,
+                                              tmp_path, 7)
+        artifacts = run_benchmark(
+            base_config(variants, tmp_path / "out", mode=cli_report.DIFF_ONLY_MODE),
+            backends_impl={"mock": ce_backend()}, toolchain=MockToolchain())
+        rows = assessor.read_outcomes(artifacts.outcomes_path)
+        # every variant changes the original, so even pr-identity has a diff
+        assert len(rows) == 20
+        assert {(r["template_version"], r["variant_tag"][:5], r["seed"]) for r in rows} == {
+            ("diff_only_v1", "mt-7-", 7)}
+        assert sorted(p.name for p in artifacts.metrics_paths) == ["metrics-mock.csv",
+                                                                   "metrics-mock.json"]
+
+    def test_every_claim_is_checked_against_the_variant(self, corpus_root, tmp_path):
+        cfg = base_config(corpus_root, tmp_path / "out", mode=cli_report.METAMORPHIC_MODE,
+                          master_seed=7)
+        toolchain = SpyToolchain()
+        run_benchmark(cfg, backends_impl={"mock": MockBackend(claim(java_fixtures.VACUOUS_TEST))},
+                      toolchain=toolchain)
+        variants = metamorph.variant_corpus(load_corpus(corpus_root), 7).instances
+        assert Counter(toolchain.originals) == Counter(inst.original for inst in variants)
+        base = {inst.original for inst in load_corpus(corpus_root).instances}
+        assert len(toolchain.originals) == 20 and not base & set(toolchain.originals)
+
+    def test_an_edited_corpus_under_the_same_out_exits_2(self, mini_corpus_root, tmp_path,
+                                                         capsys):
+        args = ["--backend", "mock", "--out", str(tmp_path / "out")]
+        assert main(["run", "--corpus", str(mini_corpus_root), *args]) == 0
+        edited = tmp_path / "edited"
+        shutil.copytree(mini_corpus_root, edited)
+        inst_id = java_fixtures.BC_FIXTURES[0].id
+        source = next((edited / "instances" / inst_id / "original").rglob("*.java"))
+        source.write_text("// edited\n" + source.read_text())
+        capsys.readouterr()
+        assert main(["run", "--corpus", str(edited), *args]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: {tmp_path / 'out' / 'outcomes.jsonl'}: the prompt of {inst_id} attempt 1 "
+            "of mock changed since it was run (an edited full_source_v1 template or an edited "
+            "corpus); rename the edited template or use a new --out")
 
 
 BC_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "runnable test",

@@ -108,6 +108,26 @@ class TestLoadCorpus:
             load_corpus(tmp_path)
         assert fixture.id in str(exc.value)
 
+    def test_a_meta_without_variant_or_seed_loads_a_base_instance(self, tmp_path):
+        java_fixtures.write_corpus(tmp_path, [java_fixtures.CE_FIXTURES[0]])
+        (inst,) = load_corpus(tmp_path).instances
+        assert (inst.variant_tag, inst.seed) == ("", None)
+
+    def test_variant_and_seed_are_read_from_meta(self, tmp_path):
+        inst_dir = java_fixtures.write_instance(tmp_path, java_fixtures.CE_FIXTURES[0])
+        with (inst_dir / "meta").open("a") as meta:
+            meta.write("variant=mt-7-CO\nseed=7\n")
+        (inst,) = load_corpus(tmp_path).instances
+        assert (inst.variant_tag, inst.seed) == ("mt-7-CO", 7)
+
+    def test_a_seed_that_is_not_an_integer_names_the_directory(self, tmp_path):
+        inst_dir = java_fixtures.write_instance(tmp_path, java_fixtures.CE_FIXTURES[0])
+        with (inst_dir / "meta").open("a") as meta:
+            meta.write("variant=mt-7-CO\nseed=seven\n")
+        with pytest.raises(MissingMetadata) as exc:
+            load_corpus(tmp_path)
+        assert str(exc.value) == f"{inst_dir}: seed 'seven' is not an integer"
+
     def test_empty_source_dir(self, tmp_path):
         fixture = java_fixtures.CE_FIXTURES[0]
         inst_dir = java_fixtures.write_instance(tmp_path, fixture)
@@ -120,6 +140,10 @@ class TestLoadCorpus:
         a = load_corpus(corpus_root).instances
         b = load_corpus(corpus_root).instances
         assert a == b
+
+
+def by_id(corpus):
+    return {inst.id: inst for inst in corpus.instances}
 
 
 def mock_for(corpus):
@@ -138,7 +162,7 @@ class TestValidateInstance:
     def test_ce_confirmed(self, corpus_root):
         corpus = load_corpus(corpus_root)
         toolchain = mock_for(corpus)
-        inst = corpus.by_id("ce-fig-inline-variable")
+        inst = by_id(corpus)["ce-fig-inline-variable"]
         report = validate_instance(inst, toolchain)
         assert report.original_compiles
         assert not report.resulting_compiles
@@ -147,21 +171,21 @@ class TestValidateInstance:
     def test_bc_confirmed(self, corpus_root):
         corpus = load_corpus(corpus_root)
         toolchain = mock_for(corpus)
-        inst = corpus.by_id("bc-fig-pushdown")
+        inst = by_id(corpus)["bc-fig-pushdown"]
         report = validate_instance(inst, toolchain)
         assert report.test_discriminates
         assert report.ground_truth_confirmed
 
     def test_identity_preserving_confirmed(self, corpus_root):
         corpus = load_corpus(corpus_root)
-        inst = corpus.by_id("pr-identity")
+        inst = by_id(corpus)["pr-identity"]
         report = validate_instance(inst, java_executor.MockToolchain())
         assert report.original_compiles and report.resulting_compiles
         assert report.ground_truth_confirmed
 
     def test_label_mismatch_not_confirmed(self, corpus_root):
         corpus = load_corpus(corpus_root)
-        inst = corpus.by_id("ce-removed-method")
+        inst = by_id(corpus)["ce-removed-method"]
         # unscripted mock compiles everything: CE expectation must fail
         report = validate_instance(inst, java_executor.MockToolchain())
         assert not report.ground_truth_confirmed

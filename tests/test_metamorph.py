@@ -438,6 +438,12 @@ class TestTransformCorpus:
         assert reloaded.total == 4
         manifest = (base / "instances" / variants[0].base_instance_id / "manifest").read_text()
         assert variants[0].operator in manifest
+        # the persisted corpus is the one `run --mode metamorphic` scores
+        scored = metamorph.variant_corpus(corpus, 31)
+        assert sorted(reloaded.instances, key=lambda i: i.id) == sorted(
+            scored.instances, key=lambda i: i.id)
+        assert {(i.variant_tag, i.seed) for i in reloaded.instances} == {
+            (f"mt-31-{v.operator}", 31) for v in variants}
 
 
 # Sources beyond the fixtures whose operators are inapplicable for each
