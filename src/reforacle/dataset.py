@@ -1,4 +1,4 @@
-"""Corpus of refactoring-bug instances: loading, validation, filtering.
+"""Corpus of refactoring-bug instances: loading and writing the instance layout.
 
 On-disk layout, one directory per instance:
 
@@ -13,7 +13,7 @@ On-disk layout, one directory per instance:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -124,22 +124,6 @@ class BugCorpus:
         return sum(1 for i in self.instances if i.label == "PRESERVING")
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of checking an instance's label against a real toolchain."""
-
-    instance_id: str
-    label: str
-    original_compiles: bool
-    resulting_compiles: bool
-    test_compiles_on_both: bool | None = None
-    test_discriminates: bool | None = None
-    ground_truth_confirmed: bool = False
-    quarantined: bool = False
-    toolchain_version: str = ""
-    logs: dict[str, str] = field(default_factory=dict)
-
-
 def _read_meta(meta_path: Path) -> dict[str, str]:
     pairs = {}
     for raw in meta_path.read_text(encoding="utf-8").splitlines():
@@ -212,6 +196,26 @@ def load_instance(instance_dir: Path) -> BugInstance:
         raise MissingMetadata(f"{instance_dir}: {err}") from err
 
 
+def write_instance(inst: BugInstance, root: str | Path) -> Path:
+    """Write `inst` in the layout `load_instance` reads, at <root>/instances/<id>/;
+    returns that directory. `variant=` and `seed=` lines are written only for a variant."""
+    instance_dir = Path(root) / "instances" / inst.id
+    for side in ("original", "resulting"):
+        for rel, content in getattr(inst, side).files:
+            path = instance_dir / side / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(content, encoding="utf-8")
+    meta = (f"id={inst.id}\ntool={inst.tool}\nrefactoring={inst.refactoring_type}\n"
+            f"label={inst.label}\n")
+    if inst.variant_tag:
+        meta += f"variant={inst.variant_tag}\nseed={inst.seed}\n"
+    (instance_dir / "meta").write_text(meta, encoding="utf-8")
+    if inst.exposing_test is not None:
+        (instance_dir / "test").mkdir(exist_ok=True)
+        (instance_dir / "test" / "Test.java").write_text(inst.exposing_test, encoding="utf-8")
+    return instance_dir
+
+
 def load_corpus(root: str | Path) -> BugCorpus:
     """Load every instance under <root>/instances, sorted by directory name.
 
@@ -241,53 +245,3 @@ def load_corpus(root: str | Path) -> BugCorpus:
         corpus.n_preserving,
     )
     return corpus
-
-
-def validate_instance(inst: BugInstance, toolchain) -> ValidationReport:
-    """Check the stored label against compile/test evidence.
-
-    Toolchain failures quarantine the instance instead of raising, so one
-    bad instance cannot abort a benchmark run.
-    """
-    from . import java_executor  # local import; avoids a cycle at module load
-
-    report = ValidationReport(
-        instance_id=inst.id,
-        label=inst.label,
-        original_compiles=False,
-        resulting_compiles=False,
-        toolchain_version=toolchain.version(),
-    )
-    try:
-        orig = toolchain.compile(inst.original)
-        report.original_compiles = orig.success
-        report.logs["compile_original"] = orig.diagnostics
-        res = toolchain.compile(inst.resulting)
-        report.resulting_compiles = res.success
-        report.logs["compile_resulting"] = res.diagnostics
-
-        if inst.label == "CE":
-            report.ground_truth_confirmed = orig.success and not res.success
-            return report
-        if inst.label == "PRESERVING":
-            report.ground_truth_confirmed = orig.success and res.success
-            return report
-
-        # BC: the exposing test must compile on both versions, pass on the
-        # original and fail on the resulting program.
-        disc = toolchain.check_discriminating(
-            inst.exposing_test, inst.original, inst.resulting
-        )
-        report.test_compiles_on_both = disc.compiled
-        report.test_discriminates = disc.discriminates
-        report.logs["test_on_original"] = disc.on_original.runner_output
-        report.logs["test_on_resulting"] = disc.on_resulting.runner_output
-        report.ground_truth_confirmed = (
-            orig.success and res.success and disc.passing_side == "original"
-        )
-        return report
-    except java_executor.ToolchainError as err:
-        report.quarantined = True
-        report.logs["error"] = str(err)
-        logger.warning("instance %s quarantined: %s", inst.id, err)
-        return report

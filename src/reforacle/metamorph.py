@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import javalex
-from .dataset import BugCorpus, SourceSet
+from .dataset import BugCorpus, SourceSet, write_instance
 from .javalex import METHOD_BODY, TYPE_BODY, FileScan
 from .rng import CounterRng, derive_key
 
@@ -166,10 +166,15 @@ def transform_corpus(corpus: BugCorpus, master_seed: int) -> list[MetamorphicVar
     """One variant per instance; operator drawn uniformly among applicable ones.
 
     CO applies to every file (line 0 is always a comment point), so no
-    instance is ever left without an operator.
+    instance is ever left without an operator. A corpus of variants is
+    refused: a variant of a variant is no variant of the base instance.
     """
     if not corpus.instances:
         raise ValueError("empty corpus")
+    variant = next((inst for inst in corpus.instances if inst.variant_tag), None)
+    if variant is not None:
+        raise ValueError(f"{variant.id} is already a variant ({variant.variant_tag}); "
+                         "draw variants from the base corpus")
     variants = []
     for inst in corpus.instances:
         index = index_structure(inst.original)
@@ -372,23 +377,15 @@ def variant_corpus(corpus: BugCorpus, master_seed: int,
 
 def persist_variants(variants: list[MetamorphicVariant], corpus: BugCorpus, root: str | Path,
                      master_seed: int) -> Path:
-    """Write `variant_corpus`'s instances as a loadable corpus at <root>/variants/<master_seed>/."""
+    """Write `variant_corpus`'s instances, each with its `manifest`, as a
+    loadable corpus at <root>/variants/<master_seed>/. A target that exists
+    and is not empty is refused before anything is written, so no instance
+    of an earlier call is left beside these and scored with them."""
     base = Path(root) / "variants" / str(master_seed)
+    if base.exists() and any(base.iterdir()):
+        raise FileExistsError(f"{base} is not empty; remove it or use a new --out")
     for inst, variant in zip(variant_corpus(corpus, master_seed, variants).instances, variants):
-        inst_dir = base / "instances" / inst.id
-        for side in ("original", "resulting"):
-            for rel, content in getattr(inst, side).files:
-                path = inst_dir / side / rel
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(content, encoding="utf-8")
-        (inst_dir / "meta").write_text(
-            f"id={inst.id}\ntool={inst.tool}\nrefactoring={inst.refactoring_type}\n"
-            f"label={inst.label}\nvariant={inst.variant_tag}\nseed={inst.seed}\n",
-            encoding="utf-8",
-        )
-        if inst.exposing_test is not None:
-            (inst_dir / "test").mkdir(exist_ok=True)
-            (inst_dir / "test" / "Test.java").write_text(inst.exposing_test, "utf-8")
+        inst_dir = write_instance(inst, base)
         manifest = {
             "operator": variant.operator,
             "seed": variant.seed,

@@ -22,7 +22,7 @@ import json
 import logging
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .cli_report import (
     ConfigError,
     RunKey,
 )
-from .dataset import BugInstance, load_corpus, validate_instance
+from .dataset import BugInstance, load_corpus
 from .model_client import (
     BackendConfig,
     ModelClient,
@@ -188,9 +188,9 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
     is left to do. Returns (the rows appended, in file order; failed model
     calls); each attempt counts in one of them."""
     corpus = load_corpus(cfg.corpus_root)
-    outcomes_path.parent.mkdir(parents=True, exist_ok=True)
     if cfg.mode == METAMORPHIC_MODE:
         corpus = metamorph.variant_corpus(corpus, cfg.master_seed)
+    outcomes_path.parent.mkdir(parents=True, exist_ok=True)
 
     done_keys = cli_report._completed_keys(runs)
     override_template = _load_override_template(cfg)
@@ -311,6 +311,39 @@ def _run_tasks(cfg: RunConfig, backends_impl: dict[str, object] | None,
     return appended, call_errors
 
 
+def validate_instance(inst: BugInstance, toolchain: java_executor.Toolchain) -> dict:
+    """The `validation.jsonl` row of `inst`: its stored label checked
+    against compile and test evidence.
+
+    A ToolchainError quarantines the instance instead of raising, so one
+    bad instance cannot abort the command; what was learnt before it stays
+    in the row.
+    """
+    row = {"instance_id": inst.id, "label": inst.label, "original_compiles": False,
+           "resulting_compiles": False, "test_compiles_on_both": None,
+           "test_discriminates": None, "ground_truth_confirmed": False, "quarantined": False,
+           "toolchain_version": toolchain.version()}
+    try:
+        original = row["original_compiles"] = toolchain.compile(inst.original).success
+        resulting = row["resulting_compiles"] = toolchain.compile(inst.resulting).success
+        if inst.label == "CE":
+            row["ground_truth_confirmed"] = original and not resulting
+        elif inst.label == "PRESERVING":
+            row["ground_truth_confirmed"] = original and resulting
+        else:  # BC: the exposing test must compile on both versions, pass on
+            # the original and fail on the resulting program
+            disc = toolchain.check_discriminating(inst.exposing_test, inst.original,
+                                                  inst.resulting)
+            row["test_compiles_on_both"] = disc.compiled
+            row["test_discriminates"] = disc.discriminates
+            row["ground_truth_confirmed"] = (original and resulting
+                                             and disc.passing_side == "original")
+    except java_executor.ToolchainError as err:
+        row["quarantined"] = True
+        logger.warning("instance %s quarantined: %s", inst.id, err)
+    return row
+
+
 def _read_backends_file(path: str) -> dict[str, BackendConfig]:
     """The backends a --backends-file defines, by name. A file that is not
     JSON, a malformed entry or a name defined twice is a ConfigError naming
@@ -372,11 +405,9 @@ def dispatch(args) -> int:
             confirmed = quarantined = 0
             with report_path.open("w", encoding="utf-8") as fh:
                 for inst in corpus.instances:
-                    report = validate_instance(inst, toolchain)
-                    confirmed += int(report.ground_truth_confirmed)
-                    quarantined += int(report.quarantined)
-                    row = asdict(report)
-                    del row["logs"]  # every other field, in declaration order
+                    row = validate_instance(inst, toolchain)
+                    confirmed += int(row["ground_truth_confirmed"])
+                    quarantined += int(row["quarantined"])
                     fh.write(json.dumps(row) + "\n")
         print(
             f"validated {corpus.total} instances: {confirmed} confirmed, "

@@ -32,7 +32,7 @@ from reforacle import (
 from reforacle.cli_report import ConfigError, main, summarize
 from reforacle.dataset import load_corpus
 from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain, ToolchainUnavailable
-from reforacle.model_client import BackendConfig, MockBackend, TranscriptStore
+from reforacle.model_client import BackendConfig, MockBackend, ModelClient, TranscriptStore
 from reforacle.pipeline import RunConfig, run_benchmark
 from replay_stores import write_replay_store
 
@@ -863,6 +863,50 @@ class TestVariantCorpus:
             "corpus); rename the edited template or use a new --out")
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestVariantRefusals:
+    """`metamorph` writes no variant corpus over another, and no variant is
+    drawn from a variant."""
+
+    def test_metamorph_refuses_a_target_that_is_not_empty(self, corpus_root, tmp_path, capsys):
+        argv = ["metamorph", "--seed", "7", "--out", str(tmp_path / "out")]
+        assert main([*argv, "--corpus", str(corpus_root)]) == 0
+        target = tmp_path / "out" / "variants" / "7"
+        written = tree_bytes(target)
+        assert len(list((target / "instances").iterdir())) == 20
+        two = java_fixtures.write_corpus(tmp_path / "two", java_fixtures.FIXTURES[:2])
+        capsys.readouterr()
+        assert main([*argv, "--corpus", str(two)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: {target} is not empty; remove it or use a new --out")
+        assert tree_bytes(target) == written
+
+    def test_a_variant_corpus_is_no_base_corpus(self, corpus_root, tmp_path, capsys,
+                                                monkeypatch):
+        assert main(["metamorph", "--corpus", str(corpus_root), "--seed", "7",
+                     "--out", str(tmp_path / "out")]) == 0
+        variants = tmp_path / "out" / "variants" / "7"
+        first = load_corpus(variants).instances[0]
+        refusal = (f"error: {first.id} is already a variant ({first.variant_tag}); "
+                   "draw variants from the base corpus")
+        calls = []
+        monkeypatch.setattr(ModelClient, "query", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: MockToolchain())
+        capsys.readouterr()
+        assert main(["run", "--corpus", str(variants), "--backend", "mock", "--mode",
+                     "metamorphic", "--seed", "9", "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.strip() == refusal
+        assert main(["metamorph", "--corpus", str(variants), "--seed", "9",
+                     "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err.strip() == refusal
+        assert calls == []
+        assert not (tmp_path / "run").exists() and not (tmp_path / "again").exists()
+
+
 BC_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "runnable test",
                         "junit_test": java_fixtures.VACUOUS_TEST})
 TWO_CLASS_ANSWER = json.dumps({"verdict": "NO - BEHAVIOR CHANGE", "explanation": "two classes",
@@ -1086,6 +1130,49 @@ class TestValidateCommand:
         rows = [json.loads(line) for line in (out / "validation.jsonl").read_text().splitlines()]
         assert [(r["instance_id"], r["ground_truth_confirmed"], r["quarantined"])
                 for r in rows] == [(fixture.id, True, False), (unmatched.id, False, True)]
+
+    def test_each_row_pins_its_keys_and_values(self, tmp_path, monkeypatch, capsys):
+        ce = next(f for f in java_fixtures.CE_FIXTURES if f.id == "ce-fig-inline-variable")
+        bc, broken = java_fixtures.BC_FIXTURES[:2]
+        preserving = next(f for f in java_fixtures.PRESERVING_FIXTURES if f.id == "pr-identity")
+        relabelled = replace(preserving, id="pr-identity-as-ce", label="CE")
+        corpus = java_fixtures.write_corpus(tmp_path / "corpus",
+                                            [ce, bc, broken, preserving, relabelled])
+
+        class CheckRaises(MockToolchain):
+            def run_test(self, program, test):
+                if test == broken.test:
+                    raise java_executor.ToolchainError("the test JVM crashed")
+                return super().run_test(program, test)
+
+        toolchain = CheckRaises()
+        for inst in load_corpus(corpus).instances:
+            if inst.id == ce.id:
+                toolchain.script_compile(inst.resulting, success=False, diagnostics="err")
+            if inst.id == bc.id:
+                toolchain.script_run(inst.original, inst.exposing_test, PASS)
+                toolchain.script_run(inst.resulting, inst.exposing_test, FAIL)
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: toolchain)
+        out = tmp_path / "out"
+        assert main(["validate", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert "validated 5 instances: 3 confirmed, 1 quarantined" in capsys.readouterr().out
+
+        def row(inst, label, compiles, test, confirmed, quarantined=False):
+            return {"instance_id": inst.id, "label": label, "original_compiles": compiles[0],
+                    "resulting_compiles": compiles[1], "test_compiles_on_both": test[0],
+                    "test_discriminates": test[1], "ground_truth_confirmed": confirmed,
+                    "quarantined": quarantined, "toolchain_version": "mock-toolchain"}
+
+        expected = sorted([
+            row(ce, "CE", (True, False), (None, None), True),
+            row(bc, "BC", (True, True), (True, True), True),
+            row(broken, "BC", (True, True), (None, None), False, quarantined=True),
+            row(preserving, "PRESERVING", (True, True), (None, None), True),
+            row(relabelled, "CE", (True, True), (None, None), False),
+        ], key=lambda r: r["instance_id"])
+        lines = (out / "validation.jsonl").read_text().splitlines()
+        assert [list(json.loads(line).items()) for line in lines] == [
+            list(r.items()) for r in expected]
 
 
 class TestOnePromptPerInstance:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import java_fixtures
@@ -10,8 +12,10 @@ from reforacle.dataset import (
     MissingTestForBC,
     SourceSet,
     load_corpus,
-    validate_instance,
+    load_instance,
+    write_instance,
 )
+from reforacle.pipeline import validate_instance
 
 
 class TestSourceSet:
@@ -136,6 +140,23 @@ class TestLoadCorpus:
         with pytest.raises(EmptySourceSet):
             load_corpus(tmp_path)
 
+    def test_a_written_base_instance_loads_back_equal(self, corpus_root, tmp_path):
+        inst = by_id(load_corpus(corpus_root))["bc-fig-pushdown"]
+        assert inst.exposing_test is not None
+        inst_dir = write_instance(inst, tmp_path)
+        assert (inst_dir / "meta").read_text() == (
+            f"id={inst.id}\ntool={inst.tool}\nrefactoring={inst.refactoring_type}\nlabel=BC\n")
+        assert load_instance(inst_dir) == inst
+
+    def test_a_written_variant_loads_back_equal(self, corpus_root, tmp_path):
+        base = by_id(load_corpus(corpus_root))["ce-fig-inline-variable"]
+        (path, content), *rest = base.original.files
+        inst = replace(base, original=SourceSet(files=((path, "// note 7\n" + content), *rest)),
+                       variant_tag="mt-7-CO", seed=7)
+        inst_dir = write_instance(inst, tmp_path)
+        assert (inst_dir / "meta").read_text().endswith("variant=mt-7-CO\nseed=7\n")
+        assert load_instance(inst_dir) == inst
+
     def test_deterministic_serialization(self, corpus_root):
         a = load_corpus(corpus_root).instances
         b = load_corpus(corpus_root).instances
@@ -163,41 +184,41 @@ class TestValidateInstance:
         corpus = load_corpus(corpus_root)
         toolchain = mock_for(corpus)
         inst = by_id(corpus)["ce-fig-inline-variable"]
-        report = validate_instance(inst, toolchain)
-        assert report.original_compiles
-        assert not report.resulting_compiles
-        assert report.ground_truth_confirmed
+        row = validate_instance(inst, toolchain)
+        assert row["original_compiles"]
+        assert not row["resulting_compiles"]
+        assert row["ground_truth_confirmed"]
 
     def test_bc_confirmed(self, corpus_root):
         corpus = load_corpus(corpus_root)
         toolchain = mock_for(corpus)
         inst = by_id(corpus)["bc-fig-pushdown"]
-        report = validate_instance(inst, toolchain)
-        assert report.test_discriminates
-        assert report.ground_truth_confirmed
+        row = validate_instance(inst, toolchain)
+        assert row["test_discriminates"]
+        assert row["ground_truth_confirmed"]
 
     def test_identity_preserving_confirmed(self, corpus_root):
         corpus = load_corpus(corpus_root)
         inst = by_id(corpus)["pr-identity"]
-        report = validate_instance(inst, java_executor.MockToolchain())
-        assert report.original_compiles and report.resulting_compiles
-        assert report.ground_truth_confirmed
+        row = validate_instance(inst, java_executor.MockToolchain())
+        assert row["original_compiles"] and row["resulting_compiles"]
+        assert row["ground_truth_confirmed"]
 
     def test_label_mismatch_not_confirmed(self, corpus_root):
         corpus = load_corpus(corpus_root)
         inst = by_id(corpus)["ce-removed-method"]
         # unscripted mock compiles everything: CE expectation must fail
-        report = validate_instance(inst, java_executor.MockToolchain())
-        assert not report.ground_truth_confirmed
-        assert not report.quarantined
+        row = validate_instance(inst, java_executor.MockToolchain())
+        assert not row["ground_truth_confirmed"]
+        assert not row["quarantined"]
 
     def test_every_fixture_instance_confirmed_with_real_jdk(self, corpus_root, jdk):
         corpus = load_corpus(corpus_root)
         unconfirmed = []
         for inst in corpus.instances:
-            report = validate_instance(inst, jdk)
-            if not report.ground_truth_confirmed:
-                unconfirmed.append((inst.id, report.logs))
+            row = validate_instance(inst, jdk)
+            if not row["ground_truth_confirmed"]:
+                unconfirmed.append(row)
         assert not unconfirmed, unconfirmed
 
     def test_toolchain_failure_quarantines(self, corpus_root):
@@ -210,6 +231,6 @@ class TestValidateInstance:
             def compile(self, src):
                 raise java_executor.ToolchainUnavailable("gone")
 
-        report = validate_instance(corpus.instances[0], Broken())
-        assert report.quarantined
-        assert not report.ground_truth_confirmed
+        row = validate_instance(corpus.instances[0], Broken())
+        assert row["quarantined"]
+        assert not row["ground_truth_confirmed"]
