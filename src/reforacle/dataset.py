@@ -7,7 +7,6 @@ On-disk layout, one directory per instance:
     <root>/instances/<id>/original/**.java
     <root>/instances/<id>/resulting/**.java
     <root>/instances/<id>/test/Test.java   only when label=BC
-    <root>/instances/<id>/logs/            optional stored logs
 """
 
 from __future__ import annotations

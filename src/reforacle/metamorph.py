@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import javalex
-from .dataset import BugCorpus, SourceSet, write_instance
+from .dataset import BugCorpus, BugInstance, SourceSet, write_instance
 from .javalex import METHOD_BODY, TYPE_BODY, FileScan
 from .rng import CounterRng, derive_key
 
@@ -77,44 +77,30 @@ class InjectedElement:
 
 @dataclass(frozen=True)
 class MetamorphicVariant:
-    base_instance_id: str
+    instance: BugInstance  # what `run` scores: the base instance on the transformed original
     operator: str
-    seed: int
-    transformed_original: SourceSet
+    seed: int              # the element's draw key
     manifest: tuple[InjectedElement, ...]
 
 
 @dataclass
-class FileStructure:
-    scan: FileScan
-    slots: dict[str, list[tuple[int, str]]]  # body kind -> (1-based line, indent) just inside
-    comment_points: list[int]                # 0-based insert indices
-    import_point: int
-
-
-@dataclass
 class StructuralIndex:
-    files: dict[str, FileStructure]
+    files: dict[str, FileScan]
     identifiers: set[str]
 
 
 def index_structure(src: SourceSet) -> StructuralIndex:
-    """Scan every file and collect line-safe insertion points."""
-    files: dict[str, FileStructure] = {}
+    """Scan every file; the operators read their places from the scans."""
+    files: dict[str, FileScan] = {}
     identifiers: set[str] = set()
     for path, content in src.files:
-        scan = javalex.scan_file(content, path)
+        files[path] = scan = javalex.scan_file(content, path)
         identifiers |= scan.identifiers
-        files[path] = FileStructure(
-            scan=scan,
-            slots={kind: _body_slots(scan, kind) for kind in (TYPE_BODY, METHOD_BODY)},
-            comment_points=_comment_points(scan),
-            import_point=(scan.package_line + 1) if scan.package_line is not None else 0,
-        )
     return StructuralIndex(files=files, identifiers=identifiers)
 
 
 def _body_slots(scan: FileScan, kind: str) -> list[tuple[int, str]]:
+    """(1-based line, indent) just inside every multi-line body of one kind."""
     slots = []
     for ctx in scan.contexts:
         if ctx.kind != kind:
@@ -125,18 +111,12 @@ def _body_slots(scan: FileScan, kind: str) -> list[tuple[int, str]]:
             continue  # super()/this() must stay the first statement
         if ctx.close_line <= ctx.open_line:
             continue  # one-line body: no full line fits inside
-        if ctx.open_line >= len(scan.line_end_in_code):
-            continue
         if not scan.line_end_in_code[ctx.open_line]:
             continue
         if scan.context_at_line_end[ctx.open_line] is not ctx:
             continue  # another brace opened later on the same line
         slots.append((ctx.open_line + 2, _indent_of(scan.lines[ctx.open_line]) + "  "))
     return slots
-
-
-def _comment_points(scan: FileScan) -> list[int]:
-    return [0] + [i + 1 for i, safe in enumerate(scan.line_end_in_code) if safe]
 
 
 def fresh_identifier(index: StructuralIndex, prefix: str, rng: CounterRng) -> str:
@@ -152,18 +132,20 @@ def fresh_identifier(index: StructuralIndex, prefix: str, rng: CounterRng) -> st
             return name
 
 
-def apply_operator(
-    src: SourceSet, op: str, seed: int, instance_id: str = ""
-) -> MetamorphicVariant:
-    """Apply one operator; pure in (src, op, seed)."""
+def apply_operator(src: SourceSet, op: str, seed: int) -> tuple[SourceSet, InjectedElement]:
+    """Apply one operator: (the transformed sources, the injected element);
+    pure in (src, op, seed)."""
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
     index = index_structure(src)
-    return _apply(src, index, op, _TABLE[op].candidates(index), seed, instance_id)
+    return _apply(src, index, op, _TABLE[op].candidates(index), seed)
 
 
 def transform_corpus(corpus: BugCorpus, master_seed: int) -> list[MetamorphicVariant]:
-    """One variant per instance; operator drawn uniformly among applicable ones.
+    """One variant per instance, in corpus order; operator drawn uniformly
+    among applicable ones. Each variant's instance is the base instance with
+    the transformed original, tag `mt-<master_seed>-<operator>` and seed
+    `master_seed`.
 
     CO applies to every file (line 0 is always a comment point), so no
     instance is ever left without an operator. A corpus of variants is
@@ -182,7 +164,10 @@ def transform_corpus(corpus: BugCorpus, master_seed: int) -> list[MetamorphicVar
         applicable = [op for op in OPERATORS if places[op]]
         op = CounterRng(derive_key(master_seed, inst.id, "op")).choice(applicable)
         seed = derive_key(master_seed, inst.id)
-        variants.append(_apply(inst.original, index, op, places[op], seed, inst.id))
+        original, element = _apply(inst.original, index, op, places[op], seed)
+        scored = replace(inst, original=original, variant_tag=f"mt-{master_seed}-{op}",
+                         seed=master_seed)
+        variants.append(MetamorphicVariant(scored, op, seed, (element,)))
     logger.info(
         "transformed %d instances: %s",
         len(variants),
@@ -199,25 +184,14 @@ def operator_counts(variants: list[MetamorphicVariant]) -> dict[str, int]:
 
 
 def _apply(
-    src: SourceSet,
-    index: StructuralIndex,
-    op: str,
-    places: list,
-    seed: int,
-    instance_id: str,
-) -> MetamorphicVariant:
-    """Draw one of `places` and build the operator's element there."""
+    src: SourceSet, index: StructuralIndex, op: str, places: list, seed: int
+) -> tuple[SourceSet, InjectedElement]:
+    """Draw one of `places`, build the operator's element there and splice it in."""
     if not places:
         raise NoInsertionPoint(f"{op}: {_TABLE[op].no_place}")
     rng = CounterRng(derive_key(seed, op))
     element = _TABLE[op].build(index, rng, rng.choice(places))
-    return MetamorphicVariant(
-        base_instance_id=instance_id,
-        operator=op,
-        seed=seed,
-        transformed_original=_splice(src, element),
-        manifest=(element,),
-    )
+    return _splice(src, element), element
 
 
 # ---------------------------------------------------------------- operators
@@ -237,17 +211,23 @@ def _slots(index: StructuralIndex, kind: str) -> list[tuple[str, int, str]]:
     """(path, line, indent) just inside every multi-line body of one kind."""
     return [
         (path, line, indent)
-        for path, fs in sorted(index.files.items())
-        for line, indent in fs.slots[kind]
+        for path, scan in sorted(index.files.items())
+        for line, indent in _body_slots(scan, kind)
     ]
 
 
 def _file_ends(index: StructuralIndex) -> list[tuple[str, int, str]]:
-    return [(path, len(fs.scan.lines) + 1, "") for path, fs in sorted(index.files.items())]
+    return [(path, len(scan.lines) + 1, "") for path, scan in sorted(index.files.items())]
 
 
 def _line_starts(index: StructuralIndex) -> list[tuple[str, int]]:
-    return [(path, point) for path, fs in index.files.items() for point in fs.comment_points]
+    """(path, 0-based insert index) before the first line and after every
+    line that ends in plain code."""
+    return [
+        (path, point)
+        for path, scan in index.files.items()
+        for point in [0] + [i + 1 for i, safe in enumerate(scan.line_end_in_code) if safe]
+    ]
 
 
 def _eligible_imports(index: StructuralIndex) -> list[tuple[str, str]]:
@@ -281,7 +261,7 @@ def _class(
 
 def _comment(index: StructuralIndex, rng: CounterRng, place) -> InjectedElement:
     path, insert_at = place
-    lines = index.files[path].scan.lines
+    lines = index.files[path].lines
     indent = _indent_of(lines[insert_at]) if insert_at < len(lines) else ""
     word = rng.choice(_COMMENT_WORDS)
     text = f"{indent}// {word} {rng.randint(0, 9999)}"
@@ -292,7 +272,8 @@ def _import(index: StructuralIndex, rng: CounterRng, place) -> InjectedElement:
     path, fq = place
     simple = fq.rsplit(".", 1)[1]
     index.identifiers.add(simple)
-    line = index.files[path].import_point + 1
+    package_line = index.files[path].package_line
+    line = package_line + 2 if package_line is not None else 1  # after it, else first
     return InjectedElement(kind="import", name=simple, file=path, line=line, lines=(f"import {fq};",))
 
 
@@ -362,30 +343,23 @@ def remove_injected_lines(content: str, elements: list[InjectedElement]) -> str:
 # --------------------------------------------------------------- persistence
 
 
-def variant_corpus(corpus: BugCorpus, master_seed: int,
-                   variants: list[MetamorphicVariant] | None = None) -> BugCorpus:
-    """The corpus `run` scores: each instance, in corpus order, with its
-    variant's original (of `variants`, else drawn here), tag
-    `mt-<master_seed>-<operator>` and seed `master_seed`."""
-    if variants is None:
-        variants = transform_corpus(corpus, master_seed)
-    return BugCorpus(tuple(
-        replace(inst, original=variant.transformed_original,
-                variant_tag=f"mt-{master_seed}-{variant.operator}", seed=master_seed)
-        for inst, variant in zip(corpus.instances, variants, strict=True)))
+def variant_corpus(corpus: BugCorpus, master_seed: int) -> BugCorpus:
+    """The corpus `run --mode metamorphic --seed <master_seed>` scores: the
+    instances of `transform_corpus`."""
+    return BugCorpus(tuple(v.instance for v in transform_corpus(corpus, master_seed)))
 
 
-def persist_variants(variants: list[MetamorphicVariant], corpus: BugCorpus, root: str | Path,
+def persist_variants(variants: list[MetamorphicVariant], root: str | Path,
                      master_seed: int) -> Path:
-    """Write `variant_corpus`'s instances, each with its `manifest`, as a
-    loadable corpus at <root>/variants/<master_seed>/. A target that exists
-    and is not empty is refused before anything is written, so no instance
-    of an earlier call is left beside these and scored with them."""
+    """Write each variant's instance, with its `manifest`, as a loadable
+    corpus at <root>/variants/<master_seed>/. A target that exists and is
+    not empty is refused before anything is written, so no instance of an
+    earlier call is left beside these and scored with them."""
     base = Path(root) / "variants" / str(master_seed)
     if base.exists() and any(base.iterdir()):
         raise FileExistsError(f"{base} is not empty; remove it or use a new --out")
-    for inst, variant in zip(variant_corpus(corpus, master_seed, variants).instances, variants):
-        inst_dir = write_instance(inst, base)
+    for variant in variants:
+        inst_dir = write_instance(variant.instance, base)
         manifest = {
             "operator": variant.operator,
             "seed": variant.seed,

@@ -449,7 +449,7 @@ def dispatch(args) -> int:
     if args.command == "metamorph":
         corpus = load_corpus(args.corpus)
         variants = metamorph.transform_corpus(corpus, args.seed)
-        base = metamorph.persist_variants(variants, corpus, args.out, args.seed)
+        base = metamorph.persist_variants(variants, args.out, args.seed)
         counts = metamorph.operator_counts(variants)
         print(f"wrote {len(variants)} variants under {base}")
         print("operators: " + ", ".join(f"{op}={n}" for op, n in counts.items()))

@@ -155,10 +155,13 @@ def render_diff_prompt(
 
 
 def has_change_lines(diff: str) -> bool:
-    """True when at least one non-header +/- line is present."""
+    """True when a +/- line is present other than a file header. `---` and
+    `+++` lines are file headers only before the first `@@` hunk header;
+    after it, a removed `--i;` or an added `++i;` is a change line."""
+    in_hunk = False
     for line in diff.split("\n"):
-        if line.startswith("+") and not line.startswith("+++"):
-            return True
-        if line.startswith("-") and not line.startswith("---"):
+        if line.startswith("@@"):
+            in_hunk = True
+        elif line[:1] in ("+", "-") and (in_hunk or line[:3] not in ("+++", "---")):
             return True
     return False

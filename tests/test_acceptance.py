@@ -199,36 +199,35 @@ def _fixture_variants():
         for op in metamorph.OPERATORS:
             for seed in range(5):
                 try:
-                    variant = metamorph.apply_operator(sources, op, seed)
+                    transformed, element = metamorph.apply_operator(sources, op, seed)
                 except metamorph.NoInsertionPoint:  # the operator has no place here
                     break
-                yield fixture, op, seed, variant
+                yield fixture, op, seed, transformed, element
 
 
 def test_criterion_06_metamorphic_conservation_and_freshness():
     with criterion(6, "metamorphic conservation + fresh identifiers", budget_s=60.0):
         count = 0
-        for fixture, op, seed, variant in _fixture_variants():
+        for fixture, op, seed, transformed, element in _fixture_variants():
             count += 1
             base = src(**fixture.original)
             base_identifiers = metamorph.index_structure(base).identifiers
-            for path, content in variant.transformed_original.files:
-                elements = [e for e in variant.manifest if e.file == path]
+            for path, content in transformed.files:
+                elements = [element] if element.file == path else []
                 restored = metamorph.remove_injected_lines(content, elements)
                 assert restored == base.content(path), (fixture.id, op, seed)
-            for element in variant.manifest:
-                if element.name:
-                    assert element.name not in base_identifiers, (fixture.id, op)
+            if element.name:
+                assert element.name not in base_identifiers, (fixture.id, op)
         assert count >= 20 * 5  # every program, several operators, five seeds
 
 
 @pytest.mark.usefixtures("jdk")
 def test_criterion_06b_metamorphic_variants_compile(jdk):
     with criterion(6, "metamorphic variants compile (real JDK)", budget_s=300.0):
-        for fixture, op, seed, variant in _fixture_variants():
+        for fixture, op, seed, transformed, _ in _fixture_variants():
             base = src(**fixture.original)
             assert jdk.compile(base).success, f"fixture {fixture.id} must compile"
-            result = jdk.compile(variant.transformed_original)
+            result = jdk.compile(transformed)
             assert result.success, (fixture.id, op, seed, result.diagnostics)
 
 
@@ -241,12 +240,10 @@ def test_criterion_06c_metamorphic_oracle_preserved(jdk):
             baseline = jdk.check_discriminating(fixture.test, base, resulting)
             for op in metamorph.OPERATORS:
                 try:
-                    variant = metamorph.apply_operator(base, op, seed=1)
+                    transformed, _ = metamorph.apply_operator(base, op, seed=1)
                 except metamorph.NoInsertionPoint:  # the operator has no place here
                     continue
-                shifted = jdk.check_discriminating(
-                    fixture.test, variant.transformed_original, resulting
-                )
+                shifted = jdk.check_discriminating(fixture.test, transformed, resulting)
                 assert shifted.on_original.outcome == baseline.on_original.outcome
                 assert shifted.on_resulting.outcome == baseline.on_resulting.outcome
 

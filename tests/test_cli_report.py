@@ -22,6 +22,7 @@ from jdk_image import JAVA_VERSION, stand_in_jdk
 from reforacle import (
     assessor,
     cli_report,
+    dataset,
     java_executor,
     jsonl,
     metamorph,
@@ -32,7 +33,13 @@ from reforacle import (
 from reforacle.cli_report import ConfigError, main, summarize
 from reforacle.dataset import load_corpus
 from reforacle.java_executor import FAIL, PASS, MockToolchain, NullToolchain, ToolchainUnavailable
-from reforacle.model_client import BackendConfig, MockBackend, ModelClient, TranscriptStore
+from reforacle.model_client import (
+    BackendConfig,
+    BackendReply,
+    MockBackend,
+    ModelClient,
+    TranscriptStore,
+)
 from reforacle.pipeline import RunConfig, run_benchmark
 from replay_stores import write_replay_store
 
@@ -229,6 +236,47 @@ class TestRunBenchmark:
         # the identity pair has no diff payload and is skipped
         assert len(records) == 9
         assert not any(r["instance_id"] == "pr-identity" for r in records)
+
+    def test_a_column_0_decrement_or_increment_is_a_change_in_diff_mode(self, tmp_path,
+                                                                        monkeypatch, caplog):
+        """A diff whose only change line reads `---i;` or `+++i;` is scored, not
+        skipped as a diff of file headers alone."""
+        body = "class A {\n  void m(int i) {\n%s  }\n}\n"
+        corpus = tmp_path / "corpus"
+        for inst_id, before, after in [("dead-decrement", "--i;\n", ""),
+                                       ("dead-increment", "", "++i;\n")]:
+            dataset.write_instance(dataset.BugInstance(
+                id=inst_id, tool="Other", refactoring_type="Remove Dead Code",
+                label="PRESERVING", original=dataset.SourceSet((("A.java", body % before),)),
+                resulting=dataset.SourceSet((("A.java", body % after),))), corpus)
+        monkeypatch.setattr(cli_report, "_toolchain_from_args", lambda args: MockToolchain())
+        out = tmp_path / "out"
+        assert main(["run", "--corpus", str(corpus), "--backend", "mock", "--mode", "diffonly",
+                     "--out", str(out)]) == 0
+        rows = assessor.read_outcomes(out / "outcomes.jsonl")
+        assert [(r["instance_id"], r["template_version"], r["correct"]) for r in rows] == [
+            ("dead-decrement", "diff_only_v1", True), ("dead-increment", "diff_only_v1", True)]
+        assert not [r for r in caplog.records if r.getMessage().startswith("skipping")]
+
+    @pytest.mark.parametrize("tokens_out, cost, cost_total", [
+        (500, 1000 / 1000 * 0.25 + 500 / 1000 * 2.0, 10 * 1.25),
+        (None, None, 0.0),  # the total sums the known costs: none here
+    ], ids=["priced", "no-tokens-out"])
+    def test_a_priced_backend_costs_each_call_and_totals_the_costs(
+        self, tokens_out, cost, cost_total, mini_corpus_root, tmp_path
+    ):
+        class Counted:
+            def complete(self, cfg, prompt_text):
+                return BackendReply(text=YES_ANSWER, tokens_in=1000, tokens_out=tokens_out)
+
+        priced = BackendConfig(name="priced", price_in_per_1k=0.25, price_out_per_1k=2.0)
+        out = tmp_path / "out"
+        run_benchmark(base_config(mini_corpus_root, out, backends=[priced]),
+                      backends_impl={"priced": Counted()}, toolchain=MockToolchain())
+        rows = assessor.read_outcomes(out / "outcomes.jsonl")
+        assert [r["cost_estimate"] for r in rows] == [cost] * 10
+        telemetry = json.loads((out / "telemetry.json").read_text())
+        assert telemetry["priced"]["cost_total"] == cost_total
 
     def test_template_override_flag(self, mini_corpus_root, tmp_path):
         override = tmp_path / "pinned.txt"
@@ -822,8 +870,7 @@ class TestVariantCorpus:
 
     def test_a_variant_corpus_runs_in_diff_mode(self, corpus_root, tmp_path):
         corpus = load_corpus(corpus_root)
-        variants = metamorph.persist_variants(metamorph.transform_corpus(corpus, 7), corpus,
-                                              tmp_path, 7)
+        variants = metamorph.persist_variants(metamorph.transform_corpus(corpus, 7), tmp_path, 7)
         artifacts = run_benchmark(
             base_config(variants, tmp_path / "out", mode=cli_report.DIFF_ONLY_MODE),
             backends_impl={"mock": ce_backend()}, toolchain=MockToolchain())

@@ -742,6 +742,53 @@ class TestLaunchFailure:
         assert list(workspaces.iterdir()) == []
 
 
+class TestTestRunOutcomes:
+    """A test JVM that fails without JUnit's failure marker is an ERROR, and
+    one that overruns TEST_TIMEOUT_S is killed and a TIMEOUT. Compiles run
+    one-shot through a stand-in javac: the stand-in java exits at once
+    when asked to start the compile worker."""
+
+    def toolchain(self, tmp_path, test_run: str) -> RealToolchain:
+        """A stand-in java that records its pid in `<tmp_path>/pids`, then
+        runs `test_run` for every test run."""
+        java = ("#!/bin/sh\n"
+                'case "$*" in *CompileWorker.java*) exit 0 ;; esac\n'
+                f'echo $$ >> "{tmp_path / "pids"}"\n'
+                f"{test_run}\n")
+        javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 0\n", java=java)
+        return RealToolchain(
+            java_executor.ToolchainConfig(javac_path=str(javac), junit_classpath=("junit.jar",))
+        )
+
+    def check(self, toolchain) -> tuple[str, str]:
+        try:
+            result = toolchain.check_discriminating(java_fixtures.VACUOUS_TEST, FIG1_ORIGINAL,
+                                                    FIG1_RESULTING)
+        finally:
+            toolchain.close()
+        return result.on_original.outcome, result.on_resulting.outcome
+
+    def assert_no_child_left(self, tmp_path):
+        pids = [int(line) for line in (tmp_path / "pids").read_text().split()]
+        assert len(pids) == 2  # one test JVM per side
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_an_exit_without_the_failure_marker_is_an_error(self, tmp_path, workspaces):
+        toolchain = self.toolchain(tmp_path, 'echo "Exception in thread main"\nexit 1')
+        assert self.check(toolchain) == (ERROR, ERROR)
+        self.assert_no_child_left(tmp_path)
+        assert list(workspaces.iterdir()) == []
+
+    def test_a_run_past_the_limit_is_a_timeout(self, tmp_path, monkeypatch, workspaces):
+        monkeypatch.setattr(java_executor, "TEST_TIMEOUT_S", 1.0)
+        toolchain = self.toolchain(tmp_path, "exec sleep 30")
+        assert self.check(toolchain) == (TIMEOUT, TIMEOUT)
+        self.assert_no_child_left(tmp_path)
+        assert list(workspaces.iterdir()) == []
+
+
 class TestRunTestWithoutJUnit:
     def test_raises_before_compiling(self, tmp_path, workspaces):
         javac = stand_in_jdk(tmp_path / "jdk", "#!/bin/sh\nexit 99\n")

@@ -78,8 +78,8 @@ class TestScanner:
         index = index_structure(src)
         spans = [
             ctx
-            for fs in index.files.values()
-            for ctx in fs.scan.contexts
+            for scan in index.files.values()
+            for ctx in scan.contexts
             if ctx.kind == javalex.TYPE_BODY and ctx.top_level
         ]
         assert len(spans) == 3
@@ -203,18 +203,15 @@ class TestInsertionPoints:
 
 class TestOperators:
     def test_af_inserts_field_before_method(self):
-        variant = apply_operator(SMALL, AF, seed=7)
-        content = variant.transformed_original.content("A.java")
-        element = variant.manifest[0]
+        transformed, element = apply_operator(SMALL, AF, seed=7)
+        content = transformed.content("A.java")
         assert element.kind == "field"
         assert element.line == 2  # right after `class A {`
         assert f" {element.name} = " in content
 
     def test_lvd_inserts_dead_local_first(self):
-        variant = apply_operator(SMALL, LVD, seed=11)
-        content = variant.transformed_original.content("A.java")
-        lines = content.split("\n")
-        element = variant.manifest[0]
+        transformed, element = apply_operator(SMALL, LVD, seed=11)
+        lines = transformed.content("A.java").split("\n")
         assert element.kind == "local"
         assert lines[2].strip().endswith(";")
         assert element.name in lines[2]
@@ -233,9 +230,9 @@ class N {
 }
 """
         })
-        variant = apply_operator(src, JI, seed=5)
-        assert variant.manifest[0].name != "ArrayList"
-        content = variant.transformed_original.content("N.java")
+        transformed, element = apply_operator(src, JI, seed=5)
+        assert element.name != "ArrayList"
+        content = transformed.content("N.java")
         assert content.count("import java.util.ArrayList;") == 1
 
     def test_ji_inapplicable_when_pool_exhausted(self):
@@ -262,24 +259,23 @@ class N {
         block = original[original.index('"""'):original.rindex('"""') + 3]
         for seed in range(40):
             try:
-                variant = apply_operator(CONTINUED_TEXT_BLOCK, op, seed=seed)
+                transformed, _ = apply_operator(CONTINUED_TEXT_BLOCK, op, seed=seed)
             except NoInsertionPoint:
                 continue
-            assert block in variant.transformed_original.content("A.java"), (op, seed)
+            assert block in transformed.content("A.java"), (op, seed)
 
     def test_tlc_appends_class(self):
-        variant = apply_operator(SMALL, TLC, seed=13)
-        content = variant.transformed_original.content("A.java")
-        element = variant.manifest[0]
+        transformed, element = apply_operator(SMALL, TLC, seed=13)
+        content = transformed.content("A.java")
         assert element.kind == "top_level_class"
         assert f"class {element.name} {{" in content
         assert content.index(f"class {element.name}") > content.index("class A")
 
     def test_ic_nests_inside_type(self):
-        variant = apply_operator(SMALL, IC, seed=17)
-        scan = javalex.scan_file(variant.transformed_original.content("A.java"))
+        transformed, element = apply_operator(SMALL, IC, seed=17)
+        scan = javalex.scan_file(transformed.content("A.java"))
         names = {ctx.name: ctx for ctx in scan.contexts if ctx.kind == javalex.TYPE_BODY}
-        inner = variant.manifest[0].name
+        inner = element.name
         assert inner in names
         assert not names[inner].top_level
 
@@ -294,15 +290,14 @@ class TestVariantProperties:
             if not operator_applicable(index_structure(src), op):
                 continue
             for seed in range(5):
-                variant = apply_operator(src, op, seed)
-                assert variant.manifest
-                for path, content in variant.transformed_original.files:
-                    elements = [e for e in variant.manifest if e.file == path]
+                transformed, element = apply_operator(src, op, seed)
+                assert isinstance(element, metamorph.InjectedElement)
+                for path, content in transformed.files:
+                    elements = [element] if element.file == path else []
                     restored = remove_injected_lines(content, elements)
                     assert restored == src.content(path), (fixture.id, op, seed, path)
-                for element in variant.manifest:
-                    if element.name:
-                        assert element.name not in base_identifiers
+                if element.name:
+                    assert element.name not in base_identifiers
 
     def test_variant_still_scans(self):
         # the transformed program must stay lexically well-formed
@@ -311,8 +306,8 @@ class TestVariantProperties:
             for op in OPERATORS:
                 if not operator_applicable(index_structure(src), op):
                     continue
-                variant = apply_operator(src, op, seed=23)
-                for path, content in variant.transformed_original.files:
+                transformed, _ = apply_operator(src, op, seed=23)
+                for path, content in transformed.files:
                     javalex.scan_file(content, path)
 
     def test_all_fixture_sources_scan_clean(self):
@@ -327,14 +322,11 @@ class TestVariantProperties:
         for op in OPERATORS:
             if not operator_applicable(index_structure(SMALL), op):
                 continue
-            a = apply_operator(SMALL, op, seed=99)
-            b = apply_operator(SMALL, op, seed=99)
-            assert a.transformed_original == b.transformed_original
-            assert a.manifest == b.manifest
+            assert apply_operator(SMALL, op, seed=99) == apply_operator(SMALL, op, seed=99)
 
     def test_different_seeds_vary(self):
         texts = {
-            apply_operator(SMALL, AF, seed=s).transformed_original.content("A.java")
+            apply_operator(SMALL, AF, seed=s)[0].content("A.java")
             for s in range(12)
         }
         assert len(texts) > 1
@@ -377,15 +369,13 @@ class TestTransformCorpus:
         corpus = corpus_from_fixtures(java_fixtures.FIXTURES)
         variants = transform_corpus(corpus, master_seed=2024)
         assert len(variants) == corpus.total
-        assert {v.base_instance_id for v in variants} == {
-            i.id for i in corpus.instances
-        }
+        assert [v.instance.id for v in variants] == [i.id for i in corpus.instances]
 
     def test_same_seed_identical_byte_for_byte(self):
         corpus = corpus_from_fixtures(java_fixtures.FIXTURES)
         a = transform_corpus(corpus, master_seed=5)
         b = transform_corpus(corpus, master_seed=5)
-        assert [v.transformed_original for v in a] == [v.transformed_original for v in b]
+        assert [v.instance for v in a] == [v.instance for v in b]
         assert [v.manifest for v in a] == [v.manifest for v in b]
 
     def test_operator_distribution_roughly_balanced(self):
@@ -423,20 +413,20 @@ class TestTransformCorpus:
         variants = transform_corpus(corpus, master_seed=123)
         by_id = {f.id: f for f in fixtures}
         for variant in variants:
-            base = source_set(**by_id[variant.base_instance_id].original)
-            for path, content in variant.transformed_original.files:
+            base = source_set(**by_id[variant.instance.id].original)
+            for path, content in variant.instance.original.files:
                 elements = [e for e in variant.manifest if e.file == path]
                 assert metamorph.remove_injected_lines(content, elements) == base.content(path)
 
     def test_persist_and_reload(self, tmp_path):
         corpus = corpus_from_fixtures(java_fixtures.FIXTURES[:4])
         variants = transform_corpus(corpus, master_seed=31)
-        base = metamorph.persist_variants(variants, corpus, tmp_path, 31)
+        base = metamorph.persist_variants(variants, tmp_path, 31)
         from reforacle.dataset import load_corpus
 
         reloaded = load_corpus(base)
         assert reloaded.total == 4
-        manifest = (base / "instances" / variants[0].base_instance_id / "manifest").read_text()
+        manifest = (base / "instances" / variants[0].instance.id / "manifest").read_text()
         assert variants[0].operator in manifest
         # the persisted corpus is the one `run --mode metamorphic` scores
         scored = metamorph.variant_corpus(corpus, 31)
@@ -470,12 +460,12 @@ NO_BODY = "no class or interface body spans multiple lines"
 NO_METHOD = "no method body spans multiple lines"
 
 
-def _variant_digest(variants) -> str:
+def _variant_digest(rows) -> str:
+    """Digest of (instance id, operator, seed, transformed files, manifest) rows."""
     h = hashlib.sha256()
-    for v in variants:
-        manifest = [[e.kind, e.name, e.file, e.line, e.lines] for e in v.manifest]
-        row = [v.base_instance_id, v.operator, v.seed, v.transformed_original.files, manifest]
-        h.update(json.dumps(row).encode())
+    for inst_id, op, seed, files, manifest in rows:
+        elements = [[e.kind, e.name, e.file, e.line, e.lines] for e in manifest]
+        h.update(json.dumps([inst_id, op, seed, files, elements]).encode())
     return h.hexdigest()
 
 
@@ -518,7 +508,9 @@ class TestGoldenVariants:
     @pytest.mark.parametrize("seed", sorted(CORPUS))
     def test_transform_corpus(self, seed):
         corpus = corpus_from_fixtures(java_fixtures.FIXTURES)
-        assert _variant_digest(transform_corpus(corpus, seed)) == self.CORPUS[seed]
+        rows = [(v.instance.id, v.operator, v.seed, v.instance.original.files, v.manifest)
+                for v in transform_corpus(corpus, seed)]
+        assert _variant_digest(rows) == self.CORPUS[seed]
 
     def _sources(self):
         fixtures = {f.id: source_set(**f.original) for f in java_fixtures.FIXTURES}
@@ -526,13 +518,14 @@ class TestGoldenVariants:
 
     @pytest.mark.parametrize("op", OPERATORS)
     def test_apply_operator(self, op):
-        variants = [
-            apply_operator(src, op, seed, instance_id=name)
+        rows = [
+            (name, op, seed, transformed.files, (element,))
             for name, src in self._sources().items()
             if operator_applicable(index_structure(src), op)
             for seed in range(5)
+            for transformed, element in [apply_operator(src, op, seed)]
         ]
-        assert _variant_digest(variants) == self.PER_OPERATOR[op]
+        assert _variant_digest(rows) == self.PER_OPERATOR[op]
 
     def test_inapplicable_pairs_and_messages(self):
         messages = {}

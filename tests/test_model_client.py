@@ -17,6 +17,7 @@ from reforacle.model_client import (
     RawModelResponse,
     ReplayMiss,
     RequestKey,
+    Timeout,
     TranscriptStore,
     TransportFailure,
     manual_response,
@@ -108,6 +109,26 @@ class TestQuery:
         client = ModelClient(remote, backend=HttpChatBackend())
         with pytest.raises(AuthMissing):
             client.query(prompt(), attempt_index=1)
+
+
+class TestCost:
+    """A call's cost is tokens_in/1000 * price_in + tokens_out/1000 * price_out,
+    and unknown (null) without both prices and both token counts."""
+
+    @pytest.mark.parametrize("tokens_in, tokens_out, prices, cost", [
+        (1000, 500, (0.25, 2.0), 0.25 + 1.0),
+        (1000, None, (0.25, 2.0), None),
+        (None, 500, (0.25, 2.0), None),
+        (1000, 500, (0.25, None), None),
+    ], ids=["priced", "no-tokens-out", "no-tokens-in", "no-price-out"])
+    def test_cost_estimate(self, tokens_in, tokens_out, prices, cost):
+        class Counted:
+            def complete(self, cfg, prompt_text):
+                return BackendReply(text=FIXED_VERDICT, tokens_in=tokens_in, tokens_out=tokens_out)
+
+        priced = cfg(price_in_per_1k=prices[0], price_out_per_1k=prices[1])
+        response = ModelClient(priced, backend=Counted()).query(prompt(), attempt_index=1)
+        assert response.cost_estimate == cost
 
 
 class FakeHttpResponse:
@@ -212,6 +233,28 @@ class TestHttpWireProtocol:
             client.query(prompt(), attempt_index=1)
         assert str(failed.value).startswith(message) and text in str(failed.value)
         assert failed.value.key.instance_id == "inst-1" and calls == []  # not retried
+
+    @pytest.mark.parametrize("raised, error", [
+        (requests.Timeout("read timed out"), Timeout),
+        (requests.ConnectionError("connection refused"), TransportFailure),
+    ], ids=["timeout", "connection-error"])
+    def test_a_transport_error_is_retried_then_raised(self, raised, error, monkeypatch):
+        monkeypatch.setenv("TEST_TOKEN", "sekret")
+        posts = []
+
+        def failing_post(url, json=None, headers=None, timeout=None):
+            posts.append(url)
+            raise raised
+
+        monkeypatch.setattr(requests, "post", failing_post)
+        naps = []
+        client = ModelClient(self.remote_cfg(max_attempts_per_call=3), backend=HttpChatBackend(),
+                             sleep=naps.append)
+        with pytest.raises(error) as failed:
+            client.query(prompt(), attempt_index=1)
+        assert str(failed.value) == str(raised)
+        assert failed.value.key.instance_id == "inst-1"
+        assert len(posts) == 3 and naps == [0.5, 1.0]
 
     def test_rejected_credential_is_auth_error(self, monkeypatch):
         monkeypatch.setenv("TEST_TOKEN", "expired")

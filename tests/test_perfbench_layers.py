@@ -58,9 +58,9 @@ def test_a_traced_replay_records_every_per_attempt_span(mini_corpus_root, tmp_pa
         toolchain=MockToolchain(),
     )
     out, tmp = tmp_path / "out", tmp_path / "tmp"
-    spans = traced(tmp_path, "run", "--corpus", str(mini_corpus_root), "--backend", "model",
-                   "--backends-file", str(backends_file(tmp_path)), "--replay", str(store),
-                   "--jobs", "2", "--out", str(out))
+    spans = names(traced(tmp_path, "run", "--corpus", str(mini_corpus_root), "--backend",
+                         "model", "--backends-file", str(backends_file(tmp_path)), "--replay",
+                         str(store), "--jobs", "2", "--out", str(out)))
     rows = [json.loads(line) for line in (out / "outcomes.jsonl").read_text().splitlines()]
     claims = [r for r in rows if r["answer_label"].startswith("SAID_BC_")]
     assert len(rows) == 10 and len(claims) == 1
@@ -70,15 +70,16 @@ def test_a_traced_replay_records_every_per_attempt_span(mini_corpus_root, tmp_pa
     assert spans.count("java_executor.version") == 1
     for name in ("completed_keys", "metric_reports", "stats_report", "telemetry"):
         assert spans.count(f"cli_report.{name}") == 1, name
-    spans = traced(tmp_path, "summarize", "--outcomes", str(out / "outcomes.jsonl"),
-                   "--out", str(tmp_path / "summary"))
+    spans = names(traced(tmp_path, "summarize", "--outcomes", str(out / "outcomes.jsonl"),
+                         "--out", str(tmp_path / "summary")))
     assert spans.count("cli_report.summarize") == 1
     assert not [p for p in tmp.iterdir() if p.name.startswith("reforacle-")]
 
 
 def test_a_traced_metamorphic_run_draws_its_variants_once(mini_corpus_root, tmp_path):
     """The python-path workload's traced run requires the metamorph.transform
-    span: `run --mode metamorphic` draws the variant corpus once."""
+    span: `run --mode metamorphic` draws the variant corpus once, and the
+    span's `variants` (the benchmark's metamorph.variants) counts them."""
     pytest.importorskip("tomllib")
     store = tmp_path / "store.jsonl"
     run_benchmark(
@@ -93,8 +94,9 @@ def test_a_traced_metamorphic_run_draws_its_variants_once(mini_corpus_root, tmp_
                    "--mode", "metamorphic", "--seed", "7", "--out", str(out))
     rows = [json.loads(line) for line in (out / "outcomes.jsonl").read_text().splitlines()]
     assert len(rows) == 10 and all(r["variant_tag"].startswith("mt-7-") for r in rows)
-    assert spans.count("metamorph.transform") == 1
-    assert spans.count("model_client.query") == len(rows)
+    (transform,) = [span for span in spans if span["name"] == "metamorph.transform"]
+    assert transform["variants"] == 10
+    assert names(spans).count("model_client.query") == len(rows)
 
 
 def backends_file(tmp_path: Path) -> Path:
@@ -103,13 +105,17 @@ def backends_file(tmp_path: Path) -> Path:
     return path
 
 
-def traced(tmp_path: Path, *args: str) -> list[str]:
-    """The span names of one CLI command run under perfbench/tracer.py, with
-    `tmp_path / "tmp"` as its TMPDIR."""
+def traced(tmp_path: Path, *args: str) -> list[dict]:
+    """The span records of one CLI command run under perfbench/tracer.py,
+    with `tmp_path / "tmp"` as its TMPDIR."""
     spans_path, tmp = tmp_path / "spans.jsonl", tmp_path / "tmp"
     tmp.mkdir(exist_ok=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", TMPDIR=str(tmp))
     command = [sys.executable, str(PERFBENCH / "tracer.py"), str(spans_path), *args]
     proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
-    return [json.loads(line)["name"] for line in spans_path.read_text().splitlines()]
+    return [json.loads(line) for line in spans_path.read_text().splitlines()]
+
+
+def names(spans: list[dict]) -> list[str]:
+    return [span["name"] for span in spans]

@@ -122,6 +122,16 @@ class TestRenderDiff:
         with pytest.raises(NoChangeLines):
             render_diff_prompt("--- a/A.java\n+++ b/A.java\n")
 
+    @pytest.mark.parametrize("before, after", [
+        ("class A {\n  void m(int i) {\n--i;\n  }\n}\n", "class A {\n  void m(int i) {\n  }\n}\n"),
+        ("class A {\n  void m(int i) {\n  }\n}\n", "class A {\n  void m(int i) {\n++i;\n  }\n}\n"),
+    ], ids=["removed-decrement", "added-increment"])
+    def test_a_change_line_that_looks_like_a_file_header_renders(self, before, after):
+        diff = unified_source_diff(SourceSet(files=(("A.java", before),)),
+                                   SourceSet(files=(("A.java", after),)))
+        assert "\n---i;\n" in diff or "\n+++i;\n" in diff
+        assert render_diff_prompt(diff).text.count(diff) == 1
+
     def test_empty_diff_rejected(self):
         with pytest.raises(EmptyDiff):
             render_diff_prompt("   \n")

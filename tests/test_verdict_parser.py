@@ -130,6 +130,13 @@ class TestVerdictStrings:
         assert isinstance(failure, ParseFailure)
         assert failure.reason == ILLEGAL_VERDICT_STRING
 
+    @pytest.mark.parametrize("explanation", [{"why": ["a", 1]}, ["x", None], 3, None])
+    def test_a_non_string_explanation_is_kept_as_its_json_text(self, explanation):
+        text = json.dumps({"verdict": "YES", "explanation": explanation})
+        verdict = parse_response(text, FULL_SOURCE)
+        assert isinstance(verdict, ModelVerdict)
+        assert verdict.explanation == json.dumps(explanation)
+
 
 class TestMissingTestViolation:
     def test_bc_without_test_is_not_parse_failure(self):
